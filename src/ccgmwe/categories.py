@@ -7,13 +7,14 @@ argument, as in ``(S\\NP)/NP``.  Slashes associate to the left, so
 functors, which is the canonical form used in all file formats.
 
 Categories are immutable values: they can be shared freely between threads
-and used as dictionary keys (the chart parser relies on this).
+and used as dictionary keys.  Each category computes its hash once, from
+its children's cached hashes, so hashing never walks the tree.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 FORWARD = "/"
@@ -31,7 +32,7 @@ class CategoryParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Category:
     """An atomic or functor CCG category.
 
@@ -45,6 +46,33 @@ class Category:
     result: Category | None = None
     direction: str | None = None
     argument: Category | None = None
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(
+            (self.atom, self.feature, self.result, self.direction,
+             self.argument)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Category):
+            return NotImplemented
+        return (self._hash == other._hash
+                and self.atom == other.atom
+                and self.feature == other.feature
+                and self.direction == other.direction
+                and self.result == other.result
+                and self.argument == other.argument)
+
+    def __reduce__(self):
+        # rebuild through the constructor: the cached hash depends on the
+        # interpreter's string-hash seed and must not travel in a pickle
+        return (Category, (self.atom, self.feature, self.result,
+                           self.direction, self.argument))
 
     def is_atom(self):
         return self.atom is not None
@@ -226,6 +254,7 @@ def combine(left, right):
     return out
 
 
+@lru_cache(maxsize=None)
 def derivation_rule(left, right, parent):
     """The first rule under which `parent` derives from (left, right), or None."""
     for rule, cat in combine(left, right):

@@ -18,8 +18,9 @@ non-combinatory absorption nodes seen in training.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .categories import (FORWARD_APPLY, FORWARD_COMPOSE, arity,
                          derivation_rule, is_modifier, parse_category, render,
@@ -39,6 +40,7 @@ _ATOM_POS = {"S": "V", "N": "N", "NP": "N", "PP": "P", "PUNC": "PUNC",
              "conj": "PUNC"}
 
 
+@lru_cache(maxsize=None)
 def pos_for_category(cat):
     """Coarse POS tag (N, V, P, D, ADV, PUNC) for a lexical category.
 
@@ -154,39 +156,53 @@ def pos_tag(model, tokens):
     """Unigram tagging: the most frequent training tag of each token, the
     tag of its lowercased form for unseen tokens, and the globally most
     frequent tag as a last resort.  Ties pick the smallest tag."""
-    global_counts = Counter()
-    for dist in model.token_pos.values():
-        global_counts.update(dist)
-    default = _best_tag(global_counts) if global_counts else "N"
+    indexes = model.ensure_indexes()
+    best = indexes["best_tag"]
+    default = indexes["default_tag"]
     tags = []
     for token in tokens:
-        dist = model.token_pos.get(token)
-        if dist is None:
-            dist = model.token_pos.get(token.lower())
-        tags.append(_best_tag(dist) if dist else default)
+        tag = best.get(token)
+        if tag is None:
+            tag = best.get(token.lower(), default)
+        tags.append(tag)
     return tags
 
 
 def _build_indexes(model):
-    binary = defaultdict(list)
+    """Dense-int tables for CKY.
+
+    Every category of the model gets an id in render order, so ascending
+    ids reproduce the render-ordered iteration that fixes tie-breaking.
+    Binary rules are nested as left id -> right id -> [(parent id, logp)];
+    `categories` maps ids back for tree building.  The tagger's per-token
+    and global best tags are computed here once per model.
+    """
+    cats = set(model.rules) | set(model.lexical) | set(model.roots)
+    for dist in model.rules.values():
+        for expansion in dist:
+            cats.update(expansion)
+    for dist in model.pos_backoff.values():
+        cats.update(dist)
+    categories = sorted(cats, key=render)
+    ids = {cat: index for index, cat in enumerate(categories)}
+    binary = defaultdict(dict)
     unary = defaultdict(list)
     for parent in sorted(model.rules, key=render):
         for expansion, prob in sorted(model.rules[parent].items(),
                                       key=lambda kv: tuple(map(render, kv[0]))):
-            if expansion is LEX or len(expansion) == 0:
-                continue
-            logp = math.log(prob)
             if len(expansion) == 1:
-                unary[expansion[0]].append((parent, logp))
-            else:
-                binary[expansion].append((parent, logp))
+                unary[ids[expansion[0]]].append((ids[parent], math.log(prob)))
+            elif len(expansion) == 2:
+                left, right = expansion
+                binary[ids[left]].setdefault(ids[right], []).append(
+                    (ids[parent], math.log(prob)))
     lex_index = defaultdict(list)
     for cat in sorted(model.lexical, key=render):
         lex_logp = _log_lex_expansion(model, cat)
         if lex_logp is None:
             continue
         for token, prob in model.lexical[cat].items():
-            lex_index[token].append((cat, lex_logp + math.log(prob)))
+            lex_index[token].append((ids[cat], lex_logp + math.log(prob)))
     backoff_index = defaultdict(list)
     for tag in sorted(model.pos_backoff):
         for cat, prob in sorted(model.pos_backoff[tag].items(),
@@ -194,13 +210,21 @@ def _build_indexes(model):
             lex_logp = _log_lex_expansion(model, cat)
             if lex_logp is None:
                 continue
-            backoff_index[tag].append((cat, lex_logp + math.log(prob)))
+            backoff_index[tag].append((ids[cat], lex_logp + math.log(prob)))
+    global_counts = Counter()
+    for dist in model.token_pos.values():
+        global_counts.update(dist)
+    default_tag = _best_tag(global_counts) if global_counts else "N"
     return {
+        "categories": categories,
         "binary": dict(binary),
         "unary": dict(unary),
         "lex": dict(lex_index),
         "backoff": dict(backoff_index),
-        "roots": sorted(model.roots, key=render),
+        "roots": sorted(ids[cat] for cat in model.roots),
+        "best_tag": {token: _best_tag(dist) if dist else default_tag
+                     for token, dist in model.token_pos.items()},
+        "default_tag": default_tag,
     }
 
 
@@ -215,16 +239,17 @@ def _leaf_candidates(model, indexes, token, tag):
     return indexes["backoff"].get(tag, ())
 
 
-def _unary_closure(unary_index, cell):
-    agenda = list(cell)
+def _unary_closure(unary_index, scores, backs):
+    agenda = deque(scores)
     while agenda:
-        child = agenda.pop(0)
-        base = cell[child][0]
+        child = agenda.popleft()
+        base = scores[child]
         for parent, logq in unary_index.get(child, ()):
             cand = base + logq
-            entry = cell.get(parent)
-            if entry is None or cand > entry[0]:
-                cell[parent] = (cand, ("U", child))
+            old = scores.get(parent)
+            if old is None or cand > old:
+                scores[parent] = cand
+                backs[parent] = (child,)
                 agenda.append(parent)
 
 
@@ -241,59 +266,78 @@ def parse(model, tokens):
     unary_index = indexes["unary"]
     tags = pos_tag(model, tokens)
     n = len(tokens)
-    chart = {}
+    # span (i, j) lives at [i][j]: category id -> best log-probability, and
+    # category id -> backpointer: None for a leaf, (child id,) for a unary
+    # node, (split, left id, right id) for a binary one
+    score_chart = [[None] * (n + 1) for _ in range(n)]
+    back_chart = [[None] * (n + 1) for _ in range(n)]
     entries = 0
     for i, token in enumerate(tokens):
-        cell = {}
-        for cat, logp in _leaf_candidates(model, indexes, token, tags[i]):
-            entry = cell.get(cat)
-            if entry is None or logp > entry[0]:
-                cell[cat] = (logp, None)
-        _unary_closure(unary_index, cell)
-        chart[i, i + 1] = cell
-        entries += len(cell)
+        scores = {}
+        backs = {}
+        for cid, logp in _leaf_candidates(model, indexes, token, tags[i]):
+            old = scores.get(cid)
+            if old is None or logp > old:
+                scores[cid] = logp
+                backs[cid] = None
+        _unary_closure(unary_index, scores, backs)
+        score_chart[i][i + 1] = scores
+        back_chart[i][i + 1] = backs
+        entries += len(scores)
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
-            cell = {}
+            score_row = score_chart[i]
+            scores = {}
+            backs = {}
             for k in range(i + 1, j):
-                left_cell = chart[i, k]
-                right_cell = chart[k, j]
+                left_cell = score_row[k]
+                right_cell = score_chart[k][j]
                 if not left_cell or not right_cell:
                     continue
-                for lcat, (lp, _) in left_cell.items():
-                    for rcat, (rp, _) in right_cell.items():
-                        for parent, logq in binary_index.get((lcat, rcat), ()):
+                for lid, lp in left_cell.items():
+                    by_right = binary_index.get(lid)
+                    if by_right is None:
+                        continue
+                    for rid, rp in right_cell.items():
+                        rules = by_right.get(rid)
+                        if rules is None:
+                            continue
+                        for pid, logq in rules:
                             cand = lp + rp + logq
-                            entry = cell.get(parent)
-                            if entry is None or cand > entry[0]:
-                                cell[parent] = (cand, (k, lcat, rcat))
-            _unary_closure(unary_index, cell)
-            chart[i, j] = cell
-            entries += len(cell)
+                            old = scores.get(pid)
+                            if old is None or cand > old:
+                                scores[pid] = cand
+                                backs[pid] = (k, lid, rid)
+            _unary_closure(unary_index, scores, backs)
+            score_row[j] = scores
+            back_chart[i][j] = backs
+            entries += len(scores)
     stats = {"tokens": n, "chart_entries": entries}
-    best_cat, best_logp = None, None
-    top = chart[0, n]
-    for cat in indexes["roots"]:
-        entry = top.get(cat)
-        if entry is not None and (best_logp is None or entry[0] > best_logp):
-            best_cat, best_logp = cat, entry[0]
-    if best_cat is None:
+    best_id, best_logp = None, None
+    top = score_chart[0][n]
+    for cid in indexes["roots"]:
+        logp = top.get(cid)
+        if logp is not None and (best_logp is None or logp > best_logp):
+            best_id, best_logp = cid, logp
+    if best_id is None:
         return ParseResult(None, None, stats)
-    tree = _build_tree(chart, tokens, 0, n, best_cat)
+    tree = _build_tree(back_chart, indexes["categories"], tokens, 0, n, best_id)
     return ParseResult(assign_leaf_indices(tree), best_logp, stats)
 
 
-def _build_tree(chart, tokens, i, j, cat):
-    backpointer = chart[i, j][cat][1]
+def _build_tree(back_chart, categories, tokens, i, j, cid):
+    backpointer = back_chart[i][j][cid]
+    cat = categories[cid]
     if backpointer is None:
         return DerivationTree(cat, (), tokens[i])
-    if backpointer[0] == "U":
-        return DerivationTree(cat, (_build_tree(chart, tokens, i, j,
-                                                backpointer[1]),))
-    k, lcat, rcat = backpointer
-    return DerivationTree(cat, (_build_tree(chart, tokens, i, k, lcat),
-                                _build_tree(chart, tokens, k, j, rcat)))
+    if len(backpointer) == 1:
+        return DerivationTree(cat, (_build_tree(back_chart, categories, tokens,
+                                                i, j, backpointer[0]),))
+    k, lid, rid = backpointer
+    return DerivationTree(cat, (
+        _build_tree(back_chart, categories, tokens, i, k, lid),
+        _build_tree(back_chart, categories, tokens, k, j, rid)))
 
 
 def score_tree(model, tree):

@@ -103,17 +103,25 @@ def config_from_values(values):
 
 
 def parse_id_spec(spec):
-    """Parse a split specification like "1-40,55" into a set of ints."""
+    """Parse a split specification like "1-40,55" into a set of ints.
+
+    Raises ValueError naming the part for a non-numeric bound or a
+    reversed range such as "5-1".
+    """
     ids = set()
     for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            lo, _, hi = part.partition("-")
-            ids.update(range(int(lo), int(hi) + 1))
-        else:
-            ids.add(int(part))
+        lo, dash, hi = part.partition("-")
+        try:
+            first = int(lo)
+            last = int(hi) if dash else first
+        except ValueError:
+            raise ValueError("id range %r is not numeric" % part) from None
+        if last < first:
+            raise ValueError("id range %r is reversed" % part)
+        ids.update(range(first, last + 1))
     return ids
 
 
@@ -122,7 +130,10 @@ def split_records(records, config):
     specs = {"train": config.train, "dev": config.dev, "test": config.test}
     id_sets = {}
     for name, spec in specs.items():
-        id_sets[name] = parse_id_spec(spec) if spec else set()
+        try:
+            id_sets[name] = parse_id_spec(spec) if spec else set()
+        except ValueError as exc:
+            raise PipelineError("split", "%s split: %s" % (name, exc)) from exc
     for first in ("train", "dev"):
         for second in ("dev", "test"):
             if first != second and id_sets[first] & id_sets[second]:
@@ -147,23 +158,37 @@ def split_records(records, config):
     return splits
 
 
-def _parse_corpus(model, records, stage):
+def _parse_corpus(model, records, stage, memo):
     """Parse each record's tokens; failures yield empty outputs, data
-    errors abort with the sentence id."""
+    errors abort with the sentence id.
+
+    `memo` maps a token tuple to its (tree, dependencies) under `model`,
+    so a sentence repeated across passes is parsed once per model; the
+    outputs are shared, never mutated downstream.  A memo hit that failed
+    to parse still counts as a failure of this pass.
+    """
     trees = {}
     deps = {}
     failures = 0
     for record in records:
-        try:
-            result = parser.parse(model, record.tokens)
-        except ValueError as exc:
-            raise PipelineError(stage, str(exc), record.sid) from exc
-        if result.tree is None:
+        key = tuple(record.tokens)
+        outcome = memo.get(key)
+        if outcome is None:
+            try:
+                result = parser.parse(model, record.tokens)
+            except ValueError as exc:
+                raise PipelineError(stage, str(exc), record.sid) from exc
+            if result.tree is None:
+                outcome = (None, [])
+            else:
+                outcome = (result.tree,
+                           parser.extract_dependencies(result.tree))
+            memo[key] = outcome
+        tree, deps[record.sid] = outcome
+        if tree is None:
             failures += 1
-            deps[record.sid] = []
         else:
-            trees[record.sid] = result.tree
-            deps[record.sid] = parser.extract_dependencies(result.tree)
+            trees[record.sid] = tree
     return trees, deps, failures
 
 
@@ -214,7 +239,9 @@ def run_pipeline(config):
     except ValueError as exc:
         raise PipelineError("train-a", str(exc)) from exc
     parser.save_model(out("model_a.tsv"), model_a)
-    out_a_trees, out_a, failures_a = _parse_corpus(model_a, test_records, "parse-a")
+    memo_a = {}
+    out_a_trees, out_a, failures_a = _parse_corpus(model_a, test_records,
+                                                   "parse-a", memo_a)
     treebank.write_dependencies(out("out_a.deps"),
                                 [(r.sid, out_a[r.sid]) for r in test_records])
 
@@ -279,13 +306,15 @@ def run_pipeline(config):
     except ValueError as exc:
         raise PipelineError("train-b", str(exc)) from exc
     parser.save_model(out("model_b.tsv"), model_b)
-    _, out_b, failures_b = _parse_corpus(model_b, gold_test_records, "parse-b")
+    memo_b = {}
+    _, out_b, failures_b = _parse_corpus(model_b, gold_test_records,
+                                         "parse-b", memo_b)
     treebank.write_dependencies(out("out_b.deps"),
                                 [(r.sid, out_b[r.sid]) for r in test_records])
 
     # --- before/after parsing routes against gold B -----------------------
     _, out_a_before, _ = _parse_corpus(model_a, gold_test_records,
-                                       "parse-a-before")
+                                       "parse-a-before", memo_a)
     out_a_after = {}
     for record in test_records:
         tree = out_a_trees.get(record.sid)
@@ -305,8 +334,9 @@ def run_pipeline(config):
 
     # fully collapsed variants
     _, out_a_full_before, _ = _parse_corpus(model_a, full_test_records,
-                                            "parse-a-full")
-    _, out_b_full, _ = _parse_corpus(model_b, full_test_records, "parse-b-full")
+                                            "parse-a-full", memo_a)
+    _, out_b_full, _ = _parse_corpus(model_b, full_test_records,
+                                     "parse-b-full", memo_b)
     out_a_full_after = {
         r.sid: collapsing.collapse_all_dependencies(out_a[r.sid],
                                                     occurrences[r.sid])

@@ -33,7 +33,7 @@ class LexiconError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class DerivationTree:
     """A derivation node: binary, unary, or a leaf carrying a token.
 
@@ -50,13 +50,8 @@ class DerivationTree:
     def is_leaf(self):
         return self.token is not None
 
-    def copy(self):
-        return DerivationTree(self.category,
-                              tuple(child.copy() for child in self.children),
-                              self.token, self.leaf_index)
 
-
-@dataclass
+@dataclass(slots=True)
 class Dependency:
     """The 6-tuple <i, j, cat_j, arg_k, word_i, word_j>: word_i at leaf i
     fills the k-th argument slot of the functor word_j at leaf j."""
@@ -84,7 +79,6 @@ class SentenceRecord:
     sid: str
     tree: DerivationTree | None = None
     tokens: list = field(default_factory=list)
-    dependencies: list | None = None
 
 
 def is_derivable(node):
@@ -414,15 +408,6 @@ def read_lexicon(path):
             except LexiconError as exc:
                 raise LexiconError("line %d: %s" % (lineno, exc)) from exc
     return lexicon
-
-
-def write_lexicon(path, lexicon):
-    with open(path, "w", encoding="utf-8") as handle:
-        for key in sorted(lexicon.entries):
-            entry = lexicon.entries[key]
-            handle.write("%s\t%s\t%d\t%s\n"
-                         % (" ".join(entry.units), entry.kind, entry.mwe_count,
-                            ";".join(str(c) for c in entry.unit_counts)))
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -163,3 +166,59 @@ class TestProperties:
         assert is_modifier(C("(S\\NP)\\(S\\NP)"))
         assert not is_modifier(C("NP/N"))
         assert not is_modifier(C("NP"))
+
+
+class TestValueContract:
+    def test_separately_built_equal_categories(self):
+        rng = random.Random(5)
+        for _ in range(500):
+            cat = random_category(rng, rng.randint(0, 5))
+            twin = parse_category(render(cat))
+            rebuilt = _rebuild(cat)
+            assert rebuilt is not cat
+            assert rebuilt == cat and twin == cat
+            assert hash(rebuilt) == hash(cat) == hash(twin)
+
+    def test_distinct_categories_differ(self):
+        assert C("S\\NP") != C("S/NP")
+        assert C("S[dcl]") != C("S")
+        assert C("(S\\NP)/NP") != C("S\\(NP/NP)")
+
+    def test_non_category_is_unequal(self):
+        cat = C("NP")
+        assert (cat == "NP") is False
+        assert (cat != "NP") is True
+        assert (cat == None) is False   # noqa: E711
+        assert (cat == ("NP",)) is False
+
+    def test_pickle_carries_no_hash_seed(self, tmp_path):
+        # the cached hash of a string-built category depends on the
+        # interpreter's hash seed, so unpickling must recompute it
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        text = "((S[dcl]\\NP)/PP)/NP"
+        path = str(tmp_path / "cat.pkl")
+        dump = ("import pickle, sys\n"
+                "from ccgmwe.categories import parse_category\n"
+                "with open(sys.argv[2], 'wb') as handle:\n"
+                "    pickle.dump(parse_category(sys.argv[1]), handle)\n")
+        load = ("import pickle, sys\n"
+                "from ccgmwe.categories import parse_category\n"
+                "with open(sys.argv[2], 'rb') as handle:\n"
+                "    cat = pickle.load(handle)\n"
+                "print({parse_category(sys.argv[1]): 'found'}.get(cat))\n")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="1")
+        subprocess.run([sys.executable, "-c", dump, text, path], env=env,
+                       check=True)
+        env["PYTHONHASHSEED"] = "2"
+        loaded = subprocess.run([sys.executable, "-c", load, text, path],
+                                env=env, check=True, capture_output=True,
+                                text=True)
+        assert loaded.stdout.strip() == "found"
+
+
+def _rebuild(cat):
+    if cat.is_atom():
+        return Category(atom=cat.atom, feature=cat.feature)
+    return Category(result=_rebuild(cat.result), direction=cat.direction,
+                    argument=_rebuild(cat.argument))

@@ -25,6 +25,15 @@ class TestConfig:
         assert parse_id_spec("1-4") == {1, 2, 3, 4}
         assert parse_id_spec("1-3,7") == {1, 2, 3, 7}
         assert parse_id_spec("5") == {5}
+        assert parse_id_spec("3-3, 9") == {3, 9}
+
+    @pytest.mark.parametrize("spec,message", [
+        ("5-1", "'5-1' is reversed"), ("1-x", "'1-x' is not numeric"),
+        ("a", "'a' is not numeric"), ("1-4,7-2", "'7-2' is reversed")])
+    def test_bad_id_spec_raises(self, spec, message):
+        with pytest.raises(ValueError) as err:
+            parse_id_spec(spec)
+        assert message in str(err.value)
 
     def test_layered_configs(self, tmp_path, data_dir, configs_dir):
         base = base_config(tmp_path, data_dir)
@@ -207,6 +216,22 @@ class TestRun:
                   "--iterations", "2000", "--seed", "13"])
         assert buffer.getvalue().splitlines()[0] == \
             "p\t" + p_line.split("\t")[2]
+
+    @pytest.mark.parametrize("spec", ["60-46", "46-x"])
+    def test_bad_split_spec_exits_without_traceback(self, tmp_path, data_dir,
+                                                    capsys, spec):
+        config = base_config(tmp_path, data_dir)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(open(config).read().replace("test = 46-60",
+                                                   "test = %s" % spec))
+        assert main(["run", "--config", str(bad)]) == 1
+        assert main(["split", "--treebank",
+                     os.path.join(data_dir, "treebank.txt"), "--train", "1-40",
+                     "--test", spec, "--output-dir", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        # "[split]" from `run` is the PipelineError stage, not the command
+        assert err.count("error [split] test split: id range %r" % spec) == 2
+        assert "Traceback" not in err
 
     def test_empty_test_split_aborts_with_stage(self, tmp_path, data_dir,
                                                 capsys):

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -8,8 +9,10 @@ from ccgmwe.categories import parse_category, render
 from ccgmwe.parser import (LEX, extract_dependencies, load_model, parse,
                            pos_for_category, pos_tag, save_model, score_tree,
                            train)
+from ccgmwe.pipeline import read_config, run_pipeline
 from ccgmwe.treebank import (DerivationTree, SentenceRecord, leaves, parse_tree,
-                             read_dependencies, read_treebank)
+                             read_dependencies, read_tokens, read_treebank,
+                             render_tree)
 
 C = parse_category
 
@@ -347,3 +350,172 @@ class TestPersistence:
         save_model(str(one), model)
         save_model(str(two), model)
         assert one.read_bytes() == two.read_bytes()
+
+
+# ----------------------------------------------------------------------
+# Reference CKY keyed by Category, as the parser ran before its charts
+# moved to dense integer ids; the integer parser must match it exactly
+# ----------------------------------------------------------------------
+
+def _reference_pos_tag(model, tokens):
+    global_counts = Counter()
+    for dist in model.token_pos.values():
+        global_counts.update(dist)
+    default = _best_tag(global_counts) if global_counts else "N"
+    tags = []
+    for token in tokens:
+        dist = model.token_pos.get(token)
+        if dist is None:
+            dist = model.token_pos.get(token.lower())
+        tags.append(_best_tag(dist) if dist else default)
+    return tags
+
+
+def _best_tag(dist):
+    return sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
+
+
+def _reference_indexes(model):
+    binary = defaultdict(list)
+    unary = defaultdict(list)
+    for parent in sorted(model.rules, key=render):
+        for expansion, prob in sorted(model.rules[parent].items(),
+                                      key=lambda kv: tuple(map(render, kv[0]))):
+            if expansion is LEX or len(expansion) == 0:
+                continue
+            logp = math.log(prob)
+            if len(expansion) == 1:
+                unary[expansion[0]].append((parent, logp))
+            else:
+                binary[expansion].append((parent, logp))
+    lex_index = defaultdict(list)
+    backoff_index = defaultdict(list)
+    for cat in sorted(model.lexical, key=render):
+        lex = model.rules.get(cat, {}).get(LEX)
+        if lex:
+            for token, prob in model.lexical[cat].items():
+                lex_index[token].append((cat, math.log(lex) + math.log(prob)))
+    for tag in sorted(model.pos_backoff):
+        for cat, prob in sorted(model.pos_backoff[tag].items(),
+                                key=lambda kv: render(kv[0])):
+            lex = model.rules.get(cat, {}).get(LEX)
+            if lex:
+                backoff_index[tag].append((cat, math.log(lex) + math.log(prob)))
+    return binary, unary, lex_index, backoff_index
+
+
+def _reference_unary_closure(unary, cell):
+    agenda = list(cell)
+    while agenda:
+        child = agenda.pop(0)
+        base = cell[child][0]
+        for parent, logq in unary.get(child, ()):
+            cand = base + logq
+            entry = cell.get(parent)
+            if entry is None or cand > entry[0]:
+                cell[parent] = (cand, ("U", child))
+                agenda.append(parent)
+
+
+def reference_parse(model, tokens):
+    """(rendered tree or None, logprob or None, chart entries)."""
+    binary, unary, lex_index, backoff_index = _reference_indexes(model)
+    tags = _reference_pos_tag(model, tokens)
+    n = len(tokens)
+    chart = {}
+    entries = 0
+    for i, token in enumerate(tokens):
+        if model.token_freq.get(token, 0) >= model.rare_threshold:
+            candidates = lex_index.get(token, ())
+        else:
+            candidates = backoff_index.get(tags[i], ())
+        cell = {}
+        for cat, logp in candidates:
+            entry = cell.get(cat)
+            if entry is None or logp > entry[0]:
+                cell[cat] = (logp, None)
+        _reference_unary_closure(unary, cell)
+        chart[i, i + 1] = cell
+        entries += len(cell)
+    for width in range(2, n + 1):
+        for i in range(n - width + 1):
+            j = i + width
+            cell = {}
+            for k in range(i + 1, j):
+                for lcat, (lp, _) in chart[i, k].items():
+                    for rcat, (rp, _) in chart[k, j].items():
+                        for parent, logq in binary.get((lcat, rcat), ()):
+                            cand = lp + rp + logq
+                            entry = cell.get(parent)
+                            if entry is None or cand > entry[0]:
+                                cell[parent] = (cand, (k, lcat, rcat))
+            _reference_unary_closure(unary, cell)
+            chart[i, j] = cell
+            entries += len(cell)
+    best_cat, best_logp = None, None
+    for cat in sorted(model.roots, key=render):
+        entry = chart[0, n].get(cat)
+        if entry is not None and (best_logp is None or entry[0] > best_logp):
+            best_cat, best_logp = cat, entry[0]
+    if best_cat is None:
+        return None, None, entries
+
+    def build(i, j, cat):
+        backpointer = chart[i, j][cat][1]
+        if backpointer is None:
+            return "(%s %s)" % (render(cat), tokens[i])
+        if backpointer[0] == "U":
+            return "(%s %s)" % (render(cat), build(i, j, backpointer[1]))
+        k, lcat, rcat = backpointer
+        return "(%s %s %s)" % (render(cat), build(i, k, lcat),
+                               build(k, j, rcat))
+
+    return build(0, n, best_cat), best_logp, entries
+
+
+def _assert_matches_reference(model, tokens):
+    result = parse(model, tokens)
+    rendered = None if result.tree is None else render_tree(result.tree)
+    assert (rendered, result.logprob, result.stats["chart_entries"]) == \
+        reference_parse(model, tokens), tokens
+    return result.tree is not None
+
+
+@pytest.fixture(scope="module", params=["rec1", "rec2", "rec3", "rec4", "rec5"])
+def preset_run(request, tmp_path_factory):
+    """Models A and B and the three test token files of one preset."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    configs = os.path.join(root, "data", "configs")
+    config = read_config([os.path.join(configs, "base.cfg"),
+                          os.path.join(configs, request.param + ".cfg")])
+    config.treebank = os.path.join(root, config.treebank)
+    config.lexicon = os.path.join(root, config.lexicon)
+    config.output = str(tmp_path_factory.mktemp(request.param))
+    config.iterations = 64
+    run_pipeline(config)
+    out = config.output
+    models = [load_model(os.path.join(out, name))
+              for name in ("model_a.tsv", "model_b.tsv")]
+    token_files = [read_tokens(os.path.join(out, name))
+                   for name in ("tokens_test.txt", "tokens_test_collapsed.txt",
+                                "tokens_test_fully_collapsed.txt")]
+    return models, token_files
+
+
+class TestIntegerChartMatchesReference:
+    def test_every_test_sentence(self, preset_run):
+        models, token_files = preset_run
+        parsed = 0
+        for model in models:
+            for sentences in token_files:
+                for tokens in sentences:
+                    parsed += _assert_matches_reference(model, tokens)
+        assert parsed > 0
+
+    def test_concatenated_sentences(self, preset_run):
+        models, token_files = preset_run
+        for model in models:
+            for sentences in token_files:
+                stream = [token for tokens in sentences for token in tokens]
+                for length in (16, 24, 32, 48, 64):
+                    _assert_matches_reference(model, stream[:length])

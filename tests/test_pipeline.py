@@ -1,0 +1,41 @@
+import hashlib
+import os
+
+from ccgmwe import parser
+from ccgmwe.pipeline import read_config, run_pipeline
+
+# sha256 of the rec1 report and summary on the shipped corpus; the parse
+# memo must leave them byte-identical to one parse per pass
+REC1_REPORT = "7d8d894b1afc46106ea59b12a88a050629c2c2dec9937a43f4bc72fda9afbe97"
+REC1_SUMMARY = "d6aa5614d34a537ebb79a699563729e7cb643ef169ba5690bd8ee0ac6aa292dd"
+
+
+def _sha256(path):
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+def test_parse_memo_parses_each_distinct_input_once(tmp_path, data_dir,
+                                                    configs_dir, monkeypatch):
+    calls = []
+    real_parse = parser.parse
+
+    def counting_parse(model, tokens):
+        calls.append((id(model), tuple(tokens)))
+        return real_parse(model, tokens)
+
+    monkeypatch.setattr(parser, "parse", counting_parse)
+    config = read_config([os.path.join(configs_dir, "base.cfg"),
+                          os.path.join(configs_dir, "rec1.cfg")])
+    config.treebank = os.path.join(data_dir, "treebank.txt")
+    config.lexicon = os.path.join(data_dir, "lexicon.tsv")
+    config.output = str(tmp_path)
+    result = run_pipeline(config)
+    # five passes over 15 test sentences make 75 inputs, 41 of them distinct
+    assert len(calls) == len(set(calls)) == 41
+    assert result["stats"]["parse_failures_a"] == 1
+    assert result["stats"]["parse_failures_b"] == 1
+    summary = (tmp_path / "summary.txt").read_text()
+    assert "parse failures: model A 1, model B 1\n" in summary
+    assert _sha256(tmp_path / "report.tsv") == REC1_REPORT
+    assert _sha256(tmp_path / "summary.txt") == REC1_SUMMARY

@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 
-from . import collapse as collapsing
 from . import evaluation, parser, pipeline, recognition, treebank
 
 
@@ -28,13 +27,8 @@ def _run_split(args):
     records = treebank.read_treebank(args.treebank)
     config = pipeline.ExperimentConfig(train=args.train, dev=args.dev,
                                        test=args.test)
-    splits = pipeline.split_records(records, config)
-    os.makedirs(args.output_dir, exist_ok=True)
-    for name in ("train", "dev", "test"):
-        if splits[name]:
-            treebank.write_treebank(
-                os.path.join(args.output_dir, "treebank_%s.txt" % name),
-                splits[name])
+    pipeline.write_splits(args.output_dir,
+                          pipeline.split_records(records, config))
 
 
 def _add_recognize(sub):
@@ -60,22 +54,23 @@ def _recognizer_from_args(args):
     return recognition.RecognizerConfig(args.detector, filters, args.resolver)
 
 
-def _sentences_from_args(args):
-    if args.treebank:
-        return [(r.sid, r.tokens) for r in treebank.read_treebank(args.treebank)]
-    if args.tokens:
-        return [(str(i), tokens) for i, tokens
-                in enumerate(treebank.read_tokens(args.tokens), 1)]
-    raise SystemExit("recognize: provide --treebank or --tokens")
+def _token_records(sentences, ids=None):
+    """Tree-less records for token lists, numbered 1..n unless ids given."""
+    ids = ids or [str(i) for i in range(1, len(sentences) + 1)]
+    return [treebank.SentenceRecord(sid, None, tokens)
+            for sid, tokens in zip(ids, sentences)]
 
 
 def _run_recognize(args):
+    if args.treebank:
+        records = treebank.read_treebank(args.treebank)
+    elif args.tokens:
+        records = _token_records(treebank.read_tokens(args.tokens))
+    else:
+        raise SystemExit("recognize: provide --treebank or --tokens")
     lexicon = treebank.read_lexicon(args.lexicon)
-    config = _recognizer_from_args(args)
-    items = []
-    for sid, tokens in _sentences_from_args(args):
-        items.append((sid, recognition.recognize(lexicon, tokens, config)))
-    treebank.write_occurrences(args.output, items)
+    treebank.write_occurrences(args.output, pipeline.recognize_corpus(
+        lexicon, records, _recognizer_from_args(args)))
 
 
 def _add_collapse(sub):
@@ -90,39 +85,25 @@ def _add_collapse(sub):
 def _run_collapse(args):
     records = treebank.read_treebank(args.treebank)
     occurrences = treebank.read_occurrences(args.occurrences)
-    if args.dependencies:
-        deps_by_id = dict(treebank.read_dependencies(args.dependencies))
-    else:
-        deps_by_id = {r.sid: parser.extract_dependencies(r.tree)
-                      for r in records}
+    deps = dict(treebank.read_dependencies(args.dependencies)
+                if args.dependencies else pipeline.extract_corpus(records))
+    collapsed = pipeline.collapse_corpus(records, occurrences, deps)
     os.makedirs(args.output_dir, exist_ok=True)
-    collapsed_records = []
-    collapsed_deps = []
-    tokens = []
-    stats = []
-    for record in records:
-        occs = recognition.rebind_tokens(occurrences.get(record.sid, []),
-                                         record.tokens)
-        outcome = collapsing.collapse_tree(record.tree, occs)
-        deps = collapsing.collapse_dependencies(
-            deps_by_id.get(record.sid, []), outcome)
-        collapsed_records.append(treebank.SentenceRecord(
-            record.sid, outcome.tree,
-            [t for _, t in treebank.leaves(outcome.tree)]))
-        collapsed_deps.append((record.sid, deps))
-        tokens.append(collapsed_records[-1].tokens)
-        stats.append((record.sid, len(outcome.kept), len(outcome.discarded),
-                      collapsing.detect_cycles(deps)))
-    treebank.write_treebank(os.path.join(args.output_dir, "treebank_b.txt"),
-                            collapsed_records)
-    treebank.write_dependencies(os.path.join(args.output_dir, "deps_b.deps"),
-                                collapsed_deps)
-    treebank.write_tokens(os.path.join(args.output_dir, "tokens_b.txt"), tokens)
-    with open(os.path.join(args.output_dir, "collapse_stats.tsv"), "w",
-              encoding="utf-8") as handle:
+
+    def at(name):
+        return os.path.join(args.output_dir, name)
+
+    treebank.write_treebank(at("treebank_b.txt"), [c.record for c in collapsed])
+    treebank.write_dependencies(at("deps_b.deps"),
+                                [(c.record.sid, c.deps) for c in collapsed])
+    treebank.write_tokens(at("tokens_b.txt"),
+                          [c.record.tokens for c in collapsed])
+    with open(at("collapse_stats.tsv"), "w", encoding="utf-8") as handle:
         handle.write("# id\tkept\tdiscarded\tcycles\n")
-        for sid, kept, discarded, cycles in stats:
-            handle.write("%s\t%d\t%d\t%d\n" % (sid, kept, discarded, cycles))
+        handle.writelines("%s\t%d\t%d\t%d\n"
+                          % (c.record.sid, len(c.outcome.kept),
+                             len(c.outcome.discarded), c.cycles)
+                          for c in collapsed)
 
 
 def _add_train(sub):
@@ -151,26 +132,19 @@ def _add_parse(sub):
 def _run_parse(args):
     model = parser.load_model(args.model)
     sentences = treebank.read_tokens(args.tokens)
+    ids = None
     if args.ids:
         with open(args.ids, encoding="utf-8") as handle:
             ids = [line.strip() for line in handle if line.strip()]
         if len(ids) != len(sentences):
-            raise SystemExit("parse: %d ids for %d sentences"
-                             % (len(ids), len(sentences)))
-    else:
-        ids = [str(i) for i in range(1, len(sentences) + 1)]
-    deps = []
-    records = []
-    for sid, tokens in zip(ids, sentences):
-        result = parser.parse(model, tokens)
-        if result.tree is None:
-            deps.append((sid, []))
-        else:
-            deps.append((sid, parser.extract_dependencies(result.tree)))
-            records.append(treebank.SentenceRecord(sid, result.tree, tokens))
+            raise pipeline.PipelineError(
+                "parse", "%s has %d ids for %d sentences in %s"
+                % (args.ids, len(ids), len(sentences), args.tokens))
+    deps, parsed = pipeline.parse_corpus(
+        model, _token_records(sentences, ids), "parse", {})
     treebank.write_dependencies(args.output, deps)
     if args.trees:
-        treebank.write_treebank(args.trees, records)
+        treebank.write_treebank(args.trees, parsed)
 
 
 def _add_extract(sub):
@@ -180,10 +154,8 @@ def _add_extract(sub):
 
 
 def _run_extract(args):
-    records = treebank.read_treebank(args.treebank)
-    treebank.write_dependencies(
-        args.output,
-        [(r.sid, parser.extract_dependencies(r.tree)) for r in records])
+    treebank.write_dependencies(args.output, pipeline.extract_corpus(
+        treebank.read_treebank(args.treebank)))
 
 
 def _add_combine(sub):
@@ -198,17 +170,11 @@ def _add_combine(sub):
 
 
 def _run_combine(args):
-    out_a = treebank.read_dependencies(args.out_a)
-    out_b = dict(treebank.read_dependencies(args.out_b))
-    occurrences = treebank.read_occurrences(args.occurrences)
-    sentences = treebank.read_tokens(args.tokens)
-    tokens_by_id = {sid: tokens for (sid, _), tokens in zip(out_a, sentences)}
-    combined = []
-    for sid, deps_a in out_a:
-        occs = recognition.rebind_tokens(occurrences.get(sid, []),
-                                         tokens_by_id[sid])
-        combined.append((sid, evaluation.combine_models(
-            deps_a, out_b.get(sid, []), occs, args.scheme)))
+    combined = pipeline.combine_corpus(
+        treebank.read_dependencies(args.out_a),
+        dict(treebank.read_dependencies(args.out_b)),
+        treebank.read_occurrences(args.occurrences), args.scheme,
+        treebank.read_tokens(args.tokens), args.tokens)
     treebank.write_dependencies(args.output, combined)
 
 
@@ -234,10 +200,7 @@ def _run_eval(args):
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(line)
     if args.per_sentence:
-        with open(args.per_sentence, "w", encoding="utf-8") as handle:
-            for sid in sorted(report.per_sentence):
-                handle.write("%s\t%d\t%d\t%d\n"
-                             % ((sid,) + report.per_sentence[sid]))
+        treebank.write_counts(args.per_sentence, report.per_sentence)
 
 
 def _add_sigtest(sub):
@@ -248,23 +211,9 @@ def _add_sigtest(sub):
     cmd.add_argument("--seed", type=int, default=0)
 
 
-def _read_counts(path):
-    counts = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise SystemExit("%s line %d: expected id, correct, attempted, "
-                                 "gold" % (path, lineno))
-            counts[fields[0]] = tuple(int(f) for f in fields[1:])
-    return counts
-
-
 def _run_sigtest(args):
-    result = evaluation.sig_test(_read_counts(args.x), _read_counts(args.y),
+    result = evaluation.sig_test(treebank.read_counts(args.x),
+                                 treebank.read_counts(args.y),
                                  iterations=args.iterations, seed=args.seed)
     sys.stdout.write("p\t%.4f\nobserved_diff\t%.4f\niterations\t%d\n"
                      "exhaustive\t%d\n"
@@ -280,10 +229,9 @@ def _add_run(sub):
 
 def _run_run(args):
     config = pipeline.read_config(args.config)
-    result = pipeline.run_pipeline(config)
+    pipeline.run_pipeline(config)
     with open(os.path.join(config.output, "summary.txt"), encoding="utf-8") as handle:
         sys.stdout.write(handle.read())
-    return result
 
 
 def main(argv=None):

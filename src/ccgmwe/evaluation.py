@@ -256,25 +256,18 @@ def sig_test(counts_x, counts_y, iterations=10000, seed=0):
                 - _pooled_f1(*y.sum(axis=0).tolist()))
     n = len(sids)
     exhaustive = 2 ** n <= iterations
-    if exhaustive:
-        total = 2 ** n
-        hits = 0
-        for pattern in range(total):
-            xs = x.copy()
-            ys = y.copy()
-            for bit in range(n):
-                if pattern >> bit & 1:
-                    xs[bit], ys[bit] = y[bit], x[bit]
-            diff = (_pooled_f1(*xs.sum(axis=0).tolist())
-                    - _pooled_f1(*ys.sum(axis=0).tolist()))
-            if diff >= observed:
-                hits += 1
-        return SigTestResult((hits + 1) / (total + 1), observed, total, True)
-    rng = np.random.default_rng(seed)
-    swap = rng.random((iterations, n)) < 0.5
     delta = y - x                                 # swap adds delta to x side
-    x_tot = x.sum(axis=0)[None, :] + swap.astype(np.int64) @ delta
-    y_tot = y.sum(axis=0)[None, :] - swap.astype(np.int64) @ delta
+    if exhaustive:
+        # row p sums delta over p's set bits; no 2^n-by-n matrix in memory
+        iterations = 2 ** n
+        shift = np.zeros((1, 3), dtype=np.int64)
+        for row in delta:
+            shift = np.concatenate((shift, shift + row))
+    else:
+        rng = np.random.default_rng(seed)
+        shift = (rng.random((iterations, n)) < 0.5).astype(np.int64) @ delta
+    x_tot = x.sum(axis=0)[None, :] + shift
+    y_tot = y.sum(axis=0)[None, :] - shift
     f1_x = np.zeros(iterations)
     f1_y = np.zeros(iterations)
     denom_x = x_tot[:, 1] + x_tot[:, 2]
@@ -283,4 +276,4 @@ def sig_test(counts_x, counts_y, iterations=10000, seed=0):
     np.divide(2.0 * y_tot[:, 0], denom_y, out=f1_y, where=denom_y > 0)
     hits = int(np.count_nonzero(f1_x - f1_y >= observed))
     return SigTestResult((hits + 1) / (iterations + 1), observed,
-                         iterations, False)
+                         iterations, exhaustive)

@@ -7,9 +7,9 @@ Against the collapsed gold standard it compares parsing collapsed input
 (the before-parsing route) with collapsing parser output (the after-parsing
 route), for both gold-sibling and fully-collapsed test data.  Against the
 original gold standard it evaluates the three model-combination schemes.
-Every intermediate artifact is written to the output directory in the same
-formats the individual subcommands consume, and the whole run is a pure
-function of the configuration and input files.
+Each corpus stage is one function shared with the subcommands, every
+artifact is written in the formats they consume, and the whole run is a
+pure function of the configuration and input files.
 """
 
 from __future__ import annotations
@@ -134,13 +134,10 @@ def split_records(records, config):
             id_sets[name] = parse_id_spec(spec) if spec else set()
         except ValueError as exc:
             raise PipelineError("split", "%s split: %s" % (name, exc)) from exc
-    for first in ("train", "dev"):
-        for second in ("dev", "test"):
-            if first != second and id_sets[first] & id_sets[second]:
-                raise PipelineError("split", "%s and %s splits overlap"
-                                    % (first, second))
-    if id_sets["train"] & id_sets["test"]:
-        raise PipelineError("split", "train and test splits overlap")
+    for first, second in (("train", "dev"), ("train", "test"), ("dev", "test")):
+        if id_sets[first] & id_sets[second]:
+            raise PipelineError("split", "%s and %s splits overlap"
+                                % (first, second))
     splits = {name: [] for name in specs}
     for record in records:
         try:
@@ -158,18 +155,89 @@ def split_records(records, config):
     return splits
 
 
-def _parse_corpus(model, records, stage, memo):
-    """Parse each record's tokens; failures yield empty outputs, data
-    errors abort with the sentence id.
+def write_splits(directory, splits):
+    """Write each non-empty split to <directory>/treebank_<name>.txt."""
+    os.makedirs(directory, exist_ok=True)
+    for name in ("train", "dev", "test"):
+        if splits[name]:
+            treebank.write_treebank(
+                os.path.join(directory, "treebank_%s.txt" % name), splits[name])
 
-    `memo` maps a token tuple to its (tree, dependencies) under `model`,
-    so a sentence repeated across passes is parsed once per model; the
-    outputs are shared, never mutated downstream.  A memo hit that failed
-    to parse still counts as a failure of this pass.
+
+# ----------------------------------------------------------------------
+# Corpus stages, shared by run_pipeline and the subcommands: each takes
+# records and returns per-sentence results in input order.
+# ----------------------------------------------------------------------
+
+def recognize_corpus(lexicon, records, config):
+    """(sentence id, [MweOccurrence]) for each record."""
+    return [(r.sid, recognition.recognize(lexicon, r.tokens, config))
+            for r in records]
+
+
+def extract_corpus(records):
+    """(sentence id, [Dependency]) of each record's tree."""
+    return [(r.sid, parser.extract_dependencies(r.tree)) for r in records]
+
+
+@dataclass
+class Collapsed:
+    """One collapsed sentence: its record, dependencies, tree-collapse
+    outcome (kept and discarded MWEs) and count of two-way edges."""
+
+    record: treebank.SentenceRecord
+    deps: list
+    outcome: collapsing.CollapseOutcome
+    cycles: int
+
+
+def collapse_corpus(records, occurrences, deps, stage="collapse"):
+    """Collapse the sibling MWEs in each record's tree and dependencies.
+
+    `occurrences` maps sentence ids to occurrences, which are re-bound to
+    the record's tokens; `deps` maps every record's id to its
+    dependencies.  Occurrences for an id that names no record, or
+    dependencies for other ids than the records', raise PipelineError.
+    Returns one Collapsed per record.
     """
-    trees = {}
-    deps = {}
-    failures = 0
+    ids = {r.sid for r in records}
+    orphans = sorted(set(occurrences) - ids)
+    if orphans:
+        raise PipelineError(stage, "occurrences for sentence ids not in the "
+                            "treebank: %s" % ", ".join(orphans))
+    if set(deps) != ids:
+        raise PipelineError(stage, "dependency ids differ from the treebank's:"
+                            " missing %s, unknown %s"
+                            % (sorted(ids - set(deps)), sorted(set(deps) - ids)))
+    out = []
+    for record in records:
+        try:
+            occs = recognition.rebind_tokens(occurrences.get(record.sid, []),
+                                             record.tokens)
+            outcome = collapsing.collapse_tree(record.tree, occs)
+            collapsed = collapsing.collapse_dependencies(deps[record.sid],
+                                                         outcome)
+        except ValueError as exc:
+            raise PipelineError(stage, str(exc), record.sid) from exc
+        tokens = [token for _, token in treebank.leaves(outcome.tree)]
+        out.append(Collapsed(
+            treebank.SentenceRecord(record.sid, outcome.tree, tokens),
+            collapsed, outcome, collapsing.detect_cycles(collapsed)))
+    return out
+
+
+def parse_corpus(model, records, stage, memo):
+    """Parse each record's tokens; data errors abort with the sentence id.
+
+    Returns (deps, parsed): deps holds (sentence id, [Dependency]) for
+    every record, empty where parsing failed, and parsed a SentenceRecord
+    with the derivation of each record that parsed.  `memo` maps a token
+    tuple to its (tree, dependencies) under `model`, so a sentence repeated
+    across passes is parsed once per model; the outputs are shared, never
+    mutated downstream.
+    """
+    deps = []
+    parsed = []
     for record in records:
         key = tuple(record.tokens)
         outcome = memo.get(key)
@@ -178,18 +246,51 @@ def _parse_corpus(model, records, stage, memo):
                 result = parser.parse(model, record.tokens)
             except ValueError as exc:
                 raise PipelineError(stage, str(exc), record.sid) from exc
-            if result.tree is None:
-                outcome = (None, [])
-            else:
-                outcome = (result.tree,
-                           parser.extract_dependencies(result.tree))
-            memo[key] = outcome
-        tree, deps[record.sid] = outcome
-        if tree is None:
-            failures += 1
-        else:
-            trees[record.sid] = tree
-    return trees, deps, failures
+            outcome = memo[key] = (
+                result.tree, [] if result.tree is None
+                else parser.extract_dependencies(result.tree))
+        deps.append((record.sid, outcome[1]))
+        if outcome[0] is not None:
+            parsed.append(treebank.SentenceRecord(record.sid, outcome[0],
+                                                  record.tokens))
+    return deps, parsed
+
+
+def combine_corpus(out_a, out_b, occurrences, scheme, tokens, tokens_path):
+    """Combine each sentence of out_a, (sentence id, [Dependency]) pairs on
+    original tokens, with out_b's dependencies on collapsed tokens; returns
+    (sentence id, [Dependency]) pairs in out_a's order.
+
+    `tokens`, read from `tokens_path`, holds the original tokens of each
+    out_a sentence in order.  Every out_a edge's words must match them, and
+    the occurrences are re-bound to them.
+    """
+    if len(tokens) != len(out_a):
+        raise PipelineError("combine", "%s has %d token lines for %d "
+                            "sentences of out_a"
+                            % (tokens_path, len(tokens), len(out_a)))
+    combined = []
+    for lineno, ((sid, deps_a), line) in enumerate(zip(out_a, tokens), 1):
+        try:
+            for dep in deps_a:
+                for index, word in ((dep.i, dep.word_i), (dep.j, dep.word_j)):
+                    if index >= len(line) or line[index] != word:
+                        raise ValueError("%s line %d has no %r at token %d"
+                                         % (tokens_path, lineno, word,
+                                            index + 1))
+            occs = recognition.rebind_tokens(occurrences.get(sid, []), line)
+            combined.append((sid, evaluation.combine_models(
+                deps_a, out_b.get(sid, []), occs, scheme)))
+        except ValueError as exc:
+            raise PipelineError("combine", str(exc), sid) from exc
+    return combined
+
+
+def _train(records, smoothing, stage):
+    try:
+        return parser.train(records, smoothing)
+    except ValueError as exc:
+        raise PipelineError(stage, str(exc)) from exc
 
 
 def _fmt(value):
@@ -207,171 +308,96 @@ class EvalRow:
 def run_pipeline(config):
     """Run the full experiment; returns the report structure after writing
     every artifact to config.output."""
-    os.makedirs(config.output, exist_ok=True)
 
     def out(name):
         return os.path.join(config.output, name)
 
-    # --- split -------------------------------------------------------
     try:
         records = treebank.read_treebank(config.treebank)
         lexicon = treebank.read_lexicon(config.lexicon)
     except (OSError, ValueError) as exc:
         raise PipelineError("load", str(exc)) from exc
     splits = split_records(records, config)
-    for name in ("train", "dev", "test"):
-        if splits[name]:
-            treebank.write_treebank(out("treebank_%s.txt" % name), splits[name])
-    test_records = splits["test"]
-    treebank.write_tokens(out("tokens_test.txt"),
-                          [r.tokens for r in test_records])
+    write_splits(config.output, splits)
+    test = splits["test"]
 
-    # --- gold standard A ----------------------------------------------
-    gold_a = {}
-    for record in test_records:
-        gold_a[record.sid] = parser.extract_dependencies(record.tree)
-    treebank.write_dependencies(out("gold_a.deps"),
-                                [(r.sid, gold_a[r.sid]) for r in test_records])
+    def write_deps(name, deps):
+        """Write {sentence id: [Dependency]} in test-split order."""
+        treebank.write_dependencies(out(name),
+                                    [(r.sid, deps[r.sid]) for r in test])
+        return deps
 
-    # --- model A -------------------------------------------------------
-    try:
-        model_a = parser.train(splits["train"], config.smoothing)
-    except ValueError as exc:
-        raise PipelineError("train-a", str(exc)) from exc
+    # recognize, then collapse the whole treebank: gold standards A and B
+    gold = dict(extract_corpus(records))
+    found = recognize_corpus(lexicon, records, config.recognizer)
+    treebank.write_occurrences(out("occurrences.tsv"), found)
+    occurrences = dict(found)
+    collapsed = collapse_corpus(records, occurrences, gold)
+    treebank.write_treebank(out("treebank_b.txt"), [c.record for c in collapsed])
+    by_id = {c.record.sid: c for c in collapsed}
+    gold_a = write_deps("gold_a.deps", {r.sid: gold[r.sid] for r in test})
+    gold_b = write_deps("gold_b.deps", {r.sid: by_id[r.sid].deps for r in test})
+    write_deps("gold_b_full.deps", {r.sid: collapsing.collapse_all_dependencies(
+        gold[r.sid], occurrences[r.sid]) for r in test})
+
+    # test tokens: original, gold-collapsed, and fully collapsed (every
+    # recognized MWE treated as a sibling)
+    gold_test = [by_id[r.sid].record for r in test]
+    full_test = [treebank.SentenceRecord(r.sid, None, collapsing.collapse_tokens(
+        r.tokens, occurrences[r.sid])[0]) for r in test]
+    for name, sentences in (("tokens_test.txt", test),
+                            ("tokens_test_collapsed.txt", gold_test),
+                            ("tokens_test_fully_collapsed.txt", full_test)):
+        treebank.write_tokens(out(name), [r.tokens for r in sentences])
+
+    # model A on original tokens, model B on the collapsed treebank
+    model_a = _train(splits["train"], config.smoothing, "train-a")
     parser.save_model(out("model_a.tsv"), model_a)
-    memo_a = {}
-    out_a_trees, out_a, failures_a = _parse_corpus(model_a, test_records,
-                                                   "parse-a", memo_a)
-    treebank.write_dependencies(out("out_a.deps"),
-                                [(r.sid, out_a[r.sid]) for r in test_records])
-
-    # --- recognize ------------------------------------------------------
-    occurrences = {}
-    for record in records:
-        occurrences[record.sid] = recognition.recognize(
-            lexicon, record.tokens, config.recognizer)
-    treebank.write_occurrences(out("occurrences.tsv"),
-                               [(r.sid, occurrences[r.sid]) for r in records])
-
-    # --- collapse the treebank (gold side) ------------------------------
-    collapsed_records = []
-    outcomes = {}
-    mwe_total = 0
-    sibling_total = 0
-    cycles = 0
-    for record in records:
-        try:
-            outcome = collapsing.collapse_tree(record.tree, occurrences[record.sid])
-            gold_deps = parser.extract_dependencies(record.tree)
-            collapsed_deps = collapsing.collapse_dependencies(gold_deps, outcome)
-        except ValueError as exc:
-            raise PipelineError("collapse", str(exc), record.sid) from exc
-        outcomes[record.sid] = (outcome, collapsed_deps)
-        mwe_total += len(outcome.kept) + len(outcome.discarded)
-        sibling_total += len(outcome.kept)
-        cycles += collapsing.detect_cycles(collapsed_deps)
-        collapsed_records.append(treebank.SentenceRecord(
-            record.sid, outcome.tree,
-            [token for _, token in treebank.leaves(outcome.tree)]))
-    treebank.write_treebank(out("treebank_b.txt"), collapsed_records)
-    sibling_pct = 100.0 * sibling_total / mwe_total if mwe_total else 0.0
-    collapsed_by_id = {r.sid: r for r in collapsed_records}
-
-    # --- gold standard B and collapsed test data -------------------------
-    gold_b = {r.sid: outcomes[r.sid][1] for r in test_records}
-    treebank.write_dependencies(out("gold_b.deps"),
-                                [(r.sid, gold_b[r.sid]) for r in test_records])
-    gold_test_records = [collapsed_by_id[r.sid] for r in test_records]
-    treebank.write_tokens(out("tokens_test_collapsed.txt"),
-                          [r.tokens for r in gold_test_records])
-
-    # fully collapsed test data: treat every recognized MWE as a sibling
-    full_test_records = []
-    gold_b_full = {}
-    for record in test_records:
-        tokens, _ = collapsing.collapse_tokens(record.tokens,
-                                               occurrences[record.sid])
-        full_test_records.append(treebank.SentenceRecord(record.sid, None, tokens))
-        gold_b_full[record.sid] = collapsing.collapse_all_dependencies(
-            gold_a[record.sid], occurrences[record.sid])
-    treebank.write_tokens(out("tokens_test_fully_collapsed.txt"),
-                          [r.tokens for r in full_test_records])
-    treebank.write_dependencies(out("gold_b_full.deps"),
-                                [(r.sid, gold_b_full[r.sid]) for r in test_records])
-
-    # --- model B ----------------------------------------------------------
-    train_b = [collapsed_by_id[r.sid] for r in splits["train"]]
-    try:
-        model_b = parser.train(train_b, config.smoothing)
-    except ValueError as exc:
-        raise PipelineError("train-b", str(exc)) from exc
+    model_b = _train([by_id[r.sid].record for r in splits["train"]],
+                     config.smoothing, "train-b")
     parser.save_model(out("model_b.tsv"), model_b)
-    memo_b = {}
-    _, out_b, failures_b = _parse_corpus(model_b, gold_test_records,
-                                         "parse-b", memo_b)
-    treebank.write_dependencies(out("out_b.deps"),
-                                [(r.sid, out_b[r.sid]) for r in test_records])
+    memos = {}
 
-    # --- before/after parsing routes against gold B -----------------------
-    _, out_a_before, _ = _parse_corpus(model_a, gold_test_records,
-                                       "parse-a-before", memo_a)
-    out_a_after = {}
-    for record in test_records:
-        tree = out_a_trees.get(record.sid)
-        if tree is None:
-            out_a_after[record.sid] = []
-            continue
-        try:
-            outcome = collapsing.collapse_tree(tree, occurrences[record.sid])
-            out_a_after[record.sid] = collapsing.collapse_dependencies(
-                out_a[record.sid], outcome)
-        except ValueError as exc:
-            raise PipelineError("collapse-out-a", str(exc), record.sid) from exc
-    treebank.write_dependencies(out("out_a_before.deps"),
-                                [(r.sid, out_a_before[r.sid]) for r in test_records])
-    treebank.write_dependencies(out("out_a_after.deps"),
-                                [(r.sid, out_a_after[r.sid]) for r in test_records])
+    def parse_pass(model, sentences, stage, name):
+        """One parse pass, memoised per model; writes its dependencies."""
+        deps, parsed = parse_corpus(model, sentences, stage,
+                                    memos.setdefault(id(model), {}))
+        return write_deps(name, dict(deps)), parsed
 
-    # fully collapsed variants
-    _, out_a_full_before, _ = _parse_corpus(model_a, full_test_records,
-                                            "parse-a-full", memo_a)
-    _, out_b_full, _ = _parse_corpus(model_b, full_test_records,
-                                     "parse-b-full", memo_b)
-    out_a_full_after = {
+    out_a, parsed_a = parse_pass(model_a, test, "parse-a", "out_a.deps")
+    out_b, parsed_b = parse_pass(model_b, gold_test, "parse-b", "out_b.deps")
+
+    # before/after parsing routes against gold B
+    out_a_before, _ = parse_pass(model_a, gold_test, "parse-a-before",
+                                 "out_a_before.deps")
+    after = {c.record.sid: c.deps for c in collapse_corpus(
+        parsed_a, {r.sid: occurrences[r.sid] for r in parsed_a},
+        {r.sid: out_a[r.sid] for r in parsed_a}, "collapse-out-a")}
+    out_a_after = write_deps("out_a_after.deps",
+                             {sid: after.get(sid, []) for sid in out_a})
+    out_a_full_before, _ = parse_pass(model_a, full_test, "parse-a-full",
+                                      "out_a_full_before.deps")
+    out_a_full_after = write_deps("out_a_full_after.deps", {
         r.sid: collapsing.collapse_all_dependencies(out_a[r.sid],
                                                     occurrences[r.sid])
-        for r in test_records}
-    treebank.write_dependencies(out("out_a_full_before.deps"),
-                                [(r.sid, out_a_full_before[r.sid]) for r in test_records])
-    treebank.write_dependencies(out("out_a_full_after.deps"),
-                                [(r.sid, out_a_full_after[r.sid]) for r in test_records])
-    treebank.write_dependencies(out("out_b_full.deps"),
-                                [(r.sid, out_b_full[r.sid]) for r in test_records])
+        for r in test})
+    out_b_full, _ = parse_pass(model_b, full_test, "parse-b-full",
+                               "out_b_full.deps")
 
-    # --- model combination against gold A ---------------------------------
-    combined = {}
-    combined_full = {}
-    for scheme in config.schemes:
-        combined[scheme] = {}
-        combined_full[scheme] = {}
-        for record in test_records:
-            kept = outcomes[record.sid][0].kept
-            try:
-                combined[scheme][record.sid] = evaluation.combine_models(
-                    out_a[record.sid], out_b[record.sid], kept, scheme)
-                combined_full[scheme][record.sid] = evaluation.combine_models(
-                    out_a[record.sid], out_b_full[record.sid],
-                    occurrences[record.sid], scheme)
-            except ValueError as exc:
-                raise PipelineError("combine", str(exc), record.sid) from exc
-        treebank.write_dependencies(
-            out("combined_%s.deps" % scheme),
-            [(r.sid, combined[scheme][r.sid]) for r in test_records])
-        treebank.write_dependencies(
-            out("combined_full_%s.deps" % scheme),
-            [(r.sid, combined_full[scheme][r.sid]) for r in test_records])
+    # model combination against gold A, as `combine` computes it from files
+    def combine(name, deps_b, occs, scheme):
+        return write_deps(name % scheme, dict(combine_corpus(
+            list(out_a.items()), deps_b, occs, scheme,
+            [r.tokens for r in test], out("tokens_test.txt"))))
 
-    # --- evaluations -------------------------------------------------------
+    kept = {c.record.sid: c.outcome.kept for c in collapsed}
+    combined = {scheme: combine("combined_%s.deps", out_b, kept, scheme)
+                for scheme in config.schemes}
+    combined_full = {scheme: combine("combined_full_%s.deps", out_b_full,
+                                     occurrences, scheme)
+                     for scheme in config.schemes}
+
+    # evaluations
     rows = []
 
     def evaluate(gold_name, section, system_name, system, gold):
@@ -382,7 +408,7 @@ def run_pipeline(config):
         rows.append(EvalRow(gold_name, section, system_name, report))
         return report
 
-    evaluate("A", "baseline", "A", out_a, gold_a)
+    rep_a = evaluate("A", "baseline", "A", out_a, gold_a)
     rep_a_before = evaluate("B", "gold-test", "A-before-parsing",
                             out_a_before, gold_b)
     rep_a_after = evaluate("B", "gold-test", "A-after-parsing",
@@ -393,30 +419,23 @@ def run_pipeline(config):
     rep_a_full_after = evaluate("B", "fully-collapsed", "A-after-parsing",
                                 out_a_full_after, gold_b)
     evaluate("B", "fully-collapsed", "B", out_b_full, gold_b)
-    rep_combined = {}
-    for scheme in config.schemes:
-        rep_combined[scheme] = evaluate("A", "combination", "A+B %s" % scheme,
-                                        combined[scheme], gold_a)
+    rep_combined = {scheme: evaluate("A", "combination", "A+B %s" % scheme,
+                                     combined[scheme], gold_a)
+                    for scheme in config.schemes}
     for scheme in config.schemes:
         evaluate("A", "combination-full", "A+B %s" % scheme,
                  combined_full[scheme], gold_a)
-    rep_a = rows[0].report
 
-    # --- significance tests --------------------------------------------
+    # significance tests
     sig_rows = []
 
     def significance(name, rep_x, rep_y):
-        result = evaluation.sig_test(rep_x.per_sentence, rep_y.per_sentence,
-                                     iterations=config.iterations,
-                                     seed=config.seed)
-        sig_rows.append((name, result))
+        sig_rows.append((name, evaluation.sig_test(
+            rep_x.per_sentence, rep_y.per_sentence,
+            iterations=config.iterations, seed=config.seed)))
         for side, rep in (("x", rep_x), ("y", rep_y)):
-            path = out("counts_%s_%s.tsv" % (name, side))
-            with open(path, "w", encoding="utf-8") as handle:
-                for sid in sorted(rep.per_sentence):
-                    handle.write("%s\t%d\t%d\t%d\n"
-                                 % ((sid,) + rep.per_sentence[sid]))
-        return result
+            treebank.write_counts(out("counts_%s_%s.tsv" % (name, side)),
+                                  rep.per_sentence)
 
     significance("training-effect", rep_b, rep_a_before)
     significance("parsing-effect", rep_a_before, rep_a_after)
@@ -424,13 +443,15 @@ def run_pipeline(config):
     if "medFromA" in config.schemes:
         significance("combination-medFromA", rep_combined["medFromA"], rep_a)
 
+    sibling_total = sum(len(c.outcome.kept) for c in collapsed)
+    mwe_total = sibling_total + sum(len(c.outcome.discarded) for c in collapsed)
     stats = {
         "mwe_count": mwe_total,
         "sibling_count": sibling_total,
-        "sibling_pct": sibling_pct,
-        "cycles": cycles,
-        "parse_failures_a": failures_a,
-        "parse_failures_b": failures_b,
+        "sibling_pct": 100.0 * sibling_total / mwe_total if mwe_total else 0.0,
+        "cycles": sum(c.cycles for c in collapsed),
+        "parse_failures_a": len(test) - len(parsed_a),
+        "parse_failures_b": len(gold_test) - len(parsed_b),
     }
     _write_report(out("report.tsv"), rows, stats, sig_rows)
     _write_summary(out("summary.txt"), config, rows, stats, sig_rows)

@@ -44,10 +44,6 @@ class MweOccurrence:
     def start(self):
         return self.indices[0]
 
-    @property
-    def end(self):
-        return self.indices[-1]
-
     def is_continuous(self):
         return self.indices[-1] - self.indices[0] + 1 == len(self.indices)
 

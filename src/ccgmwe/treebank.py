@@ -13,7 +13,11 @@ File formats (all UTF-8):
 * Token file: one sentence per line, space-separated; collapsed MWE units
   are joined by '+'.
 * Lexicon: tab-separated ``unit1 unit2 ...  kind  mwe-count  c1;c2;...``.
-* Occurrences: tab-separated ``sentence-id  i1,i2,...  joined  kind``.
+* Occurrences: tab-separated ``sentence-id  i1,i2,...  joined  kind``;
+  unit indices are 0-based and strictly increasing.
+* Per-sentence counts: tab-separated ``sentence-id  correct  attempted
+  gold``, one line per sentence sorted by id, as written by ``eval
+  --per-sentence`` and ``run`` and read by ``sigtest``.
 """
 
 from __future__ import annotations
@@ -425,14 +429,19 @@ def read_occurrences(path):
             if not line.strip():
                 continue
             fields = line.split("\t")
-            if len(fields) != 4:
-                raise TreebankFormatError(
-                    "line %d: expected 4 tab-separated fields" % lineno)
-            sid = fields[0]
-            indices = tuple(int(x) for x in fields[1].split(","))
-            tokens = tuple(fields[2].split("+"))
-            occ = MweOccurrence(indices, tokens, fields[3])
-            out.setdefault(sid, []).append(occ)
+            try:
+                if len(fields) != 4:
+                    raise ValueError("expected 4 tab-separated fields")
+                indices = tuple(int(x) for x in fields[1].split(","))
+                if indices[0] < 0:
+                    raise ValueError("unit indices are 0-based, got %d"
+                                     % indices[0])
+                occ = MweOccurrence(indices, tuple(fields[2].split("+")),
+                                    fields[3])
+            except ValueError as exc:
+                raise TreebankFormatError("%s line %d: %s"
+                                          % (path, lineno, exc)) from exc
+            out.setdefault(fields[0], []).append(occ)
     return out
 
 
@@ -446,3 +455,35 @@ def write_occurrences(path, items):
                 handle.write("%s\t%s\t%s\t%s\n"
                              % (sid, ",".join(str(i) for i in occ.indices),
                                 occ.joined, occ.kind))
+
+
+# ----------------------------------------------------------------------
+# Per-sentence counts (sentence id + correct, attempted, gold)
+# ----------------------------------------------------------------------
+
+def read_counts(path):
+    """Read a counts file into {sentence id: (correct, attempted, gold)}."""
+    counts = {}
+    with open(path, encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            fields = line.split("\t")
+            try:
+                if len(fields) != 4:
+                    raise ValueError("expected id, correct, attempted, gold")
+                counts[fields[0]] = tuple(int(f) for f in fields[1:])
+                if min(counts[fields[0]]) < 0:
+                    raise ValueError("counts must be non-negative")
+            except ValueError as exc:
+                raise TreebankFormatError("%s line %d: %s"
+                                          % (path, lineno, exc)) from exc
+    return counts
+
+
+def write_counts(path, counts):
+    """Write {sentence id: (correct, attempted, gold)} sorted by id."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for sid in sorted(counts):
+            handle.write("%s\t%d\t%d\t%d\n" % ((sid,) + counts[sid]))

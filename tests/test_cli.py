@@ -3,6 +3,7 @@ import os
 import pytest
 
 from ccgmwe.cli import main
+from ccgmwe.evaluation import SCHEMES
 from ccgmwe.pipeline import (ExperimentConfig, PipelineError, parse_id_spec,
                              read_config, split_records)
 from ccgmwe.treebank import (read_dependencies, read_tokens, read_treebank)
@@ -18,6 +19,16 @@ def base_config(tmp_path, data_dir, extra=""):
            os.path.join(data_dir, "lexicon.tsv"),
            tmp_path / "out", extra))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def rec1_out(tmp_path_factory, data_dir, configs_dir):
+    """Output directory of one rec1 run on the shipped corpus."""
+    tmp_path = tmp_path_factory.mktemp("rec1")
+    config = base_config(tmp_path, data_dir)
+    assert main(["run", "--config", config,
+                 "--config", os.path.join(configs_dir, "rec1.cfg")]) == 0
+    return tmp_path / "out"
 
 
 class TestConfig:
@@ -157,6 +168,125 @@ class TestSubcommands:
     def test_missing_file_gives_nonzero_exit(self, tmp_path):
         assert main(["train", "--treebank", str(tmp_path / "nope.txt"),
                      "--output", str(tmp_path / "m.tsv")]) == 1
+
+
+class TestStageChecks:
+    def combine(self, out, tokens, result, scheme="medFromA"):
+        return main(["combine", "--out-a", str(out / "out_a.deps"),
+                     "--out-b", str(out / "out_b_full.deps"),
+                     "--occurrences", str(out / "occurrences.tsv"),
+                     "--tokens", str(tokens), "--scheme", scheme,
+                     "--output", str(result)])
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_combine_rebuilds_full_combination(self, rec1_out, tmp_path,
+                                               scheme):
+        result = tmp_path / "combined.deps"
+        assert self.combine(rec1_out, rec1_out / "tokens_test.txt", result,
+                            scheme) == 0
+        assert result.read_bytes() == \
+            (rec1_out / ("combined_full_%s.deps" % scheme)).read_bytes()
+
+    def test_combine_short_token_file_fails(self, rec1_out, tmp_path, capsys):
+        tokens = tmp_path / "short.txt"
+        lines = (rec1_out / "tokens_test.txt").read_text().splitlines()
+        tokens.write_text("".join(line + "\n" for line in lines[:3]))
+        assert self.combine(rec1_out, tokens, tmp_path / "c.deps") == 1
+        err = capsys.readouterr().err
+        assert err == ("error [combine] %s has 3 token lines for 15 sentences"
+                       " of out_a\n" % tokens)
+
+    def test_combine_reversed_token_file_fails(self, rec1_out, tmp_path,
+                                               capsys):
+        tokens = tmp_path / "reversed.txt"
+        lines = (rec1_out / "tokens_test.txt").read_text().splitlines()
+        tokens.write_text("".join(line + "\n" for line in reversed(lines)))
+        assert self.combine(rec1_out, tokens, tmp_path / "c.deps") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [combine] %s line 1 has no " % tokens)
+        assert err.endswith(" (sentence 46)\n")
+
+    def test_combine_changed_word_fails(self, rec1_out, tmp_path, capsys):
+        tokens = tmp_path / "changed.txt"
+        text = (rec1_out / "tokens_test.txt").read_text()
+        tokens.write_text(text.replace("Mr. Spoon", "Mr. Spoons", 1))
+        assert self.combine(rec1_out, tokens, tmp_path / "c.deps") == 1
+        assert capsys.readouterr().err == (
+            "error [combine] %s line 1 has no 'Spoon' at token 2 "
+            "(sentence 46)\n" % tokens)
+
+    def test_collapse_rejects_orphan_occurrences(self, tmp_path, data_dir,
+                                                 capsys):
+        occ = tmp_path / "occ.tsv"
+        occ.write_text("99\t0,1\tmr.+spoon\tproper-noun\n")
+        assert main(["collapse", "--treebank",
+                     os.path.join(data_dir, "treebank.txt"),
+                     "--occurrences", str(occ),
+                     "--output-dir", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err == (
+            "error [collapse] occurrences for sentence ids not in the "
+            "treebank: 99\n")
+
+    def test_collapse_rejects_dependencies_for_other_ids(self, tmp_path,
+                                                         data_dir, capsys):
+        treebank = os.path.join(data_dir, "treebank.txt")
+        deps = tmp_path / "gold.deps"
+        assert main(["extract-deps", "--treebank", treebank,
+                     "--output", str(deps)]) == 0
+        text = deps.read_text()
+        deps.write_text(text[:text.index("ID 60\n")])
+        occ = tmp_path / "occ.tsv"
+        occ.write_text("")
+        assert main(["collapse", "--treebank", treebank, "--dependencies",
+                     str(deps), "--occurrences", str(occ),
+                     "--output-dir", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err == (
+            "error [collapse] dependency ids differ from the treebank's: "
+            "missing ['60'], unknown []\n")
+
+    def test_malformed_occurrence_line_names_file(self, tmp_path, data_dir,
+                                                  capsys):
+        occ = tmp_path / "occ.tsv"
+        occ.write_text("1\t0,x\ta+b\tgeneral\n")
+        assert main(["collapse", "--treebank",
+                     os.path.join(data_dir, "treebank.txt"),
+                     "--occurrences", str(occ),
+                     "--output-dir", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error [collapse] %s line 1: invalid literal" % occ)
+
+    def test_malformed_counts_line_names_file(self, tmp_path, capsys):
+        counts = tmp_path / "counts.tsv"
+        counts.write_text("46\t1\t2\t3\n47\t1\t2\n")
+        assert main(["sigtest", "--x", str(counts), "--y", str(counts)]) == 1
+        assert capsys.readouterr().err == (
+            "error [sigtest] %s line 2: expected id, correct, attempted, "
+            "gold\n" % counts)
+
+    def test_parse_keeps_one_block_per_id_line(self, rec1_out, tmp_path):
+        tokens = tmp_path / "tokens.txt"
+        first = (rec1_out / "tokens_test.txt").read_text().splitlines()[0]
+        tokens.write_text("%s\n%s\n" % (first, first))
+        ids = tmp_path / "ids.txt"
+        ids.write_text("46\n46\n")
+        parsed = tmp_path / "parsed.deps"
+        assert main(["parse", "--model", str(rec1_out / "model_a.tsv"),
+                     "--tokens", str(tokens), "--ids", str(ids),
+                     "--output", str(parsed)]) == 0
+        blocks = read_dependencies(str(parsed))
+        assert [sid for sid, _ in blocks] == ["46", "46"]
+        assert blocks[0][1] == blocks[1][1]
+
+    def test_parse_id_count_mismatch_fails(self, rec1_out, tmp_path, capsys):
+        ids = tmp_path / "ids.txt"
+        ids.write_text("46\n")
+        tokens = rec1_out / "tokens_test.txt"
+        assert main(["parse", "--model", str(rec1_out / "model_a.tsv"),
+                     "--tokens", str(tokens), "--ids", str(ids),
+                     "--output", str(tmp_path / "p.deps")]) == 1
+        assert capsys.readouterr().err == (
+            "error [parse] %s has 1 ids for 15 sentences in %s\n"
+            % (ids, tokens))
 
 
 class TestRun:

@@ -283,6 +283,15 @@ class TestSigTest:
         assert not first.exhaustive
         assert first.p_value == second.p_value
 
+    def test_exhaustive_exactly_when_patterns_fit_budget(self):
+        counts_x, counts_y = _random_counts(random.Random(4), 4)
+        exact = sig_test(counts_x, counts_y, iterations=16, seed=3)
+        assert exact.exhaustive and exact.iterations == 16
+        assert exact.p_value == pytest.approx(
+            float(exhaustive_p_value(counts_x, counts_y)), abs=1e-12)
+        sampled = sig_test(counts_x, counts_y, iterations=15, seed=3)
+        assert not sampled.exhaustive and sampled.iterations == 15
+
     def test_id_mismatch_rejected(self):
         with pytest.raises(ValueError):
             sig_test({"1": (1, 2, 2)}, {"2": (1, 2, 2)})

@@ -7,8 +7,9 @@ from ccgmwe.categories import parse_category, render
 from ccgmwe.treebank import (Dependency, DerivationTree, LexiconError,
                              TreebankFormatError, assign_leaf_indices,
                              is_derivable, leaves, lowest_dominating_node,
-                             parse_tree, read_dependencies, read_lexicon,
-                             read_tokens, read_treebank, render_tree,
+                             parse_tree, read_counts, read_dependencies,
+                             read_lexicon, read_occurrences, read_tokens,
+                             read_treebank, render_tree, write_counts,
                              write_dependencies, write_tokens, write_treebank)
 
 
@@ -270,3 +271,50 @@ class TestLexicon:
         path.write_text("a b\tnoun\t3\t1;1\n")
         with pytest.raises(LexiconError):
             read_lexicon(str(path))
+
+
+class TestOccurrenceAndCountFiles:
+    @pytest.mark.parametrize("line,message", [
+        ("7\t0,x\ta+b\tgeneral", "invalid literal for int()"),
+        ("7\t0\ta\tgeneral", "needs >= 2 units"),
+        ("7\t2,1\ta+b\tgeneral", "strictly increasing"),
+        ("7\t1,1\ta+b\tgeneral", "strictly increasing"),
+        ("7\t-1,0\ta+b\tgeneral", "0-based"),
+        ("7\t0,1\ta+b", "expected 4 tab-separated fields"),
+    ])
+    def test_malformed_occurrence_names_file_and_line(self, tmp_path, line,
+                                                      message):
+        path = tmp_path / "occ.tsv"
+        path.write_text("7\t0,1\tmr.+spoon\tproper-noun\n" + line + "\n")
+        with pytest.raises(TreebankFormatError) as err:
+            read_occurrences(str(path))
+        assert str(err.value).startswith("%s line 2: " % path)
+        assert message in str(err.value)
+
+    def test_occurrences_read_zero_based_indices(self, tmp_path):
+        path = tmp_path / "occ.tsv"
+        path.write_text("7\t0,1\tmr.+spoon\tproper-noun\n")
+        (occ,) = read_occurrences(str(path))["7"]
+        assert occ.indices == (0, 1) and occ.joined == "mr.+spoon"
+
+    def test_counts_round_trip_sorted_by_id(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        counts = {"47": (3, 5, 6), "46": (0, 0, 4)}
+        write_counts(str(path), counts)
+        assert path.read_text() == "46\t0\t0\t4\n47\t3\t5\t6\n"
+        assert read_counts(str(path)) == counts
+
+    @pytest.mark.parametrize("line,message", [
+        ("47\t3\tx\t6", "invalid literal for int()"),
+        ("47\t3\t5", "expected id, correct, attempted, gold"),
+        ("47\t3\t5\t6\t1", "expected id, correct, attempted, gold"),
+        ("47\t-3\t5\t6", "non-negative"),
+    ])
+    def test_malformed_counts_name_file_and_line(self, tmp_path, line,
+                                                 message):
+        path = tmp_path / "counts.tsv"
+        path.write_text("46\t0\t0\t4\n" + line + "\n")
+        with pytest.raises(TreebankFormatError) as err:
+            read_counts(str(path))
+        assert str(err.value).startswith("%s line 2: " % path)
+        assert message in str(err.value)

@@ -14,9 +14,8 @@ from .parser import (ParseResult, ParserModel, extract_dependencies, parse,
 from .recognition import (MweOccurrence, RecognizerConfig, PRESETS, detect,
                           apply_filters, recognize, resolve)
 from .treebank import (Dependency, DerivationTree, MweLexicon, SentenceRecord,
-                       is_derivable, leaves, lowest_dominating_node,
-                       read_dependencies, read_lexicon, read_tokens,
-                       read_treebank, write_dependencies, write_tokens,
-                       write_treebank)
+                       leaves, lowest_dominating_node, read_dependencies,
+                       read_lexicon, read_tokens, read_treebank,
+                       write_dependencies, write_tokens, write_treebank)
 
 __version__ = "0.1.0"

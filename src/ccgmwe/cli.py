@@ -85,7 +85,7 @@ def _add_collapse(sub):
 def _run_collapse(args):
     records = treebank.read_treebank(args.treebank)
     occurrences = treebank.read_occurrences(args.occurrences)
-    deps = dict(treebank.read_dependencies(args.dependencies)
+    deps = dict(treebank.read_dependencies(args.dependencies, unique=True)
                 if args.dependencies else pipeline.extract_corpus(records))
     collapsed = pipeline.collapse_corpus(records, occurrences, deps)
     os.makedirs(args.output_dir, exist_ok=True)
@@ -171,8 +171,8 @@ def _add_combine(sub):
 
 def _run_combine(args):
     combined = pipeline.combine_corpus(
-        treebank.read_dependencies(args.out_a),
-        dict(treebank.read_dependencies(args.out_b)),
+        treebank.read_dependencies(args.out_a, unique=True),
+        dict(treebank.read_dependencies(args.out_b, unique=True)),
         treebank.read_occurrences(args.occurrences), args.scheme,
         treebank.read_tokens(args.tokens), args.tokens)
     treebank.write_dependencies(args.output, combined)
@@ -188,8 +188,8 @@ def _add_eval(sub):
 
 
 def _run_eval(args):
-    system = dict(treebank.read_dependencies(args.system))
-    gold = dict(treebank.read_dependencies(args.gold))
+    system = dict(treebank.read_dependencies(args.system, unique=True))
+    gold = dict(treebank.read_dependencies(args.gold, unique=True))
     report = evaluation.score(system, gold, labeled=args.labeled)
     line = ("P\t%.4f\nR\t%.4f\nF1\t%.4f\ncorrect\t%d\nattempted\t%d\n"
             "gold\t%d\nP_undefined\t%d\n"

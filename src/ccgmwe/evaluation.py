@@ -13,15 +13,14 @@ between the two systems with probability one half and recomputes the
 aggregate F1 difference; the p-value is (hits + 1) / (iterations + 1).
 When 2^n does not exceed the iteration budget every swap pattern is
 enumerated instead, so small inputs get the exact randomization p-value
-under the same +1 convention.
+under the same +1 convention.  numpy is imported by sig_test alone, so
+that the other stages and subcommands start without loading it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .categories import arity, render
 from .treebank import Dependency
@@ -105,12 +104,6 @@ def membership_from_occurrences(occurrences):
     """Map leaf index -> MWE group key, for original-tokenization edges."""
     return {i: group for group, occ in enumerate(occurrences)
             for i in occ.indices}
-
-
-def membership_from_tokens(tokens):
-    """Map token index -> group key using the '+' markers of collapsed
-    tokens; every marked token is its own MWE."""
-    return {i: i for i, token in enumerate(tokens) if "+" in token}
 
 
 def classify_edge(dep, membership):
@@ -245,6 +238,8 @@ def sig_test(counts_x, counts_y, iterations=10000, seed=0):
     result deterministic and seed-free on small inputs; otherwise the
     sampler is deterministic for a fixed seed.
     """
+    import numpy as np
+
     if set(counts_x) != set(counts_y):
         raise ValueError("sentence ids do not match between systems")
     sids = sorted(counts_x)

@@ -25,8 +25,7 @@ from functools import lru_cache
 from .categories import (FORWARD_APPLY, FORWARD_COMPOSE, arity,
                          derivation_rule, is_modifier, parse_category, render,
                          target)
-from .treebank import (DerivationTree, Dependency, assign_leaf_indices,
-                       leaf_nodes, leaves)
+from .treebank import DerivationTree, Dependency, assign_leaf_indices
 
 # Leaf expansion marker: a category "expands" to LEX when it emits a token.
 LEX = ()
@@ -338,38 +337,6 @@ def _build_tree(back_chart, categories, tokens, i, j, cid):
     return DerivationTree(cat, (
         _build_tree(back_chart, categories, tokens, i, k, lid),
         _build_tree(back_chart, categories, tokens, k, j, rid)))
-
-
-def score_tree(model, tree):
-    """Recompute log P(T, S) of a derivation under the model, mirroring the
-    parser's emission rules exactly; None when any factor is unseen."""
-    tokens = [token for _, token in leaves(tree)]
-    tags = pos_tag(model, tokens)
-    logp = 0.0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        stack.extend(node.children)
-        dist = model.rules.get(node.category)
-        if dist is None:
-            return None
-        if node.is_leaf():
-            prob = dist.get(LEX)
-        else:
-            prob = dist.get(tuple(c.category for c in node.children))
-        if not prob:
-            return None
-        logp += math.log(prob)
-    for index, node in enumerate(leaf_nodes(tree)):
-        token = node.token
-        if model.token_freq.get(token, 0) >= model.rare_threshold:
-            prob = model.lexical.get(node.category, {}).get(token)
-        else:
-            prob = model.pos_backoff.get(tags[index], {}).get(node.category)
-        if not prob:
-            return None
-        logp += math.log(prob)
-    return logp
 
 
 # ----------------------------------------------------------------------

@@ -263,8 +263,15 @@ def combine_corpus(out_a, out_b, occurrences, scheme, tokens, tokens_path):
 
     `tokens`, read from `tokens_path`, holds the original tokens of each
     out_a sentence in order.  Every out_a edge's words must match them, and
-    the occurrences are re-bound to them.
+    the occurrences are re-bound to them.  out_b must hold exactly out_a's
+    sentence ids; a sentence that failed to parse has an empty edge list.
     """
+    ids_a = {sid for sid, _ in out_a}
+    if set(out_b) != ids_a:
+        raise PipelineError("combine", "out_b ids differ from out_a's: "
+                            "missing %s, unknown %s"
+                            % (sorted(ids_a - set(out_b)),
+                               sorted(set(out_b) - ids_a)))
     if len(tokens) != len(out_a):
         raise PipelineError("combine", "%s has %d token lines for %d "
                             "sentences of out_a"
@@ -280,7 +287,7 @@ def combine_corpus(out_a, out_b, occurrences, scheme, tokens, tokens_path):
                                             index + 1))
             occs = recognition.rebind_tokens(occurrences.get(sid, []), line)
             combined.append((sid, evaluation.combine_models(
-                deps_a, out_b.get(sid, []), occs, scheme)))
+                deps_a, out_b[sid], occs, scheme)))
         except ValueError as exc:
             raise PipelineError("combine", str(exc), sid) from exc
     return combined

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .categories import Category, arity, derivation_rule, parse_category, render
+from .categories import Category, arity, parse_category, render
 
 LEXICON_KINDS = ("proper-noun", "stop-word", "general")
 
@@ -43,7 +43,7 @@ class DerivationTree:
 
     Leaf indices are assigned left to right on read (or by
     assign_leaf_indices after construction).  Internal binary nodes need
-    not be derivable by a combinatory rule; see is_derivable.
+    not be derivable by a combinatory rule.
     """
 
     category: Category
@@ -83,17 +83,6 @@ class SentenceRecord:
     sid: str
     tree: DerivationTree | None = None
     tokens: list = field(default_factory=list)
-
-
-def is_derivable(node):
-    """Whether a node's category follows from its children by application
-    or composition.  Leaves and unary nodes count as derivable; collapsed
-    or punctuation/apposition nodes in synthetic trees may not be."""
-    if len(node.children) != 2:
-        return True
-    left, right = node.children
-    return derivation_rule(left.category, right.category,
-                           node.category) is not None
 
 
 def leaf_nodes(tree):
@@ -278,45 +267,51 @@ def write_treebank(path, records):
 # Dependency files
 # ----------------------------------------------------------------------
 
-def read_dependencies(path):
-    """Read a dependency file into a list of (sentence id, [Dependency])."""
+def read_dependencies(path, unique=False):
+    """Read a dependency file into a list of (sentence id, [Dependency]).
+
+    A malformed line raises TreebankFormatError naming the file and line.
+    An id may repeat, as `parse` writes one block per line of its id file;
+    callers that key sentences by id pass `unique`, which makes a repeated
+    id an error too.
+    """
     out = []
+    seen = set()
     current = None
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
-            if line.startswith("ID "):
-                current = []
-                out.append((line[3:].strip(), current))
-                continue
-            if current is None:
-                raise TreebankFormatError(
-                    "line %d: dependency without an ID header" % lineno)
-            fields = line.split("\t")
-            if len(fields) != 6:
-                raise TreebankFormatError(
-                    "line %d: expected 6 tab-separated fields, got %d"
-                    % (lineno, len(fields)))
             try:
-                i, j, arg_k = int(fields[0]), int(fields[1]), int(fields[3])
+                if line.startswith("ID "):
+                    sid = line[3:].strip()
+                    if unique and sid in seen:
+                        raise ValueError("duplicate sentence id %s" % sid)
+                    seen.add(sid)
+                    current = []
+                    out.append((sid, current))
+                elif current is None:
+                    raise ValueError("dependency without an ID header")
+                else:
+                    current.append(_parse_dependency(line))
             except ValueError as exc:
-                raise TreebankFormatError("line %d: %s" % (lineno, exc)) from exc
-            if i < 1 or j < 1:
-                raise TreebankFormatError(
-                    "line %d: file indices are 1-based" % lineno)
-            try:
-                cat_j = parse_category(fields[2])
-            except ValueError as exc:
-                raise TreebankFormatError("line %d: %s" % (lineno, exc)) from exc
-            if arg_k > arity(cat_j):
-                raise TreebankFormatError(
-                    "line %d: arg_k %d exceeds arity of %s"
-                    % (lineno, arg_k, fields[2]))
-            current.append(Dependency(i - 1, j - 1, cat_j, arg_k,
-                                      fields[4], fields[5]))
+                raise TreebankFormatError("%s line %d: %s"
+                                          % (path, lineno, exc)) from exc
     return out
+
+
+def _parse_dependency(line):
+    fields = line.split("\t")
+    if len(fields) != 6:
+        raise ValueError("expected 6 tab-separated fields, got %d" % len(fields))
+    i, j, arg_k = int(fields[0]), int(fields[1]), int(fields[3])
+    if i < 1 or j < 1:
+        raise ValueError("file indices are 1-based")
+    cat_j = parse_category(fields[2])
+    if arg_k > arity(cat_j):
+        raise ValueError("arg_k %d exceeds arity of %s" % (arg_k, fields[2]))
+    return Dependency(i - 1, j - 1, cat_j, arg_k, fields[4], fields[5])
 
 
 def write_dependencies(path, items):
@@ -473,6 +468,8 @@ def read_counts(path):
             try:
                 if len(fields) != 4:
                     raise ValueError("expected id, correct, attempted, gold")
+                if fields[0] in counts:
+                    raise ValueError("duplicate sentence id %s" % fields[0])
                 counts[fields[0]] = tuple(int(f) for f in fields[1:])
                 if min(counts[fields[0]]) < 0:
                     raise ValueError("counts must be non-negative")

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -263,6 +266,51 @@ class TestStageChecks:
             "error [sigtest] %s line 2: expected id, correct, attempted, "
             "gold\n" % counts)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda text: text[:text.index("ID 47\n")]
+         + text[text.index("ID 48\n"):], "missing ['47'], unknown []"),
+        (lambda text: text + "ID 99\n", "missing [], unknown ['99']"),
+    ], ids=["missing", "unknown"])
+    def test_combine_rejects_out_b_with_other_ids(self, rec1_out, tmp_path,
+                                                   capsys, edit, message):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("out_a.deps", "occurrences.tsv"):
+            (out / name).write_bytes((rec1_out / name).read_bytes())
+        (out / "out_b_full.deps").write_text(
+            edit((rec1_out / "out_b_full.deps").read_text()))
+        assert self.combine(out, rec1_out / "tokens_test.txt",
+                            tmp_path / "c.deps") == 1
+        assert capsys.readouterr().err == (
+            "error [combine] out_b ids differ from out_a's: %s\n" % message)
+
+    def test_eval_malformed_line_names_file(self, rec1_out, tmp_path, capsys):
+        bad = tmp_path / "bad.deps"
+        bad.write_text("ID 46\n1\t2\n")
+        assert main(["eval", "--system", str(bad),
+                     "--gold", str(rec1_out / "gold_a.deps")]) == 1
+        assert capsys.readouterr().err == (
+            "error [eval] %s line 2: expected 6 tab-separated fields, got 2\n"
+            % bad)
+
+    def test_eval_rejects_repeated_sentence_id(self, rec1_out, tmp_path,
+                                               capsys):
+        system = tmp_path / "system.deps"
+        text = (rec1_out / "out_a.deps").read_text()
+        system.write_text(text + "ID 46\n")
+        assert main(["eval", "--system", str(system),
+                     "--gold", str(rec1_out / "gold_a.deps")]) == 1
+        assert capsys.readouterr().err == (
+            "error [eval] %s line %d: duplicate sentence id 46\n"
+            % (system, text.count("\n") + 1))
+
+    def test_sigtest_rejects_repeated_sentence_id(self, tmp_path, capsys):
+        counts = tmp_path / "counts.tsv"
+        counts.write_text("46\t1\t2\t3\n47\t1\t2\t3\n46\t0\t2\t3\n")
+        assert main(["sigtest", "--x", str(counts), "--y", str(counts)]) == 1
+        assert capsys.readouterr().err == (
+            "error [sigtest] %s line 3: duplicate sentence id 46\n" % counts)
+
     def test_parse_keeps_one_block_per_id_line(self, rec1_out, tmp_path):
         tokens = tmp_path / "tokens.txt"
         first = (rec1_out / "tokens_test.txt").read_text().splitlines()[0]
@@ -287,6 +335,54 @@ class TestStageChecks:
         assert capsys.readouterr().err == (
             "error [parse] %s has 1 ids for 15 sentences in %s\n"
             % (ids, tokens))
+
+
+NUMPY_GUARD = textwrap.dedent("""
+    import importlib.util
+    import os
+    import sys
+
+    import ccgmwe.cli
+
+    def numpy_loaded():
+        return "numpy" in sys.modules
+
+    assert not numpy_loaded(), "import ccgmwe.cli"
+    try:
+        ccgmwe.cli.main(["--help"])
+    except SystemExit as exc:
+        assert exc.code == 0
+    assert not numpy_loaded(), "--help"
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join("perfbench", "run.py"))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    chain = bench.StageChain(bench.DEFAULT_SEED, sys.argv[1], False)
+    commands = []
+    for step in chain.steps("op", os.path.join(sys.argv[1], "op")):
+        if callable(step):
+            step()
+            continue
+        assert ccgmwe.cli.main(list(step)) == 0, step
+        commands.append(step[0])
+        assert numpy_loaded() == (step[0] == "sigtest"), commands
+    print(" ".join(commands))
+""")
+
+
+def test_only_sigtest_loads_numpy(tmp_path, data_dir):
+    """The README chain runs every subcommand but sigtest without importing
+    numpy; sigtest, run last, imports it."""
+    root = os.path.dirname(data_dir)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", NUMPY_GUARD, str(tmp_path)],
+                          cwd=root, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == (
+        "split recognize collapse split train train extract-deps parse parse "
+        "combine eval eval sigtest")
 
 
 class TestRun:

@@ -9,11 +9,16 @@ from ccgmwe.categories import parse_category, render
 from ccgmwe.collapse import collapse_dependencies, collapse_tree
 from ccgmwe.evaluation import (EXTERNAL, INTERNAL, MEDIATING, classify_edge,
                                combine_models, f1, f_beta,
-                               membership_from_occurrences,
-                               membership_from_tokens, score, sig_test)
+                               membership_from_occurrences, score, sig_test)
 from ccgmwe.parser import extract_dependencies
 from ccgmwe.recognition import MweOccurrence, PRESETS, recognize
 from ccgmwe.treebank import Dependency
+
+
+def membership_from_tokens(tokens):
+    """Map token index -> group key using the '+' markers of collapsed
+    tokens; every marked token is its own MWE."""
+    return {i: i for i, token in enumerate(tokens) if "+" in token}
 
 
 def dep(i, j, cat, k, wi, wj):

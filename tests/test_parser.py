@@ -7,12 +7,11 @@ import pytest
 
 from ccgmwe.categories import parse_category, render
 from ccgmwe.parser import (LEX, extract_dependencies, load_model, parse,
-                           pos_for_category, pos_tag, save_model, score_tree,
-                           train)
+                           pos_for_category, pos_tag, save_model, train)
 from ccgmwe.pipeline import read_config, run_pipeline
-from ccgmwe.treebank import (DerivationTree, SentenceRecord, leaves, parse_tree,
-                             read_dependencies, read_tokens, read_treebank,
-                             render_tree)
+from ccgmwe.treebank import (DerivationTree, SentenceRecord, leaf_nodes,
+                             leaves, parse_tree, read_dependencies,
+                             read_tokens, read_treebank, render_tree)
 
 C = parse_category
 
@@ -20,6 +19,38 @@ C = parse_category
 def record(sid, text):
     tree = parse_tree(text)
     return SentenceRecord(sid, tree, [t for _, t in leaves(tree)])
+
+
+def score_tree(model, tree):
+    """Recompute log P(T, S) of a derivation under the model, mirroring the
+    parser's emission rules exactly; None when any factor is unseen."""
+    tokens = [token for _, token in leaves(tree)]
+    tags = pos_tag(model, tokens)
+    logp = 0.0
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        dist = model.rules.get(node.category)
+        if dist is None:
+            return None
+        if node.is_leaf():
+            prob = dist.get(LEX)
+        else:
+            prob = dist.get(tuple(c.category for c in node.children))
+        if not prob:
+            return None
+        logp += math.log(prob)
+    for index, node in enumerate(leaf_nodes(tree)):
+        token = node.token
+        if model.token_freq.get(token, 0) >= model.rare_threshold:
+            prob = model.lexical.get(node.category, {}).get(token)
+        else:
+            prob = model.pos_backoff.get(tags[index], {}).get(node.category)
+        if not prob:
+            return None
+        logp += math.log(prob)
+    return logp
 
 
 JOHN_BUYS_SHARES = "(S (NP John) (S\\NP ((S\\NP)/NP buys) (NP shares)))"

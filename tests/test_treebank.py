@@ -3,14 +3,25 @@ import random
 
 import pytest
 
-from ccgmwe.categories import parse_category, render
+from ccgmwe.categories import derivation_rule, parse_category, render
 from ccgmwe.treebank import (Dependency, DerivationTree, LexiconError,
                              TreebankFormatError, assign_leaf_indices,
-                             is_derivable, leaves, lowest_dominating_node,
+                             leaves, lowest_dominating_node,
                              parse_tree, read_counts, read_dependencies,
                              read_lexicon, read_occurrences, read_tokens,
                              read_treebank, render_tree, write_counts,
                              write_dependencies, write_tokens, write_treebank)
+
+
+def is_derivable(node):
+    """Whether a node's category follows from its children by application
+    or composition.  Leaves and unary nodes count as derivable; collapsed
+    or punctuation/apposition nodes in synthetic trees may not be."""
+    if len(node.children) != 2:
+        return True
+    left, right = node.children
+    return derivation_rule(left.category, right.category,
+                           node.category) is not None
 
 
 class TestTreeParsing:
@@ -225,6 +236,35 @@ class TestDependencyFiles:
         with pytest.raises(TreebankFormatError):
             read_dependencies(str(path))
 
+    @pytest.mark.parametrize("line,message", [
+        ("1\t2\tN/N\t1\ta\tb", "dependency without an ID header"),
+        ("1\t2\tN/N\t1\tonly-five", "expected 6 tab-separated fields, got 5"),
+        ("x\t2\tN/N\t1\ta\tb", "invalid literal for int()"),
+        ("0\t2\tN/N\t1\ta\tb", "file indices are 1-based"),
+        ("1\t2\tN/N\t2\ta\tb", "arg_k 2 exceeds arity of N/N"),
+        ("2\t2\tN/N\t1\ta\tb", "dependency endpoints must differ"),
+        ("1\t2\t(N/N\t1\ta\tb", "unbalanced parenthesis"),
+    ])
+    def test_malformed_dependency_names_file_and_line(self, tmp_path, line,
+                                                      message):
+        path = tmp_path / "d.deps"
+        header = "" if "header" in message else "ID 1\n"
+        path.write_text(header + line + "\n")
+        with pytest.raises(TreebankFormatError) as err:
+            read_dependencies(str(path))
+        assert str(err.value).startswith(
+            "%s line %d: " % (path, 2 if header else 1))
+        assert message in str(err.value)
+
+    def test_repeated_sentence_id(self, tmp_path):
+        path = tmp_path / "d.deps"
+        path.write_text("ID 46\n1\t2\tN/N\t1\ta\tb\nID 47\nID 46\n")
+        assert [sid for sid, _ in read_dependencies(str(path))] == \
+            ["46", "47", "46"]
+        with pytest.raises(TreebankFormatError) as err:
+            read_dependencies(str(path), unique=True)
+        assert str(err.value) == "%s line 4: duplicate sentence id 46" % path
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             Dependency(3, 3, parse_category("N/N"), 1, "a", "a")
@@ -309,6 +349,7 @@ class TestOccurrenceAndCountFiles:
         ("47\t3\t5", "expected id, correct, attempted, gold"),
         ("47\t3\t5\t6\t1", "expected id, correct, attempted, gold"),
         ("47\t-3\t5\t6", "non-negative"),
+        ("46\t1\t1\t1", "duplicate sentence id 46"),
     ])
     def test_malformed_counts_name_file_and_line(self, tmp_path, line,
                                                  message):

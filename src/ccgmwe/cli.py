@@ -134,8 +134,8 @@ def _run_parse(args):
     sentences = treebank.read_tokens(args.tokens)
     ids = None
     if args.ids:
-        with open(args.ids, encoding="utf-8") as handle:
-            ids = [line.strip() for line in handle if line.strip()]
+        with treebank.Lines(args.ids) as lines:
+            ids = [line.strip() for line in lines]
         if len(ids) != len(sentences):
             raise pipeline.PipelineError(
                 "parse", "%s has %d ids for %d sentences in %s"

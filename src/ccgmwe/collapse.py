@@ -184,23 +184,10 @@ def collapse_all_dependencies(deps, occurrences):
     """
     occurrences = sorted(occurrences, key=lambda o: o.start)
     _check_disjoint(occurrences)
-    max_index = max((dep_index for dep in deps for dep_index in (dep.i, dep.j)),
-                    default=-1)
-    max_index = max(max_index,
-                    max((occ.indices[-1] for occ in occurrences), default=-1))
-    index_map = build_index_map(max_index + 1, occurrences)
-    unit_occ = {i: occ for occ in occurrences for i in occ.indices}
-    out = []
-    for dep in deps:
-        occ_i = unit_occ.get(dep.i)
-        occ_j = unit_occ.get(dep.j)
-        if occ_i is not None and occ_i is occ_j:
-            continue
-        word_i = occ_i.joined if occ_i is not None else dep.word_i
-        word_j = occ_j.joined if occ_j is not None else dep.word_j
-        out.append(Dependency(index_map[dep.i], index_map[dep.j],
-                              dep.cat_j, dep.arg_k, word_i, word_j))
-    return out
+    n = 1 + max([-1] + [index for dep in deps for index in (dep.i, dep.j)]
+                + [occ.indices[-1] for occ in occurrences])
+    return collapse_dependencies(deps, CollapseOutcome(
+        None, occurrences, index_map=build_index_map(n, occurrences)))
 
 
 def detect_cycles(deps):

@@ -238,6 +238,8 @@ def sig_test(counts_x, counts_y, iterations=10000, seed=0):
     result deterministic and seed-free on small inputs; otherwise the
     sampler is deterministic for a fixed seed.
     """
+    if iterations < 1:
+        raise ValueError("iterations must be at least 1, got %d" % iterations)
     import numpy as np
 
     if set(counts_x) != set(counts_y):

@@ -25,7 +25,7 @@ from functools import lru_cache
 from .categories import (FORWARD_APPLY, FORWARD_COMPOSE, arity,
                          derivation_rule, is_modifier, parse_category, render,
                          target)
-from .treebank import DerivationTree, Dependency, assign_leaf_indices
+from .treebank import DerivationTree, Dependency, Lines, assign_leaf_indices
 
 # Leaf expansion marker: a category "expands" to LEX when it emits a token.
 LEX = ()
@@ -108,6 +108,9 @@ def train(records, smoothing=0.0):
     one.  The POS back-off collects (tag of token, lexical category) pairs
     over all training leaves.
     """
+    if not (math.isfinite(smoothing) and smoothing >= 0):
+        raise ValueError("smoothing must be a finite number >= 0, got %r"
+                         % smoothing)
     records = list(records)
     if not records:
         raise ValueError("cannot train on an empty treebank")
@@ -455,18 +458,15 @@ def load_model(path):
     token_pos = defaultdict(dict)
     roots = {}
     meta = {"smoothing": 0.0, "rare_threshold": 2}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
+    with Lines(path) as lines:
+        for line in lines:
             fields = line.split("\t")
             if len(fields) != 4:
-                raise ValueError("line %d: expected 4 fields" % lineno)
+                raise ValueError("expected 4 fields")
             table, condition, outcome, value = fields
             if table == "meta":
                 meta[condition] = float(value) if condition == "smoothing" \
-                    else int(float(value))
+                    else int(value)
             elif table == "rule":
                 rules[parse_category(condition)][_parse_expansion(outcome)] = \
                     float(value)
@@ -475,11 +475,11 @@ def load_model(path):
             elif table == "backoff":
                 backoff[condition][parse_category(outcome)] = float(value)
             elif table == "tokpos":
-                token_pos[condition][outcome] = int(float(value))
+                token_pos[condition][outcome] = int(value)
             elif table == "root":
                 roots[parse_category(outcome)] = float(value)
             else:
-                raise ValueError("line %d: unknown table %r" % (lineno, table))
+                raise ValueError("unknown table %r" % table)
     token_freq = {token: sum(dist.values()) for token, dist in token_pos.items()}
     return ParserModel(dict(rules), dict(lexical), dict(backoff),
                        dict(token_pos), token_freq, roots,

@@ -15,7 +15,8 @@ pure function of the configuration and input files.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 from . import collapse as collapsing
 from . import evaluation, parser, recognition, treebank
@@ -49,57 +50,62 @@ class ExperimentConfig:
     iterations: int = 10000
 
 
+def _listed(text):
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _schemes(text):
+    schemes = _listed(text)
+    for scheme in schemes:
+        if scheme not in evaluation.SCHEMES:
+            raise ValueError("unknown scheme %r" % scheme)
+    return schemes
+
+
+# config key -> converter of its value; detector, filters and resolver set
+# the fields of ExperimentConfig.recognizer, the others their namesakes
+CONFIG_KEYS = {"treebank": str, "lexicon": str, "output": str, "train": str,
+               "dev": str, "test": str, "detector": str, "filters": _listed,
+               "resolver": str, "schemes": _schemes, "smoothing": float,
+               "seed": int, "iterations": int}
+
+
 def read_config(paths):
     """Assemble a configuration from flat key=value files; later files
     override earlier ones, so recognizer presets can be layered on top of
     a base configuration."""
     values = {}
     for path in paths:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, 1):
-                line = raw.split("#", 1)[0].strip()
+        with treebank.Lines(path, partial(PipelineError, "config")) as lines:
+            for line in lines:
+                line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if "=" not in line:
-                    raise PipelineError("config", "%s line %d: expected key=value"
-                                        % (path, lineno))
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+                key, equals, value = line.partition("=")
+                if not equals:
+                    raise ValueError("expected key=value")
+                key = key.strip()
+                if key not in CONFIG_KEYS:
+                    raise ValueError("unknown key %r" % key)
+                values[key] = value.strip()
     return config_from_values(values)
 
 
 def config_from_values(values):
-    known = {"treebank", "lexicon", "output", "train", "dev", "test",
-             "detector", "filters", "resolver", "schemes", "smoothing",
-             "seed", "iterations"}
-    unknown = sorted(set(values) - known)
-    if unknown:
-        raise PipelineError("config", "unknown keys: %s" % ", ".join(unknown))
-    recognizer = recognition.RecognizerConfig(
-        detector=values.get("detector", "exhaustive"),
-        filters=tuple(part.strip() for part in
-                      values.get("filters", "continuous").split(",") if part.strip()),
-        resolver=values.get("resolver", "longest"),
-    )
-    schemes = tuple(part.strip() for part in
-                    values.get("schemes", ",".join(evaluation.SCHEMES)).split(",")
-                    if part.strip())
-    for scheme in schemes:
-        if scheme not in evaluation.SCHEMES:
-            raise PipelineError("config", "unknown scheme %r" % scheme)
-    return ExperimentConfig(
-        treebank=values.get("treebank", ""),
-        lexicon=values.get("lexicon", ""),
-        output=values.get("output", "out"),
-        train=values.get("train", ""),
-        dev=values.get("dev", ""),
-        test=values.get("test", ""),
-        recognizer=recognizer,
-        schemes=schemes,
-        smoothing=float(values.get("smoothing", "0.1")),
-        seed=int(values.get("seed", "0")),
-        iterations=int(values.get("iterations", "10000")),
-    )
+    """Build the configuration from read_config's key=value strings; a
+    value that does not convert raises PipelineError naming its key."""
+    config = ExperimentConfig()
+    for key, value in values.items():
+        try:
+            value = CONFIG_KEYS[key](value)
+            if key in ("detector", "filters", "resolver"):
+                # replace() re-validates; the fields set earlier are valid
+                config.recognizer = replace(config.recognizer, **{key: value})
+            else:
+                setattr(config, key, value)
+        except ValueError as exc:
+            raise PipelineError("config", "%s: %s" % (key, exc)) from exc
+    return config
 
 
 def parse_id_spec(spec):

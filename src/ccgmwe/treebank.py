@@ -18,6 +18,10 @@ File formats (all UTF-8):
 * Per-sentence counts: tab-separated ``sentence-id  correct  attempted
   gold``, one line per sentence sorted by id, as written by ``eval
   --per-sentence`` and ``run`` and read by ``sigtest``.
+
+Blank lines are skipped everywhere.  Every reader goes through Lines, so a
+malformed input line raises a typed error worded ``<file> line N:
+<reason>``, which the CLI prints before exiting with status 1.
 """
 
 from __future__ import annotations
@@ -35,6 +39,40 @@ class TreebankFormatError(ValueError):
 
 class LexiconError(ValueError):
     pass
+
+
+class Lines:
+    """The non-blank lines of an input file, newline stripped::
+
+        with Lines(path) as lines:
+            for line in lines:
+                ...
+
+    A ValueError raised inside the block is re-raised as
+    ``error("<path> line N: <reason>")``, N being the last line read.
+    """
+
+    def __init__(self, path, error=TreebankFormatError):
+        self.path = path
+        self.error = error
+        self.lineno = 0
+
+    def __enter__(self):
+        self._handle = open(self.path, "rb")
+        return self
+
+    def __iter__(self):
+        # decoding line by line places a UnicodeDecodeError on its line
+        for self.lineno, raw in enumerate(self._handle, 1):
+            line = raw.decode("utf-8").rstrip("\r\n")
+            if line.strip():
+                yield line
+
+    def __exit__(self, kind, exc, traceback):
+        self._handle.close()
+        if isinstance(exc, ValueError):
+            raise self.error("%s line %d: %s"
+                             % (self.path, self.lineno, exc)) from exc
 
 
 @dataclass(slots=True)
@@ -159,59 +197,58 @@ def lowest_dominating_node(tree, indices):
 # Tree serialization
 # ----------------------------------------------------------------------
 
-def parse_tree(text, where=""):
+def parse_tree(text):
     """Parse one bracketed tree line."""
-    tree, pos = _parse_node(text, 0, where)
+    tree, pos = _parse_node(text, 0)
     while pos < len(text) and text[pos].isspace():
         pos += 1
     if pos != len(text):
-        raise TreebankFormatError("%strailing text after tree at column %d"
-                                  % (where, pos))
+        raise TreebankFormatError("trailing text after tree at column %d"
+                                  % pos)
     return assign_leaf_indices(tree)
 
 
-def _parse_node(text, pos, where):
+def _parse_node(text, pos):
     if pos >= len(text) or text[pos] != "(":
-        raise TreebankFormatError("%sexpected '(' at column %d" % (where, pos))
+        raise TreebankFormatError("expected '(' at column %d" % pos)
     pos += 1
     end = pos
     while end < len(text) and not text[end].isspace():
         end += 1
     cat_text = text[pos:end]
     if not cat_text:
-        raise TreebankFormatError("%smissing category at column %d" % (where, pos))
+        raise TreebankFormatError("missing category at column %d" % pos)
     try:
         category = parse_category(cat_text)
     except ValueError as exc:
-        raise TreebankFormatError("%s%s" % (where, exc)) from exc
+        raise TreebankFormatError(str(exc)) from exc
     pos = end
     while pos < len(text) and text[pos].isspace():
         pos += 1
     if pos < len(text) and text[pos] == "(":
         children = []
         while pos < len(text) and text[pos] == "(":
-            child, pos = _parse_node(text, pos, where)
+            child, pos = _parse_node(text, pos)
             children.append(child)
             while pos < len(text) and text[pos].isspace():
                 pos += 1
         if pos >= len(text) or text[pos] != ")":
-            raise TreebankFormatError("%sunbalanced bracket at column %d"
-                                      % (where, pos))
+            raise TreebankFormatError("unbalanced bracket at column %d" % pos)
         if len(children) > 2:
-            raise TreebankFormatError("%snode with %d children at column %d"
-                                      % (where, len(children), pos))
+            raise TreebankFormatError("node with %d children at column %d"
+                                      % (len(children), pos))
         return DerivationTree(category, tuple(children)), pos + 1
     end = pos
     while end < len(text) and text[end] not in (")", " ", "\t"):
         end += 1
     token = text[pos:end]
     if not token:
-        raise TreebankFormatError("%sempty leaf token at column %d" % (where, pos))
+        raise TreebankFormatError("empty leaf token at column %d" % pos)
     pos = end
     while pos < len(text) and text[pos].isspace():
         pos += 1
     if pos >= len(text) or text[pos] != ")":
-        raise TreebankFormatError("%sunbalanced bracket at column %d" % (where, pos))
+        raise TreebankFormatError("unbalanced bracket at column %d" % pos)
     return DerivationTree(category, (), token), pos + 1
 
 
@@ -222,37 +259,28 @@ def render_tree(tree):
                         " ".join(render_tree(c) for c in tree.children))
 
 
-def read_treebank(source):
-    """Read a treebank (path or open stream) into SentenceRecords; tokens
-    come from the tree leaves."""
+def read_treebank(path):
+    """Read a treebank into SentenceRecords; tokens come from the tree
+    leaves."""
     records = []
     sid = None
-    handle = source if hasattr(source, "read") else open(source, encoding="utf-8")
-    try:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
+    with Lines(path) as lines:
+        for line in lines:
             if line.startswith("ID "):
                 if sid is not None:
-                    raise TreebankFormatError(
-                        "line %d: sentence %s has no tree" % (lineno, sid))
+                    raise ValueError("sentence %s has no tree" % sid)
                 sid = line[3:].strip()
                 if not sid:
-                    raise TreebankFormatError("line %d: empty sentence id" % lineno)
+                    raise ValueError("empty sentence id")
+            elif sid is None:
+                raise ValueError("tree without an ID header")
             else:
-                if sid is None:
-                    raise TreebankFormatError(
-                        "line %d: tree without an ID header" % lineno)
-                tree = parse_tree(line, where="line %d: " % lineno)
+                tree = parse_tree(line)
                 tokens = [token for _, token in leaves(tree)]
                 records.append(SentenceRecord(sid, tree, tokens))
                 sid = None
-    finally:
-        if handle is not source:
-            handle.close()
-    if sid is not None:
-        raise TreebankFormatError("sentence %s has no tree" % sid)
+        if sid is not None:
+            raise ValueError("sentence %s has no tree" % sid)
     return records
 
 
@@ -278,26 +306,19 @@ def read_dependencies(path, unique=False):
     out = []
     seen = set()
     current = None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            try:
-                if line.startswith("ID "):
-                    sid = line[3:].strip()
-                    if unique and sid in seen:
-                        raise ValueError("duplicate sentence id %s" % sid)
-                    seen.add(sid)
-                    current = []
-                    out.append((sid, current))
-                elif current is None:
-                    raise ValueError("dependency without an ID header")
-                else:
-                    current.append(_parse_dependency(line))
-            except ValueError as exc:
-                raise TreebankFormatError("%s line %d: %s"
-                                          % (path, lineno, exc)) from exc
+    with Lines(path) as lines:
+        for line in lines:
+            if line.startswith("ID "):
+                sid = line[3:].strip()
+                if unique and sid in seen:
+                    raise ValueError("duplicate sentence id %s" % sid)
+                seen.add(sid)
+                current = []
+                out.append((sid, current))
+            elif current is None:
+                raise ValueError("dependency without an ID header")
+            else:
+                current.append(_parse_dependency(line))
     return out
 
 
@@ -330,8 +351,8 @@ def write_dependencies(path, items):
 # ----------------------------------------------------------------------
 
 def read_tokens(path):
-    with open(path, encoding="utf-8") as handle:
-        return [line.split() for line in handle if line.strip()]
+    with Lines(path) as lines:
+        return [line.split() for line in lines]
 
 
 def write_tokens(path, sentences):
@@ -387,25 +408,16 @@ class MweLexicon:
 
 def read_lexicon(path):
     lexicon = MweLexicon()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
+    with Lines(path, LexiconError) as lines:
+        for line in lines:
+            if line.startswith("#"):
                 continue
             fields = line.split("\t")
             if len(fields) != 4:
-                raise LexiconError("line %d: expected 4 tab-separated fields"
-                                   % lineno)
-            units = tuple(fields[0].split())
-            try:
-                mwe_count = int(fields[2])
-                unit_counts = tuple(int(c) for c in fields[3].split(";"))
-            except ValueError as exc:
-                raise LexiconError("line %d: %s" % (lineno, exc)) from exc
-            try:
-                lexicon.add(LexiconEntry(units, fields[1], mwe_count, unit_counts))
-            except LexiconError as exc:
-                raise LexiconError("line %d: %s" % (lineno, exc)) from exc
+                raise ValueError("expected 4 tab-separated fields")
+            lexicon.add(LexiconEntry(
+                tuple(fields[0].split()), fields[1], int(fields[2]),
+                tuple(int(c) for c in fields[3].split(";"))))
     return lexicon
 
 
@@ -418,25 +430,17 @@ def read_occurrences(path):
     from .recognition import MweOccurrence
 
     out = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
+    with Lines(path) as lines:
+        for line in lines:
             fields = line.split("\t")
-            try:
-                if len(fields) != 4:
-                    raise ValueError("expected 4 tab-separated fields")
-                indices = tuple(int(x) for x in fields[1].split(","))
-                if indices[0] < 0:
-                    raise ValueError("unit indices are 0-based, got %d"
-                                     % indices[0])
-                occ = MweOccurrence(indices, tuple(fields[2].split("+")),
-                                    fields[3])
-            except ValueError as exc:
-                raise TreebankFormatError("%s line %d: %s"
-                                          % (path, lineno, exc)) from exc
-            out.setdefault(fields[0], []).append(occ)
+            if len(fields) != 4:
+                raise ValueError("expected 4 tab-separated fields")
+            indices = tuple(int(x) for x in fields[1].split(","))
+            if indices[0] < 0:
+                raise ValueError("unit indices are 0-based, got %d"
+                                 % indices[0])
+            out.setdefault(fields[0], []).append(MweOccurrence(
+                indices, tuple(fields[2].split("+")), fields[3]))
     return out
 
 
@@ -459,23 +463,16 @@ def write_occurrences(path, items):
 def read_counts(path):
     """Read a counts file into {sentence id: (correct, attempted, gold)}."""
     counts = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split("\t")
-            try:
-                if len(fields) != 4:
-                    raise ValueError("expected id, correct, attempted, gold")
-                if fields[0] in counts:
-                    raise ValueError("duplicate sentence id %s" % fields[0])
-                counts[fields[0]] = tuple(int(f) for f in fields[1:])
-                if min(counts[fields[0]]) < 0:
-                    raise ValueError("counts must be non-negative")
-            except ValueError as exc:
-                raise TreebankFormatError("%s line %d: %s"
-                                          % (path, lineno, exc)) from exc
+    with Lines(path) as lines:
+        for line in lines:
+            fields = line.strip().split("\t")
+            if len(fields) != 4:
+                raise ValueError("expected id, correct, attempted, gold")
+            if fields[0] in counts:
+                raise ValueError("duplicate sentence id %s" % fields[0])
+            counts[fields[0]] = tuple(int(f) for f in fields[1:])
+            if min(counts[fields[0]]) < 0:
+                raise ValueError("counts must be non-negative")
     return counts
 
 

@@ -467,3 +467,118 @@ class TestRun:
                                                    "test = 90-99"))
         assert main(["run", "--config", str(bad)]) == 1
         assert "[split]" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    """Every malformed input exits 1 with one line naming the file and
+    line, or the config key, and no traceback."""
+
+    def expect(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == message + "\n"
+
+    def test_train_on_malformed_treebank_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tb"
+        bad.write_text("ID 1\n(N (N/N a) (N b))\n\nID 2\n(N (N/N a) (N b)\n")
+        self.expect(capsys, ["train", "--treebank", str(bad),
+                             "--output", str(tmp_path / "m.tsv")],
+                    "error [train] %s line 5: unbalanced bracket at column 16"
+                    % bad)
+
+    def test_train_on_treebank_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tb"
+        bad.write_bytes(b"ID 1\n(N a)\nID 2\n(N \xff)\n")
+        self.expect(capsys, ["train", "--treebank", str(bad),
+                             "--output", str(tmp_path / "m.tsv")],
+                    "error [train] %s line 4: 'utf-8' codec can't decode byte "
+                    "0xff in position 3: invalid start byte" % bad)
+
+    def test_train_on_treebank_ending_without_tree(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tb"
+        bad.write_text("ID 1\n(N a)\nID 2\n")
+        self.expect(capsys, ["train", "--treebank", str(bad),
+                             "--output", str(tmp_path / "m.tsv")],
+                    "error [train] %s line 3: sentence 2 has no tree" % bad)
+
+    @pytest.mark.parametrize("line,reason", [
+        ("mr spoon\tbogus\t1\t1;1", "unknown kind 'bogus'"),
+        ("mr spoon\tgeneral\tx\t1;1",
+         "invalid literal for int() with base 10: 'x'"),
+        ("mr spoon\tgeneral\t1", "expected 4 tab-separated fields")])
+    def test_recognize_with_malformed_lexicon_line(self, tmp_path, data_dir,
+                                                   capsys, line, reason):
+        bad = tmp_path / "bad.lex"
+        bad.write_text("# units\tkind\tcount\tunit counts\n" + line + "\n")
+        self.expect(capsys, ["recognize", "--treebank",
+                             os.path.join(data_dir, "treebank.txt"),
+                             "--lexicon", str(bad),
+                             "--output", str(tmp_path / "occ.tsv")],
+                    "error [recognize] %s line 2: %s" % (bad, reason))
+
+    @pytest.mark.parametrize("row,reason", [
+        ("lex\tN\tfoo\tabc", "could not convert string to float: 'abc'"),
+        ("meta\trare_threshold\t\tinf",
+         "invalid literal for int() with base 10: 'inf'"),
+        ("tokpos\tfoo\tNN\t1.5",
+         "invalid literal for int() with base 10: '1.5'"),
+        ("bogus\ta\tb\t1", "unknown table 'bogus'")])
+    def test_parse_with_malformed_model_line(self, rec1_out, tmp_path,
+                                             capsys, row, reason):
+        rows = (rec1_out / "model_a.tsv").read_text().splitlines()
+        rows[9] = row
+        model = tmp_path / "bad_model.tsv"
+        model.write_text("\n".join(rows) + "\n")
+        self.expect(capsys, ["parse", "--model", str(model), "--tokens",
+                             str(rec1_out / "tokens_test.txt"),
+                             "--output", str(tmp_path / "p.deps")],
+                    "error [parse] %s line 10: %s" % (model, reason))
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_sigtest_rejects_iterations_below_one(self, tmp_path, capsys,
+                                                  value):
+        counts = tmp_path / "counts.tsv"
+        counts.write_text("46\t1\t2\t3\n47\t0\t2\t3\n")
+        self.expect(capsys, ["sigtest", "--x", str(counts), "--y",
+                             str(counts), "--iterations", value],
+                    "error [sigtest] iterations must be at least 1, got %s"
+                    % value)
+
+    def test_run_rejects_zero_iterations(self, tmp_path, data_dir, capsys):
+        config = base_config(tmp_path, data_dir, "iterations = 0\n")
+        self.expect(capsys, ["run", "--config", config],
+                    "error [run] iterations must be at least 1, got 0")
+
+    @pytest.mark.parametrize("value,shown", [("-1", "-1.0"), ("nan", "nan"),
+                                             ("inf", "inf")])
+    def test_train_rejects_bad_smoothing(self, tmp_path, data_dir, capsys,
+                                         value, shown):
+        model = tmp_path / "m.tsv"
+        self.expect(capsys, ["train", "--treebank",
+                             os.path.join(data_dir, "treebank.txt"),
+                             "--smoothing", value, "--output", str(model)],
+                    "error [train] smoothing must be a finite number >= 0, "
+                    "got %s" % shown)
+        assert not model.exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("smoothing = abc", "smoothing: could not convert string to float: "
+                            "'abc'"),
+        ("seed = 1.5", "seed: invalid literal for int() with base 10: '1.5'"),
+        ("detector = bogus", "detector: unknown detector 'bogus'"),
+        ("filters = continuous, odd", "filters: unknown filter 'odd'"),
+        ("resolver = bogus", "resolver: unknown resolver 'bogus'"),
+        ("schemes = medFromA, bogus", "schemes: unknown scheme 'bogus'")])
+    def test_run_names_the_bad_config_key(self, tmp_path, data_dir, capsys,
+                                          line, message):
+        config = base_config(tmp_path, data_dir, line + "\n")
+        self.expect(capsys, ["run", "--config", config],
+                    "error [config] " + message)
+
+    @pytest.mark.parametrize("line,reason", [
+        ("mystery = 3", "unknown key 'mystery'"),
+        ("smoothing 0.1", "expected key=value")])
+    def test_run_names_the_bad_config_line(self, tmp_path, data_dir, capsys,
+                                           line, reason):
+        config = base_config(tmp_path, data_dir, "# extra\n" + line + "\n")
+        self.expect(capsys, ["run", "--config", config],
+                    "error [config] %s line 11: %s" % (config, reason))

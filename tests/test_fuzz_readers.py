@@ -1,0 +1,76 @@
+"""Fuzz every input reader: on arbitrary text each one returns or raises its
+own error type, worded ``<file> line N: <reason>`` with N a line of the
+file (``[config] <file> line N:``, or ``[config] <key>:`` for a value,
+from read_config)."""
+
+import re
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ccgmwe.parser import load_model
+from ccgmwe.pipeline import CONFIG_KEYS, PipelineError, read_config
+from ccgmwe.treebank import (LexiconError, TreebankFormatError, read_counts,
+                             read_dependencies, read_lexicon,
+                             read_occurrences, read_tokens, read_treebank)
+
+# well-formed lines of every format, so examples also get past the field
+# splitting into the conversions and checks behind it
+VALID_LINES = [
+    "ID 46", "(N x)", "(S (NP (N/N a) (N b)) (S\\NP c))",
+    "1\t2\t(S\\NP)/NP\t2\ta\tb", "mr. spoon\tproper-noun\t3\t4;3",
+    "46\t0,1\tmr.+spoon\tproper-noun", "46\t1\t2\t3",
+    "meta\tsmoothing\t\t0.1", "meta\trare_threshold\t\t2",
+    "rule\tS\tNP S\\NP\t0.5", "rule\tN\t<LEX>\t1.0", "lex\tN\tx\t0.25",
+    "backoff\tNN\tN\t1.0", "tokpos\tx\tNN\t3", "root\t\tS\t1.0",
+    "smoothing = 0.1", "detector = exhaustive", "filters = continuous",
+]
+PIECES = ["", "ID ", "ID", "\t", " ", "(", ")", "N", "NP", "S\\NP",
+          "(S\\NP)/NP", "N/N", "[dcl]", "0", "1", "2", "-1", "46", "1.5", ",",
+          ";", "+", "inf", "nan", "#", "=", "x", "general", "stop-word", "meta",
+          "rule", "lex", "tokpos", "rare_threshold", "<LEX>",
+          "constrain-length(", "\r"] + sorted(CONFIG_KEYS)
+
+PIECE = st.sampled_from(PIECES)
+LINE = st.one_of(st.sampled_from(VALID_LINES),
+                 st.lists(PIECE, max_size=8).map("".join),
+                 st.lists(PIECE, min_size=1, max_size=6).map("\t".join),
+                 st.builds("{} = {}".format, PIECE, PIECE))
+TEXT = st.lists(LINE, max_size=8).map("\n".join)
+
+READERS = [
+    pytest.param(read_treebank, TreebankFormatError, id="treebank"),
+    pytest.param(read_dependencies, TreebankFormatError, id="dependencies"),
+    pytest.param(lambda path: read_dependencies(path, unique=True),
+                 TreebankFormatError, id="dependencies-unique"),
+    pytest.param(read_tokens, TreebankFormatError, id="tokens"),
+    pytest.param(read_lexicon, LexiconError, id="lexicon"),
+    pytest.param(read_occurrences, TreebankFormatError, id="occurrences"),
+    pytest.param(read_counts, TreebankFormatError, id="counts"),
+    pytest.param(load_model, TreebankFormatError, id="model"),
+    pytest.param(lambda path: read_config([path]), PipelineError,
+                 id="config"),
+]
+
+
+# derandomized, so every run of the suite tries the same examples
+@pytest.mark.parametrize("reader,error", READERS)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=TEXT)
+def test_reader_names_file_and_line(tmp_path, reader, error, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        reader(str(path))
+    except error as exc:
+        message = str(exc)
+        if error is PipelineError:
+            assert message.startswith("[config] ")
+            message = message[len("[config] "):]
+            if message.split(":", 1)[0] in CONFIG_KEYS:
+                return
+        located = re.match(re.escape(str(path)) + r" line (\d+): ", message)
+        assert located, message
+        assert 1 <= int(located.group(1)) <= text.count("\n") + 1, message

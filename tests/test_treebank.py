@@ -78,12 +78,6 @@ class TestTreeParsing:
         with pytest.raises(TreebankFormatError):
             read_treebank(str(path))
 
-    def test_read_from_stream(self):
-        import io
-        stream = io.StringIO("ID 1\n(N word)\n")
-        records = read_treebank(stream)
-        assert len(records) == 1 and records[0].sid == "1"
-
     def test_derivability_flag(self):
         assert is_derivable(parse_tree("(S\\NP ((S\\NP)/NP buys) (NP shares))"))
         assert is_derivable(parse_tree("(NP (N word))"))

@@ -2,8 +2,8 @@
 CCG parsing: recognition, treebank collapsing, a small generative chart
 parser, dependency evaluation and significance testing."""
 
-from .categories import (Category, CategoryParseError, apply, argument_slot,
-                         arity, compose, parse_category, render)
+from .categories import (Category, CategoryParseError, apply, arity, compose,
+                         parse_category, render)
 from .collapse import (CollapseOutcome, OverlapError, collapse_all_dependencies,
                        collapse_dependencies, collapse_tokens, collapse_tree,
                        detect_cycles)
@@ -14,8 +14,8 @@ from .parser import (ParseResult, ParserModel, extract_dependencies, parse,
 from .recognition import (MweOccurrence, RecognizerConfig, PRESETS, detect,
                           apply_filters, recognize, resolve)
 from .treebank import (Dependency, DerivationTree, MweLexicon, SentenceRecord,
-                       leaves, lowest_dominating_node, read_dependencies,
-                       read_lexicon, read_tokens, read_treebank,
-                       write_dependencies, write_tokens, write_treebank)
+                       leaves, read_dependencies, read_lexicon, read_tokens,
+                       read_treebank, write_dependencies, write_tokens,
+                       write_treebank)
 
 __version__ = "0.1.0"

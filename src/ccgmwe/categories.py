@@ -177,24 +177,6 @@ def target(cat):
     return cat
 
 
-def argument_slot(cat, k):
-    """The k-th argument of `cat`, counting the innermost argument as k=1.
-
-    The outermost argument therefore sits at k = arity(cat).  This is the
-    numbering used by the arg_k field of dependencies throughout the
-    toolkit.  Raises ValueError when k is out of range.
-    """
-    if k < 1:
-        raise ValueError("argument slot must be >= 1, got %d" % k)
-    slots = []
-    while cat.is_functor():
-        slots.append(cat.argument)
-        cat = cat.result
-    if k > len(slots):
-        raise ValueError("slot %d out of range for arity %d" % (k, len(slots)))
-    return slots[len(slots) - k]
-
-
 def is_modifier(cat):
     """True for X/X and X\\X categories, which pass headship to their argument."""
     return cat.is_functor() and cat.result == cat.argument

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .treebank import (DerivationTree, Dependency, assign_leaf_indices,
-                       leaf_nodes, lowest_dominating_node)
+from .treebank import DerivationTree, Dependency
 
 
 class OverlapError(ValueError):
@@ -36,7 +35,8 @@ class CollapseOutcome:
     single leaves), discarded the rest.  index_map sends every original
     leaf index to its collapsed index; all units of a kept occurrence map
     to the same collapsed position.  categories records the category each
-    kept occurrence inherited from its dominating node.
+    kept occurrence inherited from its dominating node.  tokens holds the
+    collapsed tree's leaf tokens, or None when the tree is unchanged.
     """
 
     tree: DerivationTree
@@ -44,6 +44,7 @@ class CollapseOutcome:
     discarded: list = field(default_factory=list)
     index_map: dict = field(default_factory=dict)
     categories: dict = field(default_factory=dict)
+    tokens: list | None = None
 
 
 def _check_disjoint(occurrences):
@@ -76,45 +77,71 @@ def build_index_map(n_tokens, collapsed_occurrences):
     return index_map
 
 
+def _match(node, start, wanted, found):
+    """Post-order walk over the subtree of `node`, whose first leaf has
+    index `start`; returns the index after its last leaf.  Each occurrence
+    in `wanted`, keyed by its (first, last) unit index, moves to `found`
+    with the first node that spans exactly those leaves: descendants come
+    first, so a unary chain gives its lowest node."""
+    if node.is_leaf():
+        end = start + 1
+    else:
+        end = start
+        for child in node.children:
+            end = _match(child, end, wanted, found)
+    occ = wanted.pop((start, end - 1), None)
+    if occ is not None:
+        found[occ] = node
+    return end
+
+
+def _build(node, replacements, tokens):
+    """A fresh copy of `node` in which each node whose id is a key of
+    `replacements` becomes a leaf of its occurrence's joined token.  Each
+    leaf appends its token to `tokens`, which numbers it."""
+    occ = replacements.get(id(node))
+    if occ is not None:
+        token = occ.joined
+    elif node.is_leaf():
+        token = node.token
+    else:
+        return DerivationTree(node.category, tuple(
+            _build(child, replacements, tokens) for child in node.children))
+    tokens.append(token)
+    return DerivationTree(node.category, (), token, len(tokens) - 1)
+
+
 def collapse_tree(tree, occurrences):
     """Collapse sibling MWEs in a tree (algorithm 1).
 
-    Each occurrence whose lowest dominating node spans exactly its unit
-    indices is replaced by a single leaf labelled with that node's
-    category; the rest are discarded.  The input tree is never mutated.
+    Each continuous occurrence whose units some node spans exactly is
+    replaced by a single leaf labelled with the lowest such node's
+    category; the rest are discarded.  The input tree is never mutated:
+    with nothing kept it is returned as is and outcome.tokens is None,
+    otherwise outcome.tree is a fresh tree with leaves numbered 0..n-1
+    and outcome.tokens its leaf tokens.
     """
     occurrences = sorted(occurrences, key=lambda o: o.start)
     _check_disjoint(occurrences)
-    n_tokens = len(leaf_nodes(tree))
+    wanted = {(occ.start, occ.indices[-1]): occ
+              for occ in occurrences if occ.is_continuous()}
+    found = {}
+    n_tokens = _match(tree, 0, wanted, found)
     for occ in occurrences:
         if occ.indices[-1] >= n_tokens:
             raise ValueError("occurrence %r outside tree with %d leaves"
                              % (occ.joined, n_tokens))
-    kept = []
-    discarded = []
-    replacements = {}
-    categories = {}
-    for occ in occurrences:
-        node, spans_only = lowest_dominating_node(tree, occ.indices)
-        if spans_only:
-            kept.append(occ)
-            replacements[id(node)] = occ
-            categories[occ] = node.category
-        else:
-            discarded.append(occ)
-
-    def rebuild(node):
-        occ = replacements.get(id(node))
-        if occ is not None:
-            return DerivationTree(node.category, (), occ.joined)
-        if node.is_leaf():
-            return DerivationTree(node.category, (), node.token)
-        return DerivationTree(node.category,
-                              tuple(rebuild(c) for c in node.children))
-
-    collapsed = assign_leaf_indices(rebuild(tree))
+    kept = [occ for occ in occurrences if occ in found]
+    discarded = [occ for occ in occurrences if occ not in found]
     index_map = build_index_map(n_tokens, kept)
-    return CollapseOutcome(collapsed, kept, discarded, index_map, categories)
+    if not kept:
+        return CollapseOutcome(tree, kept, discarded, index_map)
+    tokens = []
+    collapsed = _build(tree, {id(node): occ for occ, node in found.items()},
+                       tokens)
+    categories = {occ: node.category for occ, node in found.items()}
+    return CollapseOutcome(collapsed, kept, discarded, index_map, categories,
+                           tokens)
 
 
 def collapse_dependencies(deps, outcome):

@@ -228,6 +228,13 @@ def _pooled_f1(correct, attempted, gold):
     return 2.0 * correct / (attempted + gold)
 
 
+def check_iterations(iterations):
+    """`iterations`, if it is at least 1; else ValueError."""
+    if iterations < 1:
+        raise ValueError("iterations must be at least 1, got %d" % iterations)
+    return iterations
+
+
 def sig_test(counts_x, counts_y, iterations=10000, seed=0):
     """One-tailed stratified shuffling test of X against Y.
 
@@ -238,8 +245,7 @@ def sig_test(counts_x, counts_y, iterations=10000, seed=0):
     result deterministic and seed-free on small inputs; otherwise the
     sampler is deterministic for a fixed seed.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1, got %d" % iterations)
+    check_iterations(iterations)
     import numpy as np
 
     if set(counts_x) != set(counts_y):

@@ -100,6 +100,14 @@ def _smoothed(counter, smoothing):
             for outcome, count in counter.items()}
 
 
+def check_smoothing(smoothing):
+    """`smoothing`, if it is a finite number >= 0; else ValueError."""
+    if not (math.isfinite(smoothing) and smoothing >= 0):
+        raise ValueError("smoothing must be a finite number >= 0, got %r"
+                         % smoothing)
+    return smoothing
+
+
 def train(records, smoothing=0.0):
     """Estimate a ParserModel from derivation trees.
 
@@ -108,9 +116,7 @@ def train(records, smoothing=0.0):
     one.  The POS back-off collects (tag of token, lexical category) pairs
     over all training leaves.
     """
-    if not (math.isfinite(smoothing) and smoothing >= 0):
-        raise ValueError("smoothing must be a finite number >= 0, got %r"
-                         % smoothing)
+    check_smoothing(smoothing)
     records = list(records)
     if not records:
         raise ValueError("cannot train on an empty treebank")
@@ -360,53 +366,54 @@ def extract_dependencies(tree, stats=None):
     skipped nodes is accumulated under "skipped_nodes".
     """
     deps = []
-    skipped = 0
-
-    def walk(node):
-        nonlocal skipped
-        if node.is_leaf():
-            return (node,)
-        if len(node.children) == 1:
-            return walk(node.children[0])
-        left, right = node.children
-        left_heads = walk(left)
-        right_heads = walk(right)
-        rule = derivation_rule(left.category, right.category, node.category)
-        if rule is None:
-            lcat, rcat = left.category, right.category
-            if node.category == rcat and lcat.is_atom() and lcat.atom in PUNCT_ATOMS:
-                return right_heads
-            if node.category == lcat and rcat.is_atom() and rcat.atom in PUNCT_ATOMS:
-                return left_heads
-            merged = tuple(sorted(left_heads + right_heads,
-                                  key=lambda leaf: leaf.leaf_index))
-            if node.category == lcat and node.category == rcat:
-                return merged
-            skipped += 1
-            return merged
-        if rule in (FORWARD_APPLY, FORWARD_COMPOSE):
-            functor_node, functor_heads, arg_heads = left, left_heads, right_heads
-        else:
-            functor_node, functor_heads, arg_heads = right, right_heads, left_heads
-        slot = arity(functor_node.category)
-        for functor_head in functor_heads:
-            if not 1 <= slot <= arity(functor_head.category):
-                skipped += 1
-                continue
-            for arg_head in arg_heads:
-                deps.append(Dependency(arg_head.leaf_index,
-                                       functor_head.leaf_index,
-                                       functor_head.category, slot,
-                                       arg_head.token, functor_head.token))
-        functor_cat = functor_node.category
-        if is_modifier(functor_cat) or functor_cat == _DETERMINER:
-            return arg_heads
-        return functor_heads
-
-    walk(tree)
+    skipped = []
+    _heads(tree, deps, skipped)
     if stats is not None:
-        stats["skipped_nodes"] = stats.get("skipped_nodes", 0) + skipped
+        stats["skipped_nodes"] = stats.get("skipped_nodes", 0) + len(skipped)
     return deps
+
+
+def _heads(node, deps, skipped):
+    """The head leaves of `node`'s subtree; appends the subtree's edges to
+    `deps` and each node that fits no rule to `skipped`."""
+    if node.is_leaf():
+        return (node,)
+    if len(node.children) == 1:
+        return _heads(node.children[0], deps, skipped)
+    left, right = node.children
+    left_heads = _heads(left, deps, skipped)
+    right_heads = _heads(right, deps, skipped)
+    rule = derivation_rule(left.category, right.category, node.category)
+    if rule is None:
+        lcat, rcat = left.category, right.category
+        if node.category == rcat and lcat.is_atom() and lcat.atom in PUNCT_ATOMS:
+            return right_heads
+        if node.category == lcat and rcat.is_atom() and rcat.atom in PUNCT_ATOMS:
+            return left_heads
+        merged = tuple(sorted(left_heads + right_heads,
+                              key=lambda leaf: leaf.leaf_index))
+        if node.category == lcat and node.category == rcat:
+            return merged
+        skipped.append(node)
+        return merged
+    if rule in (FORWARD_APPLY, FORWARD_COMPOSE):
+        functor_node, functor_heads, arg_heads = left, left_heads, right_heads
+    else:
+        functor_node, functor_heads, arg_heads = right, right_heads, left_heads
+    slot = arity(functor_node.category)
+    for functor_head in functor_heads:
+        if not 1 <= slot <= arity(functor_head.category):
+            skipped.append(node)
+            continue
+        for arg_head in arg_heads:
+            deps.append(Dependency(arg_head.leaf_index,
+                                   functor_head.leaf_index,
+                                   functor_head.category, slot,
+                                   arg_head.token, functor_head.token))
+    functor_cat = functor_node.category
+    if is_modifier(functor_cat) or functor_cat == _DETERMINER:
+        return arg_heads
+    return functor_heads
 
 
 # ----------------------------------------------------------------------
@@ -451,6 +458,14 @@ def save_model(path, model):
             handle.write("\t".join(row) + "\n")
 
 
+def _probability(text):
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError("probability must be a finite number > 0, got %r"
+                         % text)
+    return value
+
+
 def load_model(path):
     rules = defaultdict(dict)
     lexical = defaultdict(dict)
@@ -469,15 +484,17 @@ def load_model(path):
                     else int(value)
             elif table == "rule":
                 rules[parse_category(condition)][_parse_expansion(outcome)] = \
-                    float(value)
+                    _probability(value)
             elif table == "lex":
-                lexical[parse_category(condition)][outcome] = float(value)
+                lexical[parse_category(condition)][outcome] = \
+                    _probability(value)
             elif table == "backoff":
-                backoff[condition][parse_category(outcome)] = float(value)
+                backoff[condition][parse_category(outcome)] = \
+                    _probability(value)
             elif table == "tokpos":
                 token_pos[condition][outcome] = int(value)
             elif table == "root":
-                roots[parse_category(outcome)] = float(value)
+                roots[parse_category(outcome)] = _probability(value)
             else:
                 raise ValueError("unknown table %r" % table)
     token_freq = {token: sum(dist.values()) for token, dist in token_pos.items()}

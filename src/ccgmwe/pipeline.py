@@ -62,12 +62,20 @@ def _schemes(text):
     return schemes
 
 
+def _smoothing(text):
+    return parser.check_smoothing(float(text))
+
+
+def _iterations(text):
+    return evaluation.check_iterations(int(text))
+
+
 # config key -> converter of its value; detector, filters and resolver set
 # the fields of ExperimentConfig.recognizer, the others their namesakes
 CONFIG_KEYS = {"treebank": str, "lexicon": str, "output": str, "train": str,
                "dev": str, "test": str, "detector": str, "filters": _listed,
-               "resolver": str, "schemes": _schemes, "smoothing": float,
-               "seed": int, "iterations": int}
+               "resolver": str, "schemes": _schemes, "smoothing": _smoothing,
+               "seed": int, "iterations": _iterations}
 
 
 def read_config(paths):
@@ -225,7 +233,7 @@ def collapse_corpus(records, occurrences, deps, stage="collapse"):
                                                          outcome)
         except ValueError as exc:
             raise PipelineError(stage, str(exc), record.sid) from exc
-        tokens = [token for _, token in treebank.leaves(outcome.tree)]
+        tokens = record.tokens if outcome.tokens is None else outcome.tokens
         out.append(Collapsed(
             treebank.SentenceRecord(record.sid, outcome.tree, tokens),
             collapsed, outcome, collapsing.detect_cycles(collapsed)))

@@ -148,51 +148,6 @@ def assign_leaf_indices(tree):
     return tree
 
 
-def _spans(tree):
-    """Map node -> (lo, hi) inclusive leaf-index range; leaves are contiguous."""
-    spans = {}
-
-    def walk(node, offset):
-        if node.is_leaf():
-            spans[id(node)] = (offset, offset)
-            return offset + 1
-        for child in node.children:
-            offset = walk(child, offset)
-        lo = spans[id(node.children[0])][0]
-        hi = spans[id(node.children[-1])][1]
-        spans[id(node)] = (lo, hi)
-        return offset
-
-    walk(tree, 0)
-    return spans
-
-
-def lowest_dominating_node(tree, indices):
-    """The lowest node whose leaf span contains all `indices`.
-
-    Returns (node, spans_only) where spans_only is True iff the node's
-    leaves are exactly the given indices.  Unary chains are transparent:
-    the deepest dominating node is returned.
-    """
-    if not indices:
-        raise ValueError("indices must be non-empty")
-    lo, hi = min(indices), max(indices)
-    spans = _spans(tree)
-    if hi > spans[id(tree)][1]:
-        raise ValueError("leaf index %d outside tree" % hi)
-    node = tree
-    while not node.is_leaf():
-        inside = [c for c in node.children
-                  if spans[id(c)][0] <= lo and hi <= spans[id(c)][1]]
-        if not inside:
-            break
-        node = inside[0]
-    node_lo, node_hi = spans[id(node)]
-    spans_only = (node_lo == lo and node_hi == hi
-                  and len(indices) == hi - lo + 1)
-    return node, spans_only
-
-
 # ----------------------------------------------------------------------
 # Tree serialization
 # ----------------------------------------------------------------------

@@ -6,9 +6,8 @@ import sys
 import pytest
 
 from ccgmwe.categories import (BACKWARD, FORWARD, Category, CategoryParseError,
-                               apply, argument_slot, arity, atom, combine,
-                               compose, functor, is_modifier, parse_category,
-                               render)
+                               apply, arity, atom, combine, compose, functor,
+                               is_modifier, parse_category, render)
 
 C = parse_category
 
@@ -87,27 +86,21 @@ class TestCombination:
 
 
 class TestSlots:
+    """arg_k numbers the argument slots along the spine: a functor's
+    outermost argument fills slot arity(cat), the innermost slot 1."""
+
     def test_innermost_is_slot_one(self):
         cat = C("(S\\NP)/NP")
         assert arity(cat) == 2
-        assert render(argument_slot(cat, 1)) == "NP"   # the subject NP
-        assert argument_slot(cat, 1) == cat.result.argument
-        assert argument_slot(cat, 2) == cat.argument
+        assert arity(cat.result) == 1      # the subject NP
 
     def test_atom_has_no_slots(self):
-        with pytest.raises(ValueError):
-            argument_slot(C("NP"), 1)
+        assert arity(C("NP")) == 0
 
     def test_outermost_peel(self):
         cat = C("((S\\NP)\\(S\\NP))/PP")
         assert arity(cat) == 3
-        assert render(argument_slot(cat, arity(cat))) == "PP"
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            argument_slot(C("(S\\NP)/NP"), 3)
-        with pytest.raises(ValueError):
-            argument_slot(C("(S\\NP)/NP"), 0)
+        assert render(cat.argument) == "PP"
 
 
 def random_category(rng, depth):

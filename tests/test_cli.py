@@ -521,7 +521,15 @@ class TestMalformedInput:
          "invalid literal for int() with base 10: 'inf'"),
         ("tokpos\tfoo\tNN\t1.5",
          "invalid literal for int() with base 10: '1.5'"),
-        ("bogus\ta\tb\t1", "unknown table 'bogus'")])
+        ("bogus\ta\tb\t1", "unknown table 'bogus'"),
+        ("rule\tN\t<LEX>\t0", "probability must be a finite number > 0, "
+                               "got '0'"),
+        ("lex\tN\tfoo\t-0.5", "probability must be a finite number > 0, "
+                              "got '-0.5'"),
+        ("backoff\tNN\tN\tnan", "probability must be a finite number > 0, "
+                               "got 'nan'"),
+        ("root\t\tS\t-0.5", "probability must be a finite number > 0, "
+                            "got '-0.5'")])
     def test_parse_with_malformed_model_line(self, rec1_out, tmp_path,
                                              capsys, row, reason):
         rows = (rec1_out / "model_a.tsv").read_text().splitlines()
@@ -546,7 +554,9 @@ class TestMalformedInput:
     def test_run_rejects_zero_iterations(self, tmp_path, data_dir, capsys):
         config = base_config(tmp_path, data_dir, "iterations = 0\n")
         self.expect(capsys, ["run", "--config", config],
-                    "error [run] iterations must be at least 1, got 0")
+                    "error [config] iterations: iterations must be at least "
+                    "1, got 0")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value,shown", [("-1", "-1.0"), ("nan", "nan"),
                                              ("inf", "inf")])
@@ -563,6 +573,10 @@ class TestMalformedInput:
     @pytest.mark.parametrize("line,message", [
         ("smoothing = abc", "smoothing: could not convert string to float: "
                             "'abc'"),
+        ("smoothing = -1", "smoothing: smoothing must be a finite number >= "
+                           "0, got -1.0"),
+        ("smoothing = nan", "smoothing: smoothing must be a finite number >= "
+                            "0, got nan"),
         ("seed = 1.5", "seed: invalid literal for int() with base 10: '1.5'"),
         ("detector = bogus", "detector: unknown detector 'bogus'"),
         ("filters = continuous, odd", "filters: unknown filter 'odd'"),
@@ -573,6 +587,7 @@ class TestMalformedInput:
         config = base_config(tmp_path, data_dir, line + "\n")
         self.expect(capsys, ["run", "--config", config],
                     "error [config] " + message)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line,reason", [
         ("mystery = 3", "unknown key 'mystery'"),

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import random
 
@@ -5,15 +6,18 @@ import pytest
 
 from ccgmwe.categories import parse_category, render
 from ccgmwe.collapse import (CollapseOutcome, DataInconsistencyError,
-                             OverlapError, build_index_map,
+                             OverlapError, _check_disjoint, build_index_map,
                              collapse_all_dependencies, collapse_dependencies,
                              collapse_tokens, collapse_tree, detect_cycles)
 from ccgmwe.evaluation import (EXTERNAL, INTERNAL, MEDIATING, classify_edge,
                                membership_from_occurrences)
 from ccgmwe.parser import extract_dependencies
-from ccgmwe.recognition import MweOccurrence
-from ccgmwe.treebank import (Dependency, leaves, read_dependencies,
+from ccgmwe.recognition import PRESETS, MweOccurrence, recognize
+from ccgmwe.treebank import (Dependency, DerivationTree, assign_leaf_indices,
+                             leaf_nodes, leaves, read_dependencies,
                              read_treebank, render_tree)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 PIB = MweOccurrence((0, 1, 2), ("Publishers", "Information", "Bureau"),
                     "proper-noun")
@@ -88,6 +92,29 @@ class TestCollapseTree:
                           key=lambda o: o.start) == sorted(
                 occs, key=lambda o: o.start)
 
+    def test_tree_without_kept_mwe_is_returned_as_is(self, fixtures_dir):
+        tree = read_treebank(os.path.join(fixtures_dir,
+                                          "fig_nonsibling_tree.tb"))[0].tree
+        for occurrences in ([], [ACCORDING_TO]):
+            outcome = collapse_tree(tree, occurrences)
+            assert outcome.tree is tree
+            assert outcome.tokens is None
+
+    def test_kept_collapse_builds_fresh_nodes(self, fixtures_dir):
+        record = read_treebank(os.path.join(fixtures_dir,
+                                            "fig_dep1_sentence.tb"))[0]
+        before = render_tree(record.tree)
+        mr_vinken = MweOccurrence((0, 1), ("Mr.", "Vinken"), "proper-noun")
+        outcome = collapse_tree(record.tree, [mr_vinken])
+        assert render_tree(record.tree) == before
+        assert [n.leaf_index for n in leaf_nodes(record.tree)] == \
+            list(range(len(record.tokens)))
+        assert {id(n) for n in _nodes(outcome.tree)}.isdisjoint(
+            id(n) for n in _nodes(record.tree))
+        assert [n.leaf_index for n in leaf_nodes(outcome.tree)] == \
+            list(range(len(record.tokens) - 1))
+        assert outcome.tokens == ["mr.+vinken"] + record.tokens[2:]
+
     def test_order_independence(self, fixtures_dir):
         record = read_treebank(os.path.join(fixtures_dir,
                                             "fig_dep1_sentence.tb"))[0]
@@ -150,6 +177,159 @@ class TestCollapseDependencies:
         outcome = collapse_tree(record.tree, occs)
         out = collapse_dependencies(gold, outcome)
         assert sorted(d.key() for d in out) == sorted(d.key() for d in expected)
+
+
+def _nodes(tree):
+    yield tree
+    for child in tree.children:
+        yield from _nodes(child)
+
+
+# ----------------------------------------------------------------------
+# Reference tree collapse, as it ran before the single walk: the lowest
+# dominating node of each occurrence is found by a fresh span walk, then
+# the whole tree is copied and its leaves renumbered.  Kept as an oracle.
+# ----------------------------------------------------------------------
+
+def _reference_spans(tree):
+    """Map node -> (lo, hi) inclusive leaf-index range; leaves are contiguous."""
+    spans = {}
+
+    def walk(node, offset):
+        if node.is_leaf():
+            spans[id(node)] = (offset, offset)
+            return offset + 1
+        for child in node.children:
+            offset = walk(child, offset)
+        lo = spans[id(node.children[0])][0]
+        hi = spans[id(node.children[-1])][1]
+        spans[id(node)] = (lo, hi)
+        return offset
+
+    walk(tree, 0)
+    return spans
+
+
+def reference_lowest_dominating_node(tree, indices):
+    """The lowest node whose leaf span contains all `indices`.
+
+    Returns (node, spans_only) where spans_only is True iff the node's
+    leaves are exactly the given indices.  Unary chains are transparent:
+    the deepest dominating node is returned.
+    """
+    if not indices:
+        raise ValueError("indices must be non-empty")
+    lo, hi = min(indices), max(indices)
+    spans = _reference_spans(tree)
+    if hi > spans[id(tree)][1]:
+        raise ValueError("leaf index %d outside tree" % hi)
+    node = tree
+    while not node.is_leaf():
+        inside = [c for c in node.children
+                  if spans[id(c)][0] <= lo and hi <= spans[id(c)][1]]
+        if not inside:
+            break
+        node = inside[0]
+    node_lo, node_hi = spans[id(node)]
+    spans_only = (node_lo == lo and node_hi == hi
+                  and len(indices) == hi - lo + 1)
+    return node, spans_only
+
+
+def reference_collapse_tree(tree, occurrences):
+    """Collapse sibling MWEs in a tree (algorithm 1).
+
+    Each occurrence whose lowest dominating node spans exactly its unit
+    indices is replaced by a single leaf labelled with that node's
+    category; the rest are discarded.  The input tree is never mutated.
+    """
+    occurrences = sorted(occurrences, key=lambda o: o.start)
+    _check_disjoint(occurrences)
+    n_tokens = len(leaf_nodes(tree))
+    for occ in occurrences:
+        if occ.indices[-1] >= n_tokens:
+            raise ValueError("occurrence %r outside tree with %d leaves"
+                             % (occ.joined, n_tokens))
+    kept = []
+    discarded = []
+    replacements = {}
+    categories = {}
+    for occ in occurrences:
+        node, spans_only = reference_lowest_dominating_node(tree, occ.indices)
+        if spans_only:
+            kept.append(occ)
+            replacements[id(node)] = occ
+            categories[occ] = node.category
+        else:
+            discarded.append(occ)
+
+    def rebuild(node):
+        occ = replacements.get(id(node))
+        if occ is not None:
+            return DerivationTree(node.category, (), occ.joined)
+        if node.is_leaf():
+            return DerivationTree(node.category, (), node.token)
+        return DerivationTree(node.category,
+                              tuple(rebuild(c) for c in node.children))
+
+    collapsed = assign_leaf_indices(rebuild(tree))
+    index_map = build_index_map(n_tokens, kept)
+    return CollapseOutcome(collapsed, kept, discarded, index_map, categories)
+
+
+def assert_matches_reference(tree, occurrences):
+    """collapse_tree and the reference agree on every outcome field, the
+    collapsed tree's text, leaf indices and tokens; returns the outcome."""
+    expected = reference_collapse_tree(tree, occurrences)
+    outcome = collapse_tree(tree, occurrences)
+    assert render_tree(outcome.tree) == render_tree(expected.tree)
+    assert [n.leaf_index for n in leaf_nodes(outcome.tree)] == \
+        [n.leaf_index for n in leaf_nodes(expected.tree)]
+    assert outcome.kept == expected.kept
+    assert outcome.discarded == expected.discarded
+    assert outcome.index_map == expected.index_map
+    assert outcome.categories == expected.categories
+    tokens = [token for _, token in leaves(expected.tree)]
+    if outcome.tokens is None:
+        assert outcome.tree is tree
+        assert [token for _, token in leaves(tree)] == tokens
+    else:
+        assert outcome.tokens == tokens
+    return outcome
+
+
+@pytest.fixture(scope="module")
+def scaled_corpus():
+    """The benchmark's seed-1 corpus of 2,000 sentences, leaves numbered
+    as read_treebank numbers them."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_corpus", os.path.join(ROOT, "perfbench", "corpus.py"))
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(ROOT)          # the module finds tools/ from the cwd
+        spec.loader.exec_module(module)
+    records = module.generate(1, 2000)
+    for record in records:
+        assign_leaf_indices(record.tree)
+    return records
+
+
+class TestMatchesReference:
+    def check(self, records, lexicon, preset):
+        kept = 0
+        for record in records:
+            occurrences = recognize(lexicon, record.tokens, PRESETS[preset])
+            kept += len(assert_matches_reference(record.tree,
+                                                 occurrences).kept)
+        assert kept > 0
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_shipped_corpus(self, corpus, lexicon, preset):
+        self.check(corpus, lexicon, preset)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_scaled_corpus(self, scaled_corpus, lexicon, preset):
+        self.check(scaled_corpus, lexicon, preset)
 
 
 class TestCollapseTokens:

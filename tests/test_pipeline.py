@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import inspect
 import os
 
 from ccgmwe import parser
@@ -39,3 +41,29 @@ def test_parse_memo_parses_each_distinct_input_once(tmp_path, data_dir,
     assert "parse failures: model A 1, model B 1\n" in summary
     assert _sha256(tmp_path / "report.tsv") == REC1_REPORT
     assert _sha256(tmp_path / "summary.txt") == REC1_SUMMARY
+
+
+def _from_ccgmwe(obj):
+    module = obj.__module__ if inspect.isfunction(obj) \
+        else type(obj).__module__
+    return module.split(".")[0] == "ccgmwe"
+
+
+def test_run_leaves_no_cyclic_garbage(tmp_path, data_dir, configs_dir):
+    import numpy  # noqa: F401 -- sig_test's first import makes cycles of its own
+    config = read_config([os.path.join(configs_dir, "base.cfg"),
+                          os.path.join(configs_dir, "rec1.cfg")])
+    config.treebank = os.path.join(data_dir, "treebank.txt")
+    config.lexicon = os.path.join(data_dir, "lexicon.tsv")
+    config.output = str(tmp_path)
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_pipeline(config)
+        gc.collect()
+        ours = [obj for obj in gc.garbage if _from_ccgmwe(obj)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert ours == []

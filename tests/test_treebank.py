@@ -4,13 +4,16 @@ import random
 import pytest
 
 from ccgmwe.categories import derivation_rule, parse_category, render
+from ccgmwe.collapse import collapse_tree
+from ccgmwe.recognition import MweOccurrence
 from ccgmwe.treebank import (Dependency, DerivationTree, LexiconError,
                              TreebankFormatError, assign_leaf_indices,
-                             leaves, lowest_dominating_node,
-                             parse_tree, read_counts, read_dependencies,
+                             leaves, parse_tree, read_counts, read_dependencies,
                              read_lexicon, read_occurrences, read_tokens,
                              read_treebank, render_tree, write_counts,
                              write_dependencies, write_tokens, write_treebank)
+
+from test_collapse import assert_matches_reference
 
 
 def is_derivable(node):
@@ -86,51 +89,69 @@ class TestTreeParsing:
 
 
 class TestSpans:
+    """The leaf spans of tree nodes, which collapse_tree computes in its
+    walk: an occurrence is kept exactly when some node spans its units."""
+
     def test_figure_spans_only(self, fixtures_dir):
         tree = read_treebank(os.path.join(fixtures_dir,
                                           "fig_original_subtree.tb"))[0].tree
-        node, spans_only = lowest_dominating_node(tree, {0, 1, 2})
-        assert node is tree
-        assert spans_only
+        pib = MweOccurrence((0, 1, 2), ("Publishers", "Information", "Bureau"),
+                            "proper-noun")
+        outcome = collapse_tree(tree, [pib])
+        assert outcome.kept == [pib]
+        assert outcome.categories[pib] == tree.category
 
     def test_non_sibling_units(self, fixtures_dir):
         tree = read_treebank(os.path.join(fixtures_dir,
                                           "fig_nonsibling_tree.tb"))[0].tree
-        node, spans_only = lowest_dominating_node(tree, {0, 1})
-        assert node is tree          # "according to" forces the root
-        assert not spans_only
+        according_to = MweOccurrence((0, 1), ("according", "to"), "general")
+        outcome = collapse_tree(tree, [according_to])
+        assert outcome.discarded == [according_to]   # only the root spans both
 
-    def test_singleton(self, fixtures_dir):
+    def test_inner_constituent(self, fixtures_dir):
         tree = read_treebank(os.path.join(fixtures_dir,
                                           "fig_original_subtree.tb"))[0].tree
-        node, spans_only = lowest_dominating_node(tree, {1})
-        assert node.is_leaf() and node.token == "Information"
-        assert spans_only
+        information_bureau = MweOccurrence((1, 2), ("Information", "Bureau"),
+                                           "proper-noun")
+        outcome = collapse_tree(tree, [information_bureau])
+        assert outcome.kept == [information_bureau]
+        assert outcome.categories[information_bureau] is \
+            tree.children[1].category
+        assert outcome.tokens == ["Publishers", "information+bureau"]
 
     def test_unary_chains_are_transparent(self):
         tree = parse_tree("(NP (N (N/N ad) (N pages)))")
-        node, spans_only = lowest_dominating_node(tree, {0, 1})
-        assert spans_only
-        assert render(node.category) == "N"   # the deepest dominating node
+        occurrence = MweOccurrence((0, 1), ("ad", "pages"), "general")
+        outcome = collapse_tree(tree, [occurrence])
+        assert outcome.kept == [occurrence]
+        # the lowest node of the chain gives the category
+        assert render(outcome.categories[occurrence]) == "N"
+        assert render_tree(outcome.tree) == "(NP (N ad+pages))"
 
     def test_whole_tree_property(self, corpus):
         for record in corpus:
             n = len(record.tokens)
-            node, spans_only = lowest_dominating_node(record.tree, set(range(n)))
-            assert node is record.tree
-            assert spans_only
+            whole = MweOccurrence(tuple(range(n)), tuple(record.tokens),
+                                  "general")
+            outcome = collapse_tree(record.tree, [whole])
+            assert outcome.kept == [whole]
+            assert outcome.categories[whole] == record.tree.category
 
     def test_spans_only_implies_contiguous(self):
         rng = random.Random(5)
         for _ in range(300):
-            tree = random_tree(rng, rng.randint(1, 9))
+            tree = random_tree(rng, rng.randint(2, 9))
             assign_leaf_indices(tree)
-            n = len(leaves(tree))
-            indices = set(rng.sample(range(n), rng.randint(1, n)))
-            node, spans_only = lowest_dominating_node(tree, indices)
-            if spans_only:
-                assert len(leaves(node)) == len(indices)
+            tokens = [token for _, token in leaves(tree)]
+            indices = sorted(rng.sample(range(len(tokens)),
+                                        rng.randint(2, len(tokens))))
+            occurrence = MweOccurrence(tuple(indices),
+                                       tuple(tokens[i] for i in indices),
+                                       "general")
+            outcome = assert_matches_reference(tree, [occurrence])
+            if outcome.kept:
                 assert max(indices) - min(indices) + 1 == len(indices)
+                assert len(outcome.tokens) == len(tokens) - len(indices) + 1
 
 
 CATS = [parse_category(s) for s in

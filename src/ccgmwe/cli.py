@@ -33,8 +33,9 @@ def _run_split(args):
 
 def _add_recognize(sub):
     cmd = sub.add_parser("recognize", help="detect MWE occurrences")
-    cmd.add_argument("--treebank", help="treebank whose leaves are scanned")
-    cmd.add_argument("--tokens", help="token file to scan instead")
+    source = cmd.add_mutually_exclusive_group(required=True)
+    source.add_argument("--treebank", help="treebank whose leaves are scanned")
+    source.add_argument("--tokens", help="token file to scan instead")
     cmd.add_argument("--lexicon", required=True)
     cmd.add_argument("--preset", choices=sorted(recognition.PRESETS),
                      help="one of the five recognizer presets")
@@ -62,12 +63,10 @@ def _token_records(sentences, ids=None):
 
 
 def _run_recognize(args):
-    if args.treebank:
+    if args.treebank is not None:
         records = treebank.read_treebank(args.treebank)
-    elif args.tokens:
-        records = _token_records(treebank.read_tokens(args.tokens))
     else:
-        raise SystemExit("recognize: provide --treebank or --tokens")
+        records = _token_records(treebank.read_tokens(args.tokens))
     lexicon = treebank.read_lexicon(args.lexicon)
     treebank.write_occurrences(args.output, pipeline.recognize_corpus(
         lexicon, records, _recognizer_from_args(args)))

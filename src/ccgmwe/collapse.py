@@ -98,7 +98,7 @@ def _match(node, start, wanted, found):
 def _build(node, replacements, tokens):
     """A fresh copy of `node` in which each node whose id is a key of
     `replacements` becomes a leaf of its occurrence's joined token.  Each
-    leaf appends its token to `tokens`, which numbers it."""
+    leaf appends its token to `tokens`."""
     occ = replacements.get(id(node))
     if occ is not None:
         token = occ.joined
@@ -108,7 +108,7 @@ def _build(node, replacements, tokens):
         return DerivationTree(node.category, tuple(
             _build(child, replacements, tokens) for child in node.children))
     tokens.append(token)
-    return DerivationTree(node.category, (), token, len(tokens) - 1)
+    return DerivationTree(node.category, (), token)
 
 
 def collapse_tree(tree, occurrences):
@@ -118,8 +118,8 @@ def collapse_tree(tree, occurrences):
     replaced by a single leaf labelled with the lowest such node's
     category; the rest are discarded.  The input tree is never mutated:
     with nothing kept it is returned as is and outcome.tokens is None,
-    otherwise outcome.tree is a fresh tree with leaves numbered 0..n-1
-    and outcome.tokens its leaf tokens.
+    otherwise outcome.tree is a fresh tree and outcome.tokens its leaf
+    tokens.
     """
     occurrences = sorted(occurrences, key=lambda o: o.start)
     _check_disjoint(occurrences)

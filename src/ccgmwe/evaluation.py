@@ -249,7 +249,10 @@ def sig_test(counts_x, counts_y, iterations=10000, seed=0):
     import numpy as np
 
     if set(counts_x) != set(counts_y):
-        raise ValueError("sentence ids do not match between systems")
+        missing = sorted(set(counts_x) - set(counts_y))
+        extra = sorted(set(counts_y) - set(counts_x))
+        raise ValueError("sentence ids do not match between systems: missing "
+                         "from Y %s, unknown to X %s" % (missing, extra))
     sids = sorted(counts_x)
     if not sids:
         raise ValueError("no sentences to test")

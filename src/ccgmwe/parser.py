@@ -25,7 +25,7 @@ from functools import lru_cache
 from .categories import (FORWARD_APPLY, FORWARD_COMPOSE, arity,
                          derivation_rule, is_modifier, parse_category, render,
                          target)
-from .treebank import DerivationTree, Dependency, Lines, assign_leaf_indices
+from .treebank import DerivationTree, Dependency, Lines
 
 # Leaf expansion marker: a category "expands" to LEX when it emits a token.
 LEX = ()
@@ -331,7 +331,7 @@ def parse(model, tokens):
     if best_id is None:
         return ParseResult(None, None, stats)
     tree = _build_tree(back_chart, indexes["categories"], tokens, 0, n, best_id)
-    return ParseResult(assign_leaf_indices(tree), best_logp, stats)
+    return ParseResult(tree, best_logp, stats)
 
 
 def _build_tree(back_chart, categories, tokens, i, j, cid):
@@ -367,53 +367,51 @@ def extract_dependencies(tree, stats=None):
     """
     deps = []
     skipped = []
-    _heads(tree, deps, skipped)
+    _heads(tree, 0, deps, skipped)
     if stats is not None:
         stats["skipped_nodes"] = stats.get("skipped_nodes", 0) + len(skipped)
     return deps
 
 
-def _heads(node, deps, skipped):
-    """The head leaves of `node`'s subtree; appends the subtree's edges to
+def _heads(node, start, deps, skipped):
+    """Walk the subtree of `node`, whose first leaf has index `start`;
+    returns the index after its last leaf and the subtree's heads as
+    (index, leaf) pairs in leaf order.  Appends the subtree's edges to
     `deps` and each node that fits no rule to `skipped`."""
     if node.is_leaf():
-        return (node,)
+        return start + 1, ((start, node),)
     if len(node.children) == 1:
-        return _heads(node.children[0], deps, skipped)
+        return _heads(node.children[0], start, deps, skipped)
     left, right = node.children
-    left_heads = _heads(left, deps, skipped)
-    right_heads = _heads(right, deps, skipped)
+    mid, left_heads = _heads(left, start, deps, skipped)
+    end, right_heads = _heads(right, mid, deps, skipped)
     rule = derivation_rule(left.category, right.category, node.category)
     if rule is None:
         lcat, rcat = left.category, right.category
         if node.category == rcat and lcat.is_atom() and lcat.atom in PUNCT_ATOMS:
-            return right_heads
+            return end, right_heads
         if node.category == lcat and rcat.is_atom() and rcat.atom in PUNCT_ATOMS:
-            return left_heads
-        merged = tuple(sorted(left_heads + right_heads,
-                              key=lambda leaf: leaf.leaf_index))
-        if node.category == lcat and node.category == rcat:
-            return merged
-        skipped.append(node)
-        return merged
+            return end, left_heads
+        if node.category != lcat or node.category != rcat:
+            skipped.append(node)
+        # the left subtree's leaves precede the right's: still in leaf order
+        return end, left_heads + right_heads
     if rule in (FORWARD_APPLY, FORWARD_COMPOSE):
         functor_node, functor_heads, arg_heads = left, left_heads, right_heads
     else:
         functor_node, functor_heads, arg_heads = right, right_heads, left_heads
     slot = arity(functor_node.category)
-    for functor_head in functor_heads:
+    for j, functor_head in functor_heads:
         if not 1 <= slot <= arity(functor_head.category):
             skipped.append(node)
             continue
-        for arg_head in arg_heads:
-            deps.append(Dependency(arg_head.leaf_index,
-                                   functor_head.leaf_index,
-                                   functor_head.category, slot,
+        for i, arg_head in arg_heads:
+            deps.append(Dependency(i, j, functor_head.category, slot,
                                    arg_head.token, functor_head.token))
     functor_cat = functor_node.category
     if is_modifier(functor_cat) or functor_cat == _DETERMINER:
-        return arg_heads
-    return functor_heads
+        return end, arg_heads
+    return end, functor_heads
 
 
 # ----------------------------------------------------------------------

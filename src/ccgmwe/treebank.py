@@ -79,15 +79,12 @@ class Lines:
 class DerivationTree:
     """A derivation node: binary, unary, or a leaf carrying a token.
 
-    Leaf indices are assigned left to right on read (or by
-    assign_leaf_indices after construction).  Internal binary nodes need
-    not be derivable by a combinatory rule.
+    Internal binary nodes need not be derivable by a combinatory rule.
     """
 
     category: Category
     children: tuple = ()
     token: str | None = None
-    leaf_index: int | None = None
 
     def is_leaf(self):
         return self.token is not None
@@ -141,13 +138,6 @@ def leaves(tree):
     return [(index, node.token) for index, node in enumerate(leaf_nodes(tree))]
 
 
-def assign_leaf_indices(tree):
-    """(Re)number the leaves 0..n-1 left to right; returns the tree."""
-    for index, node in enumerate(leaf_nodes(tree)):
-        node.leaf_index = index
-    return tree
-
-
 # ----------------------------------------------------------------------
 # Tree serialization
 # ----------------------------------------------------------------------
@@ -160,7 +150,7 @@ def parse_tree(text):
     if pos != len(text):
         raise TreebankFormatError("trailing text after tree at column %d"
                                   % pos)
-    return assign_leaf_indices(tree)
+    return tree
 
 
 def _parse_node(text, pos):
@@ -265,6 +255,8 @@ def read_dependencies(path, unique=False):
         for line in lines:
             if line.startswith("ID "):
                 sid = line[3:].strip()
+                if not sid:
+                    raise ValueError("empty sentence id")
                 if unique and sid in seen:
                     raise ValueError("duplicate sentence id %s" % sid)
                 seen.add(sid)
@@ -400,9 +392,8 @@ def read_occurrences(path):
 
 
 def write_occurrences(path, items):
-    """Write {sentence id: [MweOccurrence]} (or an id->occs item list)."""
-    if isinstance(items, dict):
-        items = items.items()
+    """Write (sentence id, [MweOccurrence]) pairs, one line per
+    occurrence."""
     with open(path, "w", encoding="utf-8") as handle:
         for sid, occs in items:
             for occ in occs:

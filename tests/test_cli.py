@@ -311,6 +311,34 @@ class TestStageChecks:
         assert capsys.readouterr().err == (
             "error [sigtest] %s line 3: duplicate sentence id 46\n" % counts)
 
+    def test_sigtest_names_mismatched_ids(self, tmp_path, capsys):
+        x, y = tmp_path / "x.tsv", tmp_path / "y.tsv"
+        x.write_text("46\t1\t2\t3\n47\t1\t2\t3\n")
+        y.write_text("46\t1\t2\t3\n48\t1\t2\t3\n")
+        assert main(["sigtest", "--x", str(x), "--y", str(y)]) == 1
+        assert capsys.readouterr().err == (
+            "error [sigtest] sentence ids do not match between systems: "
+            "missing from Y ['47'], unknown to X ['48']\n")
+
+    @pytest.mark.parametrize("both,message", [
+        (False, "one of the arguments --treebank --tokens is required"),
+        (True, "argument --tokens: not allowed with argument --treebank"),
+    ], ids=["neither", "both"])
+    def test_recognize_takes_exactly_one_input(self, tmp_path, data_dir,
+                                               capsys, both, message):
+        sources = ["--treebank", os.path.join(data_dir, "treebank.txt"),
+                   "--tokens", str(tmp_path / "missing.txt")] if both else []
+        output = tmp_path / "occ.tsv"
+        with pytest.raises(SystemExit) as exc:
+            main(["recognize", *sources, "--lexicon",
+                  os.path.join(data_dir, "lexicon.tsv"),
+                  "--output", str(output)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ccgmwe recognize")
+        assert "error: %s\n" % message in err
+        assert not output.exists()
+
     def test_parse_keeps_one_block_per_id_line(self, rec1_out, tmp_path):
         tokens = tmp_path / "tokens.txt"
         first = (rec1_out / "tokens_test.txt").read_text().splitlines()[0]

@@ -13,9 +13,8 @@ from ccgmwe.evaluation import (EXTERNAL, INTERNAL, MEDIATING, classify_edge,
                                membership_from_occurrences)
 from ccgmwe.parser import extract_dependencies
 from ccgmwe.recognition import PRESETS, MweOccurrence, recognize
-from ccgmwe.treebank import (Dependency, DerivationTree, assign_leaf_indices,
-                             leaf_nodes, leaves, read_dependencies,
-                             read_treebank, render_tree)
+from ccgmwe.treebank import (Dependency, DerivationTree, leaf_nodes, leaves,
+                             read_dependencies, read_treebank, render_tree)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -107,12 +106,8 @@ class TestCollapseTree:
         mr_vinken = MweOccurrence((0, 1), ("Mr.", "Vinken"), "proper-noun")
         outcome = collapse_tree(record.tree, [mr_vinken])
         assert render_tree(record.tree) == before
-        assert [n.leaf_index for n in leaf_nodes(record.tree)] == \
-            list(range(len(record.tokens)))
         assert {id(n) for n in _nodes(outcome.tree)}.isdisjoint(
             id(n) for n in _nodes(record.tree))
-        assert [n.leaf_index for n in leaf_nodes(outcome.tree)] == \
-            list(range(len(record.tokens) - 1))
         assert outcome.tokens == ["mr.+vinken"] + record.tokens[2:]
 
     def test_order_independence(self, fixtures_dir):
@@ -272,19 +267,17 @@ def reference_collapse_tree(tree, occurrences):
         return DerivationTree(node.category,
                               tuple(rebuild(c) for c in node.children))
 
-    collapsed = assign_leaf_indices(rebuild(tree))
+    collapsed = rebuild(tree)
     index_map = build_index_map(n_tokens, kept)
     return CollapseOutcome(collapsed, kept, discarded, index_map, categories)
 
 
 def assert_matches_reference(tree, occurrences):
     """collapse_tree and the reference agree on every outcome field, the
-    collapsed tree's text, leaf indices and tokens; returns the outcome."""
+    collapsed tree's text and tokens; returns the outcome."""
     expected = reference_collapse_tree(tree, occurrences)
     outcome = collapse_tree(tree, occurrences)
     assert render_tree(outcome.tree) == render_tree(expected.tree)
-    assert [n.leaf_index for n in leaf_nodes(outcome.tree)] == \
-        [n.leaf_index for n in leaf_nodes(expected.tree)]
     assert outcome.kept == expected.kept
     assert outcome.discarded == expected.discarded
     assert outcome.index_map == expected.index_map
@@ -300,18 +293,14 @@ def assert_matches_reference(tree, occurrences):
 
 @pytest.fixture(scope="module")
 def scaled_corpus():
-    """The benchmark's seed-1 corpus of 2,000 sentences, leaves numbered
-    as read_treebank numbers them."""
+    """The benchmark's seed-1 corpus of 2,000 sentences."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_corpus", os.path.join(ROOT, "perfbench", "corpus.py"))
     module = importlib.util.module_from_spec(spec)
     with pytest.MonkeyPatch.context() as patch:
         patch.chdir(ROOT)          # the module finds tools/ from the cwd
         spec.loader.exec_module(module)
-    records = module.generate(1, 2000)
-    for record in records:
-        assign_leaf_indices(record.tree)
-    return records
+    return module.generate(1, 2000)
 
 
 class TestMatchesReference:

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import random
@@ -11,8 +12,10 @@ from ccgmwe.parser import (LEX, extract_dependencies, load_model, parse,
 from ccgmwe.pipeline import read_config, run_pipeline
 from ccgmwe.treebank import (DerivationTree, SentenceRecord, leaf_nodes,
                              leaves, parse_tree, read_dependencies,
-                             read_tokens, read_treebank, render_tree)
+                             read_tokens, read_treebank, render_tree,
+                             write_treebank)
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 C = parse_category
 
 
@@ -342,6 +345,27 @@ class TestExtractDependencies:
             first = extract_dependencies(rec.tree)
             second = extract_dependencies(rec.tree)
             assert [d.key() for d in first] == [d.key() for d in second]
+
+    def test_constructor_built_trees_match_round_trip(self, tmp_path):
+        """Leaf positions come from tree order, so a tree built in memory
+        gives the same edges as its written and re-read copy."""
+        spec = importlib.util.spec_from_file_location(
+            "build_corpus", os.path.join(ROOT, "tools", "build_corpus.py"))
+        build_corpus = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(build_corpus)
+        john_sleeps = DerivationTree(C("S"), (
+            DerivationTree(C("NP"), (), "John"),
+            DerivationTree(C("S\\NP"), (), "sleeps")))
+        trees = [john_sleeps] + build_corpus.build_sentences()
+        assert len(trees) == 61
+        path = str(tmp_path / "built.tb")
+        write_treebank(path, [SentenceRecord(str(i), tree)
+                              for i, tree in enumerate(trees)])
+        for tree, rec in zip(trees, read_treebank(path)):
+            assert [d.key() for d in extract_dependencies(tree)] == \
+                [d.key() for d in extract_dependencies(rec.tree)]
+        assert [d.key() for d in extract_dependencies(john_sleeps)] == \
+            [(0, 1, "S\\NP", 1, "John", "sleeps")]
 
 
 def _combination_nodes(tree):

@@ -7,11 +7,11 @@ from ccgmwe.categories import derivation_rule, parse_category, render
 from ccgmwe.collapse import collapse_tree
 from ccgmwe.recognition import MweOccurrence
 from ccgmwe.treebank import (Dependency, DerivationTree, LexiconError,
-                             TreebankFormatError, assign_leaf_indices,
-                             leaves, parse_tree, read_counts, read_dependencies,
-                             read_lexicon, read_occurrences, read_tokens,
-                             read_treebank, render_tree, write_counts,
-                             write_dependencies, write_tokens, write_treebank)
+                             TreebankFormatError, leaves, parse_tree,
+                             read_counts, read_dependencies, read_lexicon,
+                             read_occurrences, read_tokens, read_treebank,
+                             render_tree, write_counts, write_dependencies,
+                             write_tokens, write_treebank)
 
 from test_collapse import assert_matches_reference
 
@@ -141,7 +141,6 @@ class TestSpans:
         rng = random.Random(5)
         for _ in range(300):
             tree = random_tree(rng, rng.randint(2, 9))
-            assign_leaf_indices(tree)
             tokens = [token for _, token in leaves(tree)]
             indices = sorted(rng.sample(range(len(tokens)),
                                         rng.randint(2, len(tokens))))
@@ -259,6 +258,7 @@ class TestDependencyFiles:
         ("1\t2\tN/N\t2\ta\tb", "arg_k 2 exceeds arity of N/N"),
         ("2\t2\tN/N\t1\ta\tb", "dependency endpoints must differ"),
         ("1\t2\t(N/N\t1\ta\tb", "unbalanced parenthesis"),
+        ("ID ", "empty sentence id"),
     ])
     def test_malformed_dependency_names_file_and_line(self, tmp_path, line,
                                                       message):

@@ -21,6 +21,7 @@ def _add_split(sub):
     cmd.add_argument("--dev", default="")
     cmd.add_argument("--test", required=True)
     cmd.add_argument("--output-dir", required=True)
+    cmd.set_defaults(run=_run_split)
 
 
 def _run_split(args):
@@ -46,6 +47,7 @@ def _add_recognize(sub):
     cmd.add_argument("--resolver", default="longest",
                      choices=recognition.RESOLVERS)
     cmd.add_argument("--output", required=True)
+    cmd.set_defaults(run=_run_recognize)
 
 
 def _recognizer_from_args(args):
@@ -79,13 +81,14 @@ def _add_collapse(sub):
                      "extracted from the trees when omitted")
     cmd.add_argument("--occurrences", required=True)
     cmd.add_argument("--output-dir", required=True)
+    cmd.set_defaults(run=_run_collapse)
 
 
 def _run_collapse(args):
     records = treebank.read_treebank(args.treebank)
     occurrences = treebank.read_occurrences(args.occurrences)
-    deps = dict(treebank.read_dependencies(args.dependencies, unique=True)
-                if args.dependencies else pipeline.extract_corpus(records))
+    deps = (treebank.read_dependencies(args.dependencies) if args.dependencies
+            else dict(pipeline.extract_corpus(records)))
     collapsed = pipeline.collapse_corpus(records, occurrences, deps)
     os.makedirs(args.output_dir, exist_ok=True)
 
@@ -110,6 +113,7 @@ def _add_train(sub):
     cmd.add_argument("--treebank", required=True)
     cmd.add_argument("--smoothing", type=float, default=0.1)
     cmd.add_argument("--output", required=True)
+    cmd.set_defaults(run=_run_train)
 
 
 def _run_train(args):
@@ -126,6 +130,7 @@ def _add_parse(sub):
                      "defaults to 1..n")
     cmd.add_argument("--output", required=True, help="dependency output")
     cmd.add_argument("--trees", help="also write the derivations here")
+    cmd.set_defaults(run=_run_parse)
 
 
 def _run_parse(args):
@@ -150,6 +155,7 @@ def _add_extract(sub):
     cmd = sub.add_parser("extract-deps", help="extract dependencies from trees")
     cmd.add_argument("--treebank", required=True)
     cmd.add_argument("--output", required=True)
+    cmd.set_defaults(run=_run_extract)
 
 
 def _run_extract(args):
@@ -166,12 +172,13 @@ def _add_combine(sub):
                      help="original token file (restores unit tokens)")
     cmd.add_argument("--scheme", required=True, choices=evaluation.SCHEMES)
     cmd.add_argument("--output", required=True)
+    cmd.set_defaults(run=_run_combine)
 
 
 def _run_combine(args):
     combined = pipeline.combine_corpus(
-        treebank.read_dependencies(args.out_a, unique=True),
-        dict(treebank.read_dependencies(args.out_b, unique=True)),
+        treebank.read_dependencies(args.out_a),
+        treebank.read_dependencies(args.out_b),
         treebank.read_occurrences(args.occurrences), args.scheme,
         treebank.read_tokens(args.tokens), args.tokens)
     treebank.write_dependencies(args.output, combined)
@@ -184,12 +191,13 @@ def _add_eval(sub):
     cmd.add_argument("--labeled", action="store_true")
     cmd.add_argument("--output", help="write a TSV report here")
     cmd.add_argument("--per-sentence", help="write per-sentence counts here")
+    cmd.set_defaults(run=_run_eval)
 
 
 def _run_eval(args):
-    system = dict(treebank.read_dependencies(args.system, unique=True))
-    gold = dict(treebank.read_dependencies(args.gold, unique=True))
-    report = evaluation.score(system, gold, labeled=args.labeled)
+    report = evaluation.score(treebank.read_dependencies(args.system),
+                              treebank.read_dependencies(args.gold),
+                              labeled=args.labeled)
     line = ("P\t%.4f\nR\t%.4f\nF1\t%.4f\ncorrect\t%d\nattempted\t%d\n"
             "gold\t%d\nP_undefined\t%d\n"
             % (report.precision, report.recall, report.f1, report.correct,
@@ -208,6 +216,7 @@ def _add_sigtest(sub):
     cmd.add_argument("--y", required=True, help="per-sentence counts of system Y")
     cmd.add_argument("--iterations", type=int, default=10000)
     cmd.add_argument("--seed", type=int, default=0)
+    cmd.set_defaults(run=_run_sigtest)
 
 
 def _run_sigtest(args):
@@ -224,6 +233,7 @@ def _add_run(sub):
     cmd = sub.add_parser("run", help="run a full experiment from a config file")
     cmd.add_argument("--config", action="append", required=True,
                      help="flat key=value file; repeat to layer presets")
+    cmd.set_defaults(run=_run_run)
 
 
 def _run_run(args):
@@ -243,20 +253,8 @@ def main(argv=None):
                 _add_sigtest, _add_run):
         add(sub)
     args = root.parse_args(argv)
-    handlers = {
-        "split": _run_split,
-        "recognize": _run_recognize,
-        "collapse": _run_collapse,
-        "train": _run_train,
-        "parse": _run_parse,
-        "extract-deps": _run_extract,
-        "combine": _run_combine,
-        "eval": _run_eval,
-        "sigtest": _run_sigtest,
-        "run": _run_run,
-    }
     try:
-        handlers[args.command](args)
+        args.run(args)
     except pipeline.PipelineError as exc:
         sys.stderr.write("error %s\n" % exc)
         return 1

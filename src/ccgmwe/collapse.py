@@ -47,7 +47,11 @@ class CollapseOutcome:
     tokens: list | None = None
 
 
-def _check_disjoint(occurrences):
+def check_occurrences(occurrences, n_tokens=None):
+    """The occurrences sorted by first unit, once they are known to be
+    pairwise index-disjoint (else OverlapError) and, given `n_tokens`,
+    inside a sentence of that many tokens (else ValueError)."""
+    occurrences = sorted(occurrences, key=lambda o: o.start)
     seen = set()
     for occ in occurrences:
         overlap = seen.intersection(occ.indices)
@@ -55,22 +59,23 @@ def _check_disjoint(occurrences):
             raise OverlapError("occurrences overlap at indices %s"
                                % sorted(overlap))
         seen.update(occ.indices)
+        if n_tokens is not None and occ.indices[-1] >= n_tokens:
+            raise ValueError("occurrence %r outside sentence of %d tokens"
+                             % (occ.joined, n_tokens))
+    return occurrences
 
 
 def build_index_map(n_tokens, collapsed_occurrences):
-    """Monotone map original index -> collapsed index when the given
-    (disjoint) occurrences are each merged into their first unit's slot."""
-    starts = {occ.indices[0] for occ in collapsed_occurrences}
-    members = {i: occ for occ in collapsed_occurrences for i in occ.indices}
+    """Map original index -> collapsed index when the given (disjoint)
+    occurrences are each merged into their first unit's slot and every
+    other token shifts left past the merged units."""
+    first = {i: occ.start for occ in collapsed_occurrences
+             for i in occ.indices[1:]}
     index_map = {}
     new = 0
     for old in range(n_tokens):
-        if old in starts:
-            index_map[old] = new
-            new += 1
-        elif old in members:
-            # non-first unit: share the first unit's collapsed position
-            index_map[old] = index_map[members[old].indices[0]]
+        if old in first:
+            index_map[old] = index_map[first[old]]
         else:
             index_map[old] = new
             new += 1
@@ -121,16 +126,11 @@ def collapse_tree(tree, occurrences):
     otherwise outcome.tree is a fresh tree and outcome.tokens its leaf
     tokens.
     """
-    occurrences = sorted(occurrences, key=lambda o: o.start)
-    _check_disjoint(occurrences)
     wanted = {(occ.start, occ.indices[-1]): occ
               for occ in occurrences if occ.is_continuous()}
     found = {}
     n_tokens = _match(tree, 0, wanted, found)
-    for occ in occurrences:
-        if occ.indices[-1] >= n_tokens:
-            raise ValueError("occurrence %r outside tree with %d leaves"
-                             % (occ.joined, n_tokens))
+    occurrences = check_occurrences(occurrences, n_tokens)
     kept = [occ for occ in occurrences if occ in found]
     discarded = [occ for occ in occurrences if occ not in found]
     index_map = build_index_map(n_tokens, kept)
@@ -183,23 +183,14 @@ def collapse_tokens(tokens, occurrences):
     tree collapse for gold-sibling test data, or every recognized
     occurrence for fully-collapsed test data.
     """
-    occurrences = sorted(occurrences, key=lambda o: o.start)
-    _check_disjoint(occurrences)
-    for occ in occurrences:
-        if occ.indices[-1] >= len(tokens):
-            raise ValueError("occurrence %r outside sentence of %d tokens"
-                             % (occ.joined, len(tokens)))
+    occurrences = check_occurrences(occurrences, len(tokens))
     index_map = build_index_map(len(tokens), occurrences)
-    starts = {occ.indices[0]: occ for occ in occurrences}
-    members = {i for occ in occurrences for i in occ.indices}
-    out = []
+    out = {}
     for i, token in enumerate(tokens):
-        occ = starts.get(i)
-        if occ is not None:
-            out.append(occ.joined)
-        elif i not in members:
-            out.append(token)
-    return out, index_map
+        out.setdefault(index_map[i], token)
+    for occ in occurrences:
+        out[index_map[occ.start]] = occ.joined
+    return list(out.values()), index_map
 
 
 def collapse_all_dependencies(deps, occurrences):
@@ -209,8 +200,7 @@ def collapse_all_dependencies(deps, occurrences):
     No collapsed tree exists here, so cat_j of a swallowed functor is kept
     from the original dependency.
     """
-    occurrences = sorted(occurrences, key=lambda o: o.start)
-    _check_disjoint(occurrences)
+    occurrences = check_occurrences(occurrences)
     n = 1 + max([-1] + [index for dep in deps for index in (dep.i, dep.j)]
                 + [occ.indices[-1] for occ in occurrences])
     return collapse_dependencies(deps, CollapseOutcome(

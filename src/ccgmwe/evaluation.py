@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .categories import arity, render
+from .collapse import build_index_map, check_occurrences
 from .treebank import Dependency
 
 INTERNAL = "internal"
@@ -32,16 +33,11 @@ EXTERNAL = "external"
 SCHEMES = ("medFromA", "rightmostMed", "leftmostMed")
 
 
-def f_beta(precision, recall, beta=1.0):
-    """The harmonic F measure (beta^2 + 1)PR / (beta^2 P + R)."""
-    denom = beta * beta * precision + recall
-    if denom == 0:
-        return 0.0
-    return (beta * beta + 1) * precision * recall / denom
-
-
 def f1(precision, recall):
-    return f_beta(precision, recall, 1.0)
+    """The harmonic mean 2PR / (P + R), 0 when P + R is 0."""
+    if precision + recall == 0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
 
 
 @dataclass
@@ -122,32 +118,6 @@ def classify_edge(dep, membership):
 # Model combination (decollapsing out_B with help from out_A)
 # ----------------------------------------------------------------------
 
-def _collapsed_positions(occurrences):
-    """Collapsed index of each occurrence plus the shift bookkeeping needed
-    to invert the collapsed tokenization."""
-    occurrences = sorted(occurrences, key=lambda o: o.start)
-    positions = {}
-    shift = 0
-    for occ in occurrences:
-        positions[occ.indices[0] - shift] = occ
-        shift += len(occ.indices) - 1
-    return positions
-
-
-def _to_original_index(collapsed_index, occurrences):
-    if collapsed_index < 0:
-        raise ValueError("negative collapsed index %d" % collapsed_index)
-    shift = 0
-    for occ in sorted(occurrences, key=lambda o: o.start):
-        pos = occ.indices[0] - shift
-        if collapsed_index > pos:
-            shift += len(occ.indices) - 1
-        elif collapsed_index == pos:
-            raise ValueError("collapsed index %d is an MWE position"
-                             % collapsed_index)
-    return collapsed_index + shift
-
-
 def combine_models(out_a, out_b, occurrences, scheme):
     """Combine baseline dependencies (original tokens) with collapsed-model
     dependencies (collapsed tokens) into original-tokenization output.
@@ -157,12 +127,23 @@ def combine_models(out_a, out_b, occurrences, scheme):
     they come from out_b with each MWE endpoint expanded to its rightmost
     or leftmost unit.  cat_j of an expanded functor endpoint is restored
     from out_a when that leaf heads some out_a dependency, else retained.
+
+    out_b indices are decollapsed by inverting collapse.build_index_map
+    over the occurrences (which must be pairwise disjoint); an index past
+    the last occurrence maps back with the total shift of all of them.
     """
     if scheme not in SCHEMES:
         raise ValueError("unknown combination scheme %r" % scheme)
-    occurrences = sorted(occurrences, key=lambda o: o.start)
+    occurrences = check_occurrences(occurrences)
     membership_a = membership_from_occurrences(occurrences)
-    positions = _collapsed_positions(occurrences)
+    n = 1 + max([-1] + [occ.indices[-1] for occ in occurrences])
+    index_map = build_index_map(n, occurrences)
+    original = {new: old for old, new in index_map.items()}
+    shift = n - len(original)
+    positions = {index_map[occ.start]: occ for occ in occurrences}
+
+    def decollapse(index):
+        return original.get(index, index + shift)
 
     combined = []
     for dep in out_a:
@@ -180,10 +161,9 @@ def combine_models(out_a, out_b, occurrences, scheme):
         occ_i = positions.get(dep.i)
         occ_j = positions.get(dep.j)
         if occ_i is None and occ_j is None:
-            combined.append(Dependency(
-                _to_original_index(dep.i, occurrences),
-                _to_original_index(dep.j, occurrences),
-                dep.cat_j, dep.arg_k, dep.word_i, dep.word_j))
+            combined.append(Dependency(decollapse(dep.i), decollapse(dep.j),
+                                       dep.cat_j, dep.arg_k, dep.word_i,
+                                       dep.word_j))
             continue
         if scheme == "medFromA":
             continue
@@ -192,7 +172,7 @@ def combine_models(out_a, out_b, occurrences, scheme):
             i = occ_i.indices[unit]
             word_i = occ_i.tokens[unit]
         else:
-            i = _to_original_index(dep.i, occurrences)
+            i = decollapse(dep.i)
             word_i = dep.word_i
         if occ_j is not None:
             j = occ_j.indices[unit]
@@ -201,7 +181,7 @@ def combine_models(out_a, out_b, occurrences, scheme):
             if dep.arg_k > arity(cat_j):
                 cat_j = dep.cat_j      # keep the slot inside the category
         else:
-            j = _to_original_index(dep.j, occurrences)
+            j = decollapse(dep.j)
             word_j = dep.word_j
             cat_j = dep.cat_j
         combined.append(Dependency(i, j, cat_j, dep.arg_k, word_i, word_j))

@@ -271,7 +271,7 @@ def parse_corpus(model, records, stage, memo):
 
 
 def combine_corpus(out_a, out_b, occurrences, scheme, tokens, tokens_path):
-    """Combine each sentence of out_a, (sentence id, [Dependency]) pairs on
+    """Combine each sentence of out_a, {sentence id: [Dependency]} on
     original tokens, with out_b's dependencies on collapsed tokens; returns
     (sentence id, [Dependency]) pairs in out_a's order.
 
@@ -280,20 +280,19 @@ def combine_corpus(out_a, out_b, occurrences, scheme, tokens, tokens_path):
     the occurrences are re-bound to them.  out_b must hold exactly out_a's
     sentence ids; a sentence that failed to parse has an empty edge list.
     """
-    ids_a = {sid for sid, _ in out_a}
-    if set(out_b) != ids_a:
+    if set(out_b) != set(out_a):
         raise PipelineError("combine", "out_b ids differ from out_a's: "
                             "missing %s, unknown %s"
-                            % (sorted(ids_a - set(out_b)),
-                               sorted(set(out_b) - ids_a)))
+                            % (sorted(set(out_a) - set(out_b)),
+                               sorted(set(out_b) - set(out_a))))
     if len(tokens) != len(out_a):
         raise PipelineError("combine", "%s has %d token lines for %d "
                             "sentences of out_a"
                             % (tokens_path, len(tokens), len(out_a)))
     combined = []
-    for lineno, ((sid, deps_a), line) in enumerate(zip(out_a, tokens), 1):
+    for lineno, (sid, line) in enumerate(zip(out_a, tokens), 1):
         try:
-            for dep in deps_a:
+            for dep in out_a[sid]:
                 for index, word in ((dep.i, dep.word_i), (dep.j, dep.word_j)):
                     if index >= len(line) or line[index] != word:
                         raise ValueError("%s line %d has no %r at token %d"
@@ -301,7 +300,7 @@ def combine_corpus(out_a, out_b, occurrences, scheme, tokens, tokens_path):
                                             index + 1))
             occs = recognition.rebind_tokens(occurrences.get(sid, []), line)
             combined.append((sid, evaluation.combine_models(
-                deps_a, out_b[sid], occs, scheme)))
+                out_a[sid], out_b[sid], occs, scheme)))
         except ValueError as exc:
             raise PipelineError("combine", str(exc), sid) from exc
     return combined
@@ -408,7 +407,7 @@ def run_pipeline(config):
     # model combination against gold A, as `combine` computes it from files
     def combine(name, deps_b, occs, scheme):
         return write_deps(name % scheme, dict(combine_corpus(
-            list(out_a.items()), deps_b, occs, scheme,
+            out_a, deps_b, occs, scheme,
             [r.tokens for r in test], out("tokens_test.txt"))))
 
     kept = {c.record.sid: c.outcome.kept for c in collapsed}

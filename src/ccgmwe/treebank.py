@@ -8,8 +8,8 @@ File formats (all UTF-8):
   ``(CAT token)`` for leaves.  Category strings follow categories.py and
   contain no whitespace; tokens contain neither whitespace nor parentheses.
 * Dependencies: per sentence a line ``ID <id>`` followed by one line per
-  edge, tab-separated ``i j cat_j arg_k word_i word_j``.  Indices are
-  1-based in files and 0-based in memory.
+  edge, tab-separated ``i j cat_j arg_k word_i word_j``.  Ids are unique
+  within a file.  Indices are 1-based in files and 0-based in memory.
 * Token file: one sentence per line, space-separated; collapsed MWE units
   are joined by '+'.
 * Lexicon: tab-separated ``unit1 unit2 ...  kind  mwe-count  c1;c2;...``.
@@ -103,6 +103,9 @@ class Dependency:
     word_j: str
 
     def __post_init__(self):
+        if self.i < 0 or self.j < 0:
+            raise ValueError("dependency endpoints must be non-negative, "
+                             "got i=%d, j=%d" % (self.i, self.j))
         if self.i == self.j:
             raise ValueError("dependency endpoints must differ (i=j=%d)" % self.i)
         if self.arg_k < 1:
@@ -240,16 +243,11 @@ def write_treebank(path, records):
 # Dependency files
 # ----------------------------------------------------------------------
 
-def read_dependencies(path, unique=False):
-    """Read a dependency file into a list of (sentence id, [Dependency]).
-
-    A malformed line raises TreebankFormatError naming the file and line.
-    An id may repeat, as `parse` writes one block per line of its id file;
-    callers that key sentences by id pass `unique`, which makes a repeated
-    id an error too.
-    """
-    out = []
-    seen = set()
+def read_dependencies(path):
+    """Read a dependency file into {sentence id: [Dependency]}, in file
+    order.  A malformed line or a repeated id raises TreebankFormatError
+    naming the file and line."""
+    out = {}
     current = None
     with Lines(path) as lines:
         for line in lines:
@@ -257,11 +255,9 @@ def read_dependencies(path, unique=False):
                 sid = line[3:].strip()
                 if not sid:
                     raise ValueError("empty sentence id")
-                if unique and sid in seen:
+                if sid in out:
                     raise ValueError("duplicate sentence id %s" % sid)
-                seen.add(sid)
-                current = []
-                out.append((sid, current))
+                current = out[sid] = []
             elif current is None:
                 raise ValueError("dependency without an ID header")
             else:
@@ -382,6 +378,8 @@ def read_occurrences(path):
             fields = line.split("\t")
             if len(fields) != 4:
                 raise ValueError("expected 4 tab-separated fields")
+            if not fields[0]:
+                raise ValueError("empty sentence id")
             indices = tuple(int(x) for x in fields[1].split(","))
             if indices[0] < 0:
                 raise ValueError("unit indices are 0-based, got %d"

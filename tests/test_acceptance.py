@@ -63,10 +63,10 @@ def test_criterion_2_dependency_figures(fixtures_dir):
     start = time.monotonic()
     record = read_treebank(os.path.join(fixtures_dir,
                                         "fig_dep1_sentence.tb"))[0]
-    dep1 = dict(read_dependencies(os.path.join(fixtures_dir,
-                                               "fig_dep1.deps")))["dep1"]
-    dep2 = dict(read_dependencies(os.path.join(fixtures_dir,
-                                               "fig_dep2.deps")))["dep1"]
+    dep1 = read_dependencies(os.path.join(fixtures_dir,
+                                          "fig_dep1.deps"))["dep1"]
+    dep2 = read_dependencies(os.path.join(fixtures_dir,
+                                          "fig_dep2.deps"))["dep1"]
     assert len(dep1) == 10 and len(dep2) == 8
     occurrences = [
         MweOccurrence((0, 1), ("Mr.", "Vinken"), "proper-noun"),

@@ -9,6 +9,7 @@ from ccgmwe.cli import main
 from ccgmwe.evaluation import SCHEMES
 from ccgmwe.pipeline import (ExperimentConfig, PipelineError, parse_id_spec,
                              read_config, split_records)
+from ccgmwe.recognition import PRESETS
 from ccgmwe.treebank import (read_dependencies, read_tokens, read_treebank)
 
 
@@ -49,11 +50,12 @@ class TestConfig:
             parse_id_spec(spec)
         assert message in str(err.value)
 
-    def test_layered_configs(self, tmp_path, data_dir, configs_dir):
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_layered_configs(self, tmp_path, data_dir, configs_dir, preset):
         base = base_config(tmp_path, data_dir)
-        config = read_config([base, os.path.join(configs_dir, "rec3.cfg")])
-        assert config.recognizer.detector == "proper-noun"
-        assert config.recognizer.resolver == "longest"
+        config = read_config([base, os.path.join(configs_dir,
+                                                 preset + ".cfg")])
+        assert config.recognizer == PRESETS[preset]
         assert config.seed == 13
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -164,8 +166,8 @@ class TestSubcommands:
                      "--out-b", str(collapsed / "deps_b.deps"),
                      "--occurrences", str(occ), "--tokens", str(tokens),
                      "--scheme", "medFromA", "--output", str(combined)]) == 0
-        out = dict(read_dependencies(str(combined)))["dep1"]
-        expected = dict(read_dependencies(str(gold)))["dep1"]
+        out = read_dependencies(str(combined))["dep1"]
+        expected = read_dependencies(str(gold))["dep1"]
         assert sorted(d.key() for d in out) == sorted(d.key() for d in expected)
 
     def test_missing_file_gives_nonzero_exit(self, tmp_path):
@@ -217,6 +219,21 @@ class TestStageChecks:
         assert capsys.readouterr().err == (
             "error [combine] %s line 1 has no 'Spoon' at token 2 "
             "(sentence 46)\n" % tokens)
+
+    def test_combine_rejects_overlapping_occurrences(self, rec1_out, tmp_path,
+                                                     capsys):
+        occurrences = tmp_path / "occ.tsv"
+        occurrences.write_text("46\t0,1\tmr.+spoon\tproper-noun\n"
+                               "46\t1,2\tspoon+is\tgeneral\n")
+        assert main(["combine", "--out-a", str(rec1_out / "out_a.deps"),
+                     "--out-b", str(rec1_out / "out_b_full.deps"),
+                     "--occurrences", str(occurrences),
+                     "--tokens", str(rec1_out / "tokens_test.txt"),
+                     "--scheme", "rightmostMed",
+                     "--output", str(tmp_path / "c.deps")]) == 1
+        assert capsys.readouterr().err == (
+            "error [combine] occurrences overlap at indices [1] "
+            "(sentence 46)\n")
 
     def test_collapse_rejects_orphan_occurrences(self, tmp_path, data_dir,
                                                  capsys):
@@ -349,9 +366,10 @@ class TestStageChecks:
         assert main(["parse", "--model", str(rec1_out / "model_a.tsv"),
                      "--tokens", str(tokens), "--ids", str(ids),
                      "--output", str(parsed)]) == 0
-        blocks = read_dependencies(str(parsed))
-        assert [sid for sid, _ in blocks] == ["46", "46"]
-        assert blocks[0][1] == blocks[1][1]
+        text = parsed.read_text()
+        first_block, second_block = text.split("ID 46\n")[1:]
+        assert text.startswith("ID 46\n")
+        assert first_block == second_block
 
     def test_parse_id_count_mismatch_fails(self, rec1_out, tmp_path, capsys):
         ids = tmp_path / "ids.txt"

@@ -6,7 +6,7 @@ import pytest
 
 from ccgmwe.categories import parse_category, render
 from ccgmwe.collapse import (CollapseOutcome, DataInconsistencyError,
-                             OverlapError, _check_disjoint, build_index_map,
+                             OverlapError, build_index_map, check_occurrences,
                              collapse_all_dependencies, collapse_dependencies,
                              collapse_tokens, collapse_tree, detect_cycles)
 from ccgmwe.evaluation import (EXTERNAL, INTERNAL, MEDIATING, classify_edge,
@@ -163,10 +163,10 @@ class TestCollapseDependencies:
     def test_figure_dep1_to_dep2(self, fixtures_dir):
         record = read_treebank(os.path.join(fixtures_dir,
                                             "fig_dep1_sentence.tb"))[0]
-        gold = dict(read_dependencies(
-            os.path.join(fixtures_dir, "fig_dep1.deps")))["dep1"]
-        expected = dict(read_dependencies(
-            os.path.join(fixtures_dir, "fig_dep2.deps")))["dep1"]
+        gold = read_dependencies(
+            os.path.join(fixtures_dir, "fig_dep1.deps"))["dep1"]
+        expected = read_dependencies(
+            os.path.join(fixtures_dir, "fig_dep2.deps"))["dep1"]
         occs = [MweOccurrence((0, 1), ("Mr.", "Vinken"), "proper-noun"),
                 MweOccurrence((5, 6), ("Elsevier", "N.V."), "proper-noun")]
         outcome = collapse_tree(record.tree, occs)
@@ -239,7 +239,7 @@ def reference_collapse_tree(tree, occurrences):
     category; the rest are discarded.  The input tree is never mutated.
     """
     occurrences = sorted(occurrences, key=lambda o: o.start)
-    _check_disjoint(occurrences)
+    check_occurrences(occurrences)
     n_tokens = len(leaf_nodes(tree))
     for occ in occurrences:
         if occ.indices[-1] >= n_tokens:
@@ -385,8 +385,8 @@ class TestCycles:
         assert detect_cycles(deps) == 1
 
     def test_figure_dep2_is_acyclic(self, fixtures_dir):
-        deps = dict(read_dependencies(
-            os.path.join(fixtures_dir, "fig_dep2.deps")))["dep1"]
+        deps = read_dependencies(
+            os.path.join(fixtures_dir, "fig_dep2.deps"))["dep1"]
         assert detect_cycles(deps) == 0
 
     def test_empty(self):

@@ -5,10 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ccgmwe.categories import parse_category, render
-from ccgmwe.collapse import collapse_dependencies, collapse_tree
-from ccgmwe.evaluation import (EXTERNAL, INTERNAL, MEDIATING, classify_edge,
-                               combine_models, f1, f_beta,
+from ccgmwe.categories import arity, parse_category, render
+from ccgmwe.collapse import (collapse_dependencies, collapse_tokens,
+                             collapse_tree)
+from ccgmwe.evaluation import (EXTERNAL, INTERNAL, MEDIATING, SCHEMES,
+                               classify_edge, combine_models, f1,
                                membership_from_occurrences, score, sig_test)
 from ccgmwe.parser import extract_dependencies
 from ccgmwe.recognition import MweOccurrence, PRESETS, recognize
@@ -39,7 +40,7 @@ class TestFMeasure:
             p, r = rng.random(), rng.random()
             if p + r == 0:
                 continue
-            assert f_beta(p, r, 1.0) == pytest.approx(2 * p * r / (p + r))
+            assert f1(p, r) == pytest.approx(2 * p * r / (p + r))
 
     def test_f1_between_min_and_max(self):
         rng = random.Random(8)
@@ -213,6 +214,191 @@ class TestCombine:
             back = combine_models(deps, out_b, outcome.kept, "medFromA")
             assert sorted(d.key() for d in back) == \
                 sorted(d.key() for d in deps), record.sid
+
+
+# The decollapsing helpers combine_models used before it inverted
+# collapse.build_index_map, kept as the oracle for it.  Their shift
+# arithmetic assumes that every unit of an occurrence precedes the tokens
+# after its first unit, so they agree with collapse_tokens only when each
+# occurrence's span holds nothing but its own units.
+
+def reference_collapsed_positions(occurrences):
+    occurrences = sorted(occurrences, key=lambda o: o.start)
+    positions = {}
+    shift = 0
+    for occ in occurrences:
+        positions[occ.indices[0] - shift] = occ
+        shift += len(occ.indices) - 1
+    return positions
+
+
+def reference_to_original_index(collapsed_index, occurrences):
+    if collapsed_index < 0:
+        raise ValueError("negative collapsed index %d" % collapsed_index)
+    shift = 0
+    for occ in sorted(occurrences, key=lambda o: o.start):
+        pos = occ.indices[0] - shift
+        if collapsed_index > pos:
+            shift += len(occ.indices) - 1
+        elif collapsed_index == pos:
+            raise ValueError("collapsed index %d is an MWE position"
+                             % collapsed_index)
+    return collapsed_index + shift
+
+
+def reference_combine_models(out_a, out_b, occurrences, scheme):
+    occurrences = sorted(occurrences, key=lambda o: o.start)
+    membership_a = membership_from_occurrences(occurrences)
+    positions = reference_collapsed_positions(occurrences)
+    combined = []
+    for d in out_a:
+        edge_class = classify_edge(d, membership_a)
+        if edge_class == INTERNAL:
+            combined.append(d)
+        elif edge_class == MEDIATING and scheme == "medFromA":
+            combined.append(d)
+    a_cats = {}
+    for d in out_a:
+        a_cats.setdefault(d.j, d.cat_j)
+    for d in out_b:
+        occ_i = positions.get(d.i)
+        occ_j = positions.get(d.j)
+        if occ_i is None and occ_j is None:
+            combined.append(Dependency(
+                reference_to_original_index(d.i, occurrences),
+                reference_to_original_index(d.j, occurrences),
+                d.cat_j, d.arg_k, d.word_i, d.word_j))
+            continue
+        if scheme == "medFromA":
+            continue
+        unit = -1 if scheme == "rightmostMed" else 0
+        if occ_i is not None:
+            i = occ_i.indices[unit]
+            word_i = occ_i.tokens[unit]
+        else:
+            i = reference_to_original_index(d.i, occurrences)
+            word_i = d.word_i
+        if occ_j is not None:
+            j = occ_j.indices[unit]
+            word_j = occ_j.tokens[unit]
+            cat_j = a_cats.get(j, d.cat_j)
+            if d.arg_k > arity(cat_j):
+                cat_j = d.cat_j
+        else:
+            j = reference_to_original_index(d.j, occurrences)
+            word_j = d.word_j
+            cat_j = d.cat_j
+        combined.append(Dependency(i, j, cat_j, d.arg_k, word_i, word_j))
+    combined.sort(key=lambda d: d.key())
+    return combined
+
+
+CATEGORIES = ("N/N", "(S\\NP)/NP", "(NP\\NP)/NP")
+
+
+def random_edges(rng, words, n_indices):
+    """Distinct-endpoint edges over indices below n_indices; an index past
+    the end of `words` gets the word p<index>."""
+    edges = []
+    for _ in range(rng.randint(0, 8)):
+        i, j = rng.sample(range(n_indices), 2)
+        cat = rng.choice(CATEGORIES)
+        k = rng.randint(1, arity(parse_category(cat)))
+        edges.append(dep(i, j, cat, k,
+                         *(words[x] if x < len(words) else "p%d" % x
+                           for x in (i, j))))
+    return edges
+
+
+def random_combination(rng):
+    """(tokens, occurrences, out_a, out_b, collapsed tokens) with tokens
+    t0..tn-1, pairwise disjoint occurrences of which some are
+    discontinuous, and out_b indices up to three past the collapsed
+    sentence."""
+    n = rng.randint(2, 12)
+    tokens = ["t%d" % i for i in range(n)]
+    free = list(range(n))
+    occurrences = []
+    for _ in range(rng.randint(0, 3)):
+        size = rng.randint(2, 3)
+        if len(free) < size:
+            break
+        if rng.random() < 0.5:
+            indices = sorted(rng.sample(free, size))
+        else:
+            runs = [free[s:s + size] for s in range(len(free) - size + 1)
+                    if free[s + size - 1] - free[s] == size - 1]
+            if not runs:
+                continue
+            indices = rng.choice(runs)
+        free = [i for i in free if i not in indices]
+        occurrences.append(MweOccurrence(
+            tuple(indices), tuple(tokens[i] for i in indices), "general"))
+    collapsed, _ = collapse_tokens(tokens, occurrences)
+    out_a = random_edges(rng, tokens, n)
+    out_b = random_edges(rng, collapsed, len(collapsed) + 3)
+    return tokens, occurrences, out_a, out_b, collapsed
+
+
+def reference_inverts_collapse(tokens, occurrences, collapsed, indices):
+    """Whether the reference helpers send each collapsed index in `indices`
+    where collapse_tokens took it from (read off the t<index> token
+    names, or shifted by all merged units past the end)."""
+    mwe = {occ.joined: occ for occ in occurrences}
+    positions = reference_collapsed_positions(occurrences)
+    shift = len(tokens) - len(collapsed)
+    for c in indices:
+        word = collapsed[c] if c < len(collapsed) else None
+        if word in mwe:
+            if positions.get(c) is not mwe[word]:
+                return False
+        elif c in positions:
+            return False
+        else:
+            expected = int(word[1:]) if word else c + shift
+            if reference_to_original_index(c, occurrences) != expected:
+                return False
+    return True
+
+
+class TestCombineOracle:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_matches_reference_helpers(self, scheme):
+        rng = random.Random(SCHEMES.index(scheme))
+        compared = {"discontinuous": 0, "past_end": 0}
+        for _ in range(600):
+            tokens, occurrences, out_a, out_b, collapsed = \
+                random_combination(rng)
+            out = combine_models(out_a, out_b, occurrences, scheme)
+            # every edge lands on the original token carrying its word
+            for d in out:
+                for index, word in ((d.i, d.word_i), (d.j, d.word_j)):
+                    assert word == (tokens[index] if index < len(tokens)
+                                    else "p%d" % (index - len(tokens)
+                                                  + len(collapsed)))
+            used = {index for d in out_b for index in (d.i, d.j)}
+            if not reference_inverts_collapse(tokens, occurrences,
+                                              collapsed, used):
+                # the shift arithmetic only fails on a gap in a unit span
+                assert not all(occ.is_continuous() for occ in occurrences)
+                continue
+            expected = reference_combine_models(out_a, out_b, occurrences,
+                                                scheme)
+            assert [d.key() for d in out] == [d.key() for d in expected]
+            compared["discontinuous"] += not all(
+                occ.is_continuous() for occ in occurrences)
+            compared["past_end"] += max(used, default=0) >= len(collapsed)
+        assert min(compared.values()) >= 20, compared
+
+    def test_gap_token_maps_to_itself(self):
+        occ = MweOccurrence((0, 2), ("a", "c"), "general")
+        collapsed, _ = collapse_tokens(["a", "b", "c", "d"], [occ])
+        assert collapsed == ["a+c", "b", "d"]
+        out_b = [dep(1, 2, "N/N", 1, "b", "d")]
+        out = combine_models([], out_b, [occ], "rightmostMed")
+        assert [(d.i, d.j) for d in out] == [(1, 3)]
+        # the reference sent b to c's index
+        assert reference_to_original_index(1, [occ]) == 2
 
 
 def exhaustive_p_value(counts_x, counts_y):

@@ -42,8 +42,6 @@ TEXT = st.lists(LINE, max_size=8).map("\n".join)
 READERS = [
     pytest.param(read_treebank, TreebankFormatError, id="treebank"),
     pytest.param(read_dependencies, TreebankFormatError, id="dependencies"),
-    pytest.param(lambda path: read_dependencies(path, unique=True),
-                 TreebankFormatError, id="dependencies-unique"),
     pytest.param(read_tokens, TreebankFormatError, id="tokens"),
     pytest.param(read_lexicon, LexiconError, id="lexicon"),
     pytest.param(read_occurrences, TreebankFormatError, id="occurrences"),

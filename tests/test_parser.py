@@ -309,8 +309,8 @@ class TestExtractDependencies:
         rec = read_treebank(os.path.join(fixtures_dir,
                                          "fig_dep1_sentence.tb"))[0]
         deps = extract_dependencies(rec.tree)
-        gold = dict(read_dependencies(os.path.join(fixtures_dir,
-                                                   "fig_dep1.deps")))["dep1"]
+        gold = read_dependencies(os.path.join(fixtures_dir,
+                                              "fig_dep1.deps"))["dep1"]
         assert sorted(d.key() for d in deps) == sorted(d.key() for d in gold)
 
     def test_edge_count_equals_combination_nodes(self, corpus):

@@ -200,7 +200,7 @@ class TestDependencyFiles:
     def test_file_indices_are_one_based(self, tmp_path):
         path = tmp_path / "d.deps"
         path.write_text("ID 9\n2\t1\tN/N\t1\tvinken\tmr.\n")
-        (sid, deps), = read_dependencies(str(path))
+        (sid, deps), = read_dependencies(str(path)).items()
         assert sid == "9"
         dep = deps[0]
         assert (dep.i, dep.j) == (1, 0)
@@ -210,7 +210,7 @@ class TestDependencyFiles:
     def test_mediating_edge_line(self, tmp_path):
         path = tmp_path / "d.deps"
         path.write_text("ID 1\n1\t2\t(S\\NP)/NP\t1\tmr.+vinken\tis\n")
-        (_, deps), = read_dependencies(str(path))
+        deps, = read_dependencies(str(path)).values()
         assert deps[0].i == 0 and deps[0].j == 1
         assert deps[0].word_i == "mr.+vinken"
 
@@ -218,13 +218,14 @@ class TestDependencyFiles:
         source = os.path.join(fixtures_dir, "fig_dep1.deps")
         items = read_dependencies(source)
         out = tmp_path / "copy.deps"
-        write_dependencies(str(out), items)
+        write_dependencies(str(out), items.items())
         assert out.read_text(encoding="utf-8") == \
             open(source, encoding="utf-8").read()
 
     def test_dep1_has_ten_edges(self, fixtures_dir):
-        items = read_dependencies(os.path.join(fixtures_dir, "fig_dep1.deps"))
-        assert len(items[0][1]) == 10
+        deps, = read_dependencies(os.path.join(fixtures_dir,
+                                               "fig_dep1.deps")).values()
+        assert len(deps) == 10
 
     def test_empty_sentence_writes_header_only(self, tmp_path):
         path = tmp_path / "d.deps"
@@ -274,15 +275,17 @@ class TestDependencyFiles:
     def test_repeated_sentence_id(self, tmp_path):
         path = tmp_path / "d.deps"
         path.write_text("ID 46\n1\t2\tN/N\t1\ta\tb\nID 47\nID 46\n")
-        assert [sid for sid, _ in read_dependencies(str(path))] == \
-            ["46", "47", "46"]
         with pytest.raises(TreebankFormatError) as err:
-            read_dependencies(str(path), unique=True)
+            read_dependencies(str(path))
         assert str(err.value) == "%s line 4: duplicate sentence id 46" % path
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             Dependency(3, 3, parse_category("N/N"), 1, "a", "a")
+
+    def test_negative_endpoint_rejected(self):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            Dependency(-1, 3, parse_category("N/N"), 1, "a", "b")
 
 
 class TestLexicon:
@@ -336,6 +339,7 @@ class TestOccurrenceAndCountFiles:
         ("7\t1,1\ta+b\tgeneral", "strictly increasing"),
         ("7\t-1,0\ta+b\tgeneral", "0-based"),
         ("7\t0,1\ta+b", "expected 4 tab-separated fields"),
+        ("\t0,1\ta+b\tgeneral", "empty sentence id"),
     ])
     def test_malformed_occurrence_names_file_and_line(self, tmp_path, line,
                                                       message):

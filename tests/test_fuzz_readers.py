@@ -4,6 +4,7 @@ file (``[config] <file> line N:``, or ``[config] <key>:`` for a value,
 from read_config)."""
 
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -39,9 +40,21 @@ LINE = st.one_of(st.sampled_from(VALID_LINES),
                  st.builds("{} = {}".format, PIECE, PIECE))
 TEXT = st.lists(LINE, max_size=8).map("\n".join)
 
+
+def read_dependency_headers(path):
+    """read_dependencies on the file with every line not starting with
+    ``ID`` blanked, so its sentence-id checks (empty, repeated) are reached
+    without an edge line failing first; the file keeps its line numbers."""
+    data = Path(path).read_bytes()
+    Path(path).write_bytes(re.sub(rb"(?m)^(?!ID)[^\n]*", b"", data))
+    return read_dependencies(path)
+
+
 READERS = [
     pytest.param(read_treebank, TreebankFormatError, id="treebank"),
     pytest.param(read_dependencies, TreebankFormatError, id="dependencies"),
+    pytest.param(read_dependency_headers, TreebankFormatError,
+                 id="dependencies-unique"),
     pytest.param(read_tokens, TreebankFormatError, id="tokens"),
     pytest.param(read_lexicon, LexiconError, id="lexicon"),
     pytest.param(read_occurrences, TreebankFormatError, id="occurrences"),

@@ -39,39 +39,35 @@ def _add_recognize(sub):
     source.add_argument("--tokens", help="token file to scan instead")
     cmd.add_argument("--lexicon", required=True)
     cmd.add_argument("--preset", choices=sorted(recognition.PRESETS),
-                     help="one of the five recognizer presets")
-    cmd.add_argument("--detector", default="exhaustive",
-                     choices=recognition.DETECTORS)
-    cmd.add_argument("--filters", default="continuous",
-                     help="comma-separated filter list")
-    cmd.add_argument("--resolver", default="longest",
-                     choices=recognition.RESOLVERS)
+                     help="a recognizer preset; excludes the three flags below")
+    cmd.add_argument("--detector", choices=recognition.DETECTORS)
+    cmd.add_argument("--filters", help="comma-separated filter list")
+    cmd.add_argument("--resolver", choices=recognition.RESOLVERS)
     cmd.add_argument("--output", required=True)
-    cmd.set_defaults(run=_run_recognize)
+    cmd.set_defaults(run=_run_recognize, usage_error=cmd.error)
 
 
-def _recognizer_from_args(args):
-    if args.preset:
-        return recognition.PRESETS[args.preset]
-    filters = tuple(p.strip() for p in args.filters.split(",") if p.strip())
-    return recognition.RecognizerConfig(args.detector, filters, args.resolver)
-
-
-def _token_records(sentences, ids=None):
-    """Tree-less records for token lists, numbered 1..n unless ids given."""
-    ids = ids or [str(i) for i in range(1, len(sentences) + 1)]
-    return [treebank.SentenceRecord(sid, None, tokens)
-            for sid, tokens in zip(ids, sentences)]
+def _numbered(sentences):
+    """{sentence id: [token]} for token lists, numbered 1..n."""
+    return {str(i): tokens for i, tokens in enumerate(sentences, 1)}
 
 
 def _run_recognize(args):
+    flags = {name: value for name, value in vars(args).items()
+             if name in ("detector", "filters", "resolver") and value is not None}
+    if args.preset and flags:
+        args.usage_error("argument --%s: not allowed with argument --preset"
+                         % next(iter(flags)))
+    config = (recognition.PRESETS[args.preset] if args.preset
+              else pipeline.config_from_values(flags).recognizer)
     if args.treebank is not None:
-        records = treebank.read_treebank(args.treebank)
+        tokens = {r.sid: r.tokens
+                  for r in treebank.read_treebank(args.treebank)}
     else:
-        records = _token_records(treebank.read_tokens(args.tokens))
+        tokens = _numbered(treebank.read_tokens(args.tokens))
     lexicon = treebank.read_lexicon(args.lexicon)
     treebank.write_occurrences(args.output, pipeline.recognize_corpus(
-        lexicon, records, _recognizer_from_args(args)))
+        lexicon, tokens, config))
 
 
 def _add_collapse(sub):
@@ -88,24 +84,25 @@ def _run_collapse(args):
     records = treebank.read_treebank(args.treebank)
     occurrences = treebank.read_occurrences(args.occurrences)
     deps = (treebank.read_dependencies(args.dependencies) if args.dependencies
-            else dict(pipeline.extract_corpus(records)))
+            else pipeline.extract_corpus(records))
     collapsed = pipeline.collapse_corpus(records, occurrences, deps)
     os.makedirs(args.output_dir, exist_ok=True)
 
     def at(name):
         return os.path.join(args.output_dir, name)
 
-    treebank.write_treebank(at("treebank_b.txt"), [c.record for c in collapsed])
-    treebank.write_dependencies(at("deps_b.deps"),
-                                [(c.record.sid, c.deps) for c in collapsed])
+    treebank.write_treebank(at("treebank_b.txt"),
+                            [c.record for c in collapsed.values()])
+    treebank.write_dependencies(at("deps_b.deps"), {
+        sid: c.deps for sid, c in collapsed.items()})
     treebank.write_tokens(at("tokens_b.txt"),
-                          [c.record.tokens for c in collapsed])
+                          [c.record.tokens for c in collapsed.values()])
     with open(at("collapse_stats.tsv"), "w", encoding="utf-8") as handle:
         handle.write("# id\tkept\tdiscarded\tcycles\n")
         handle.writelines("%s\t%d\t%d\t%d\n"
-                          % (c.record.sid, len(c.outcome.kept),
+                          % (sid, len(c.outcome.kept),
                              len(c.outcome.discarded), c.cycles)
-                          for c in collapsed)
+                          for sid, c in collapsed.items())
 
 
 def _add_train(sub):
@@ -136,16 +133,15 @@ def _add_parse(sub):
 def _run_parse(args):
     model = parser.load_model(args.model)
     sentences = treebank.read_tokens(args.tokens)
-    ids = None
+    corpus = _numbered(sentences)
     if args.ids:
-        with treebank.Lines(args.ids) as lines:
-            ids = [line.strip() for line in lines]
+        ids = treebank.read_ids(args.ids)
         if len(ids) != len(sentences):
             raise pipeline.PipelineError(
                 "parse", "%s has %d ids for %d sentences in %s"
                 % (args.ids, len(ids), len(sentences), args.tokens))
-    deps, parsed = pipeline.parse_corpus(
-        model, _token_records(sentences, ids), "parse", {})
+        corpus = dict(zip(ids, sentences))
+    deps, parsed = pipeline.parse_corpus(model, corpus, "parse", {})
     treebank.write_dependencies(args.output, deps)
     if args.trees:
         treebank.write_treebank(args.trees, parsed)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .categories import arity, render
 from .collapse import build_index_map, check_occurrences
-from .treebank import Dependency
+from .treebank import Dependency, check_ids
 
 INTERNAL = "internal"
 MEDIATING = "mediating"
@@ -74,14 +74,9 @@ def score(system, gold, labeled=False):
     Raises ValueError listing the ids when the two sides cover different
     sentences.
     """
-    if set(system) != set(gold):
-        missing = sorted(set(gold) - set(system))
-        extra = sorted(set(system) - set(gold))
-        raise ValueError("sentence ids do not match: missing from system %s, "
-                         "unknown to gold %s" % (missing, extra))
-    per_sentence = {}
-    for sid in sorted(system):
-        per_sentence[sid] = sentence_counts(system[sid], gold[sid], labeled)
+    check_ids(system, gold, "system ids differ from gold's")
+    per_sentence = {sid: sentence_counts(system[sid], gold[sid], labeled)
+                    for sid in sorted(system)}
     correct = sum(c for c, _, _ in per_sentence.values())
     attempted = sum(a for _, a, _ in per_sentence.values())
     gold_total = sum(g for _, _, g in per_sentence.values())
@@ -228,11 +223,7 @@ def sig_test(counts_x, counts_y, iterations=10000, seed=0):
     check_iterations(iterations)
     import numpy as np
 
-    if set(counts_x) != set(counts_y):
-        missing = sorted(set(counts_x) - set(counts_y))
-        extra = sorted(set(counts_y) - set(counts_x))
-        raise ValueError("sentence ids do not match between systems: missing "
-                         "from Y %s, unknown to X %s" % (missing, extra))
+    check_ids(counts_y, counts_x, "Y ids differ from X's")
     sids = sorted(counts_x)
     if not sids:
         raise ValueError("no sentences to test")

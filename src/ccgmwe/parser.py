@@ -127,8 +127,6 @@ def train(records, smoothing=0.0):
     token_freq = Counter()
     root_counts = Counter()
     for record in records:
-        if record.tree is None:
-            raise ValueError("sentence %s has no tree" % record.sid)
         root_counts[record.tree.category] += 1
         stack = [record.tree]
         while stack:

@@ -15,6 +15,7 @@ pure function of the configuration and input files.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -179,19 +180,28 @@ def write_splits(directory, splits):
 
 
 # ----------------------------------------------------------------------
-# Corpus stages, shared by run_pipeline and the subcommands: each takes
-# records and returns per-sentence results in input order.
+# Corpus stages, shared by run_pipeline and the subcommands.  A corpus is a
+# {sentence id: value} dict in corpus order, a treebank a SentenceRecord list.
 # ----------------------------------------------------------------------
 
-def recognize_corpus(lexicon, records, config):
-    """(sentence id, [MweOccurrence]) for each record."""
-    return [(r.sid, recognition.recognize(lexicon, r.tokens, config))
-            for r in records]
+@contextmanager
+def _stage(stage, sid=None):
+    """Re-raise an OSError or ValueError in the block as PipelineError."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise PipelineError(stage, str(exc), sid) from exc
+
+
+def recognize_corpus(lexicon, tokens, config):
+    """{sentence id: [MweOccurrence]} for {sentence id: [token]}."""
+    return {sid: recognition.recognize(lexicon, words, config)
+            for sid, words in tokens.items()}
 
 
 def extract_corpus(records):
-    """(sentence id, [Dependency]) of each record's tree."""
-    return [(r.sid, parser.extract_dependencies(r.tree)) for r in records]
+    """{sentence id: [Dependency]} of each record's tree."""
+    return {r.sid: parser.extract_dependencies(r.tree) for r in records}
 
 
 @dataclass
@@ -212,86 +222,78 @@ def collapse_corpus(records, occurrences, deps, stage="collapse"):
     the record's tokens; `deps` maps every record's id to its
     dependencies.  Occurrences for an id that names no record, or
     dependencies for other ids than the records', raise PipelineError.
-    Returns one Collapsed per record.
+    Returns {sentence id: Collapsed} in record order.
     """
     ids = {r.sid for r in records}
-    orphans = sorted(set(occurrences) - ids)
-    if orphans:
-        raise PipelineError(stage, "occurrences for sentence ids not in the "
-                            "treebank: %s" % ", ".join(orphans))
-    if set(deps) != ids:
-        raise PipelineError(stage, "dependency ids differ from the treebank's:"
-                            " missing %s, unknown %s"
-                            % (sorted(ids - set(deps)), sorted(set(deps) - ids)))
-    out = []
+    with _stage(stage):
+        orphans = sorted(set(occurrences) - ids)
+        if orphans:
+            raise ValueError("occurrences for sentence ids not in the "
+                             "treebank: %s" % ", ".join(orphans))
+        treebank.check_ids(deps, ids,
+                           "dependency ids differ from the treebank's")
+    out = {}
     for record in records:
-        try:
+        with _stage(stage, record.sid):
             occs = recognition.rebind_tokens(occurrences.get(record.sid, []),
                                              record.tokens)
             outcome = collapsing.collapse_tree(record.tree, occs)
             collapsed = collapsing.collapse_dependencies(deps[record.sid],
                                                          outcome)
-        except ValueError as exc:
-            raise PipelineError(stage, str(exc), record.sid) from exc
         tokens = record.tokens if outcome.tokens is None else outcome.tokens
-        out.append(Collapsed(
+        out[record.sid] = Collapsed(
             treebank.SentenceRecord(record.sid, outcome.tree, tokens),
-            collapsed, outcome, collapsing.detect_cycles(collapsed)))
+            collapsed, outcome, collapsing.detect_cycles(collapsed))
     return out
 
 
-def parse_corpus(model, records, stage, memo):
-    """Parse each record's tokens; data errors abort with the sentence id.
+def parse_corpus(model, tokens, stage, memo):
+    """Parse each sentence of {sentence id: [token]}; data errors abort
+    with the sentence id.
 
-    Returns (deps, parsed): deps holds (sentence id, [Dependency]) for
-    every record, empty where parsing failed, and parsed a SentenceRecord
-    with the derivation of each record that parsed.  `memo` maps a token
+    Returns (deps, parsed): deps is {sentence id: [Dependency]} for every
+    sentence, empty where parsing failed, and parsed a SentenceRecord with
+    the derivation of each sentence that parsed.  `memo` maps a token
     tuple to its (tree, dependencies) under `model`, so a sentence repeated
     across passes is parsed once per model; the outputs are shared, never
     mutated downstream.
     """
-    deps = []
+    deps = {}
     parsed = []
-    for record in records:
-        key = tuple(record.tokens)
+    for sid, words in tokens.items():
+        key = tuple(words)
         outcome = memo.get(key)
         if outcome is None:
-            try:
-                result = parser.parse(model, record.tokens)
-            except ValueError as exc:
-                raise PipelineError(stage, str(exc), record.sid) from exc
+            with _stage(stage, sid):
+                result = parser.parse(model, words)
             outcome = memo[key] = (
                 result.tree, [] if result.tree is None
                 else parser.extract_dependencies(result.tree))
-        deps.append((record.sid, outcome[1]))
+        deps[sid] = outcome[1]
         if outcome[0] is not None:
-            parsed.append(treebank.SentenceRecord(record.sid, outcome[0],
-                                                  record.tokens))
+            parsed.append(treebank.SentenceRecord(sid, outcome[0], words))
     return deps, parsed
 
 
 def combine_corpus(out_a, out_b, occurrences, scheme, tokens, tokens_path):
     """Combine each sentence of out_a, {sentence id: [Dependency]} on
     original tokens, with out_b's dependencies on collapsed tokens; returns
-    (sentence id, [Dependency]) pairs in out_a's order.
+    {sentence id: [Dependency]} in out_a's order.
 
     `tokens`, read from `tokens_path`, holds the original tokens of each
     out_a sentence in order.  Every out_a edge's words must match them, and
     the occurrences are re-bound to them.  out_b must hold exactly out_a's
     sentence ids; a sentence that failed to parse has an empty edge list.
     """
-    if set(out_b) != set(out_a):
-        raise PipelineError("combine", "out_b ids differ from out_a's: "
-                            "missing %s, unknown %s"
-                            % (sorted(set(out_a) - set(out_b)),
-                               sorted(set(out_b) - set(out_a))))
+    with _stage("combine"):
+        treebank.check_ids(out_b, out_a, "out_b ids differ from out_a's")
     if len(tokens) != len(out_a):
         raise PipelineError("combine", "%s has %d token lines for %d "
                             "sentences of out_a"
                             % (tokens_path, len(tokens), len(out_a)))
-    combined = []
+    combined = {}
     for lineno, (sid, line) in enumerate(zip(out_a, tokens), 1):
-        try:
+        with _stage("combine", sid):
             for dep in out_a[sid]:
                 for index, word in ((dep.i, dep.word_i), (dep.j, dep.word_j)):
                     if index >= len(line) or line[index] != word:
@@ -299,18 +301,9 @@ def combine_corpus(out_a, out_b, occurrences, scheme, tokens, tokens_path):
                                          % (tokens_path, lineno, word,
                                             index + 1))
             occs = recognition.rebind_tokens(occurrences.get(sid, []), line)
-            combined.append((sid, evaluation.combine_models(
-                out_a[sid], out_b[sid], occs, scheme)))
-        except ValueError as exc:
-            raise PipelineError("combine", str(exc), sid) from exc
+            combined[sid] = evaluation.combine_models(out_a[sid], out_b[sid],
+                                                      occs, scheme)
     return combined
-
-
-def _train(records, smoothing, stage):
-    try:
-        return parser.train(records, smoothing)
-    except ValueError as exc:
-        raise PipelineError(stage, str(exc)) from exc
 
 
 def _fmt(value):
@@ -332,49 +325,48 @@ def run_pipeline(config):
     def out(name):
         return os.path.join(config.output, name)
 
-    try:
+    with _stage("load"):
         records = treebank.read_treebank(config.treebank)
         lexicon = treebank.read_lexicon(config.lexicon)
-    except (OSError, ValueError) as exc:
-        raise PipelineError("load", str(exc)) from exc
     splits = split_records(records, config)
     write_splits(config.output, splits)
-    test = splits["test"]
+    test = {r.sid: r.tokens for r in splits["test"]}
 
     def write_deps(name, deps):
-        """Write {sentence id: [Dependency]} in test-split order."""
-        treebank.write_dependencies(out(name),
-                                    [(r.sid, deps[r.sid]) for r in test])
+        treebank.write_dependencies(out(name), deps)
         return deps
 
     # recognize, then collapse the whole treebank: gold standards A and B
-    gold = dict(extract_corpus(records))
-    found = recognize_corpus(lexicon, records, config.recognizer)
-    treebank.write_occurrences(out("occurrences.tsv"), found)
-    occurrences = dict(found)
+    gold = extract_corpus(records)
+    occurrences = recognize_corpus(lexicon, {r.sid: r.tokens for r in records},
+                                   config.recognizer)
+    treebank.write_occurrences(out("occurrences.tsv"), occurrences)
     collapsed = collapse_corpus(records, occurrences, gold)
-    treebank.write_treebank(out("treebank_b.txt"), [c.record for c in collapsed])
-    by_id = {c.record.sid: c for c in collapsed}
-    gold_a = write_deps("gold_a.deps", {r.sid: gold[r.sid] for r in test})
-    gold_b = write_deps("gold_b.deps", {r.sid: by_id[r.sid].deps for r in test})
-    write_deps("gold_b_full.deps", {r.sid: collapsing.collapse_all_dependencies(
-        gold[r.sid], occurrences[r.sid]) for r in test})
+    treebank.write_treebank(out("treebank_b.txt"),
+                            [c.record for c in collapsed.values()])
+    gold_a = write_deps("gold_a.deps", {sid: gold[sid] for sid in test})
+    gold_b = write_deps("gold_b.deps",
+                        {sid: collapsed[sid].deps for sid in test})
+    write_deps("gold_b_full.deps", {sid: collapsing.collapse_all_dependencies(
+        gold[sid], occurrences[sid]) for sid in test})
 
     # test tokens: original, gold-collapsed, and fully collapsed (every
     # recognized MWE treated as a sibling)
-    gold_test = [by_id[r.sid].record for r in test]
-    full_test = [treebank.SentenceRecord(r.sid, None, collapsing.collapse_tokens(
-        r.tokens, occurrences[r.sid])[0]) for r in test]
+    gold_test = {sid: collapsed[sid].record.tokens for sid in test}
+    full_test = {sid: collapsing.collapse_tokens(tokens, occurrences[sid])[0]
+                 for sid, tokens in test.items()}
     for name, sentences in (("tokens_test.txt", test),
                             ("tokens_test_collapsed.txt", gold_test),
                             ("tokens_test_fully_collapsed.txt", full_test)):
-        treebank.write_tokens(out(name), [r.tokens for r in sentences])
+        treebank.write_tokens(out(name), sentences.values())
 
     # model A on original tokens, model B on the collapsed treebank
-    model_a = _train(splits["train"], config.smoothing, "train-a")
+    with _stage("train-a"):
+        model_a = parser.train(splits["train"], config.smoothing)
     parser.save_model(out("model_a.tsv"), model_a)
-    model_b = _train([by_id[r.sid].record for r in splits["train"]],
-                     config.smoothing, "train-b")
+    with _stage("train-b"):
+        model_b = parser.train([collapsed[r.sid].record
+                                for r in splits["train"]], config.smoothing)
     parser.save_model(out("model_b.tsv"), model_b)
     memos = {}
 
@@ -382,7 +374,7 @@ def run_pipeline(config):
         """One parse pass, memoised per model; writes its dependencies."""
         deps, parsed = parse_corpus(model, sentences, stage,
                                     memos.setdefault(id(model), {}))
-        return write_deps(name, dict(deps)), parsed
+        return write_deps(name, deps), parsed
 
     out_a, parsed_a = parse_pass(model_a, test, "parse-a", "out_a.deps")
     out_b, parsed_b = parse_pass(model_b, gold_test, "parse-b", "out_b.deps")
@@ -390,27 +382,26 @@ def run_pipeline(config):
     # before/after parsing routes against gold B
     out_a_before, _ = parse_pass(model_a, gold_test, "parse-a-before",
                                  "out_a_before.deps")
-    after = {c.record.sid: c.deps for c in collapse_corpus(
+    after = {sid: c.deps for sid, c in collapse_corpus(
         parsed_a, {r.sid: occurrences[r.sid] for r in parsed_a},
-        {r.sid: out_a[r.sid] for r in parsed_a}, "collapse-out-a")}
+        {r.sid: out_a[r.sid] for r in parsed_a}, "collapse-out-a").items()}
     out_a_after = write_deps("out_a_after.deps",
-                             {sid: after.get(sid, []) for sid in out_a})
+                             {sid: after.get(sid, []) for sid in test})
     out_a_full_before, _ = parse_pass(model_a, full_test, "parse-a-full",
                                       "out_a_full_before.deps")
     out_a_full_after = write_deps("out_a_full_after.deps", {
-        r.sid: collapsing.collapse_all_dependencies(out_a[r.sid],
-                                                    occurrences[r.sid])
-        for r in test})
+        sid: collapsing.collapse_all_dependencies(out_a[sid], occurrences[sid])
+        for sid in test})
     out_b_full, _ = parse_pass(model_b, full_test, "parse-b-full",
                                "out_b_full.deps")
 
     # model combination against gold A, as `combine` computes it from files
     def combine(name, deps_b, occs, scheme):
-        return write_deps(name % scheme, dict(combine_corpus(
-            out_a, deps_b, occs, scheme,
-            [r.tokens for r in test], out("tokens_test.txt"))))
+        return write_deps(name % scheme, combine_corpus(
+            out_a, deps_b, occs, scheme, test.values(),
+            out("tokens_test.txt")))
 
-    kept = {c.record.sid: c.outcome.kept for c in collapsed}
+    kept = {sid: c.outcome.kept for sid, c in collapsed.items()}
     combined = {scheme: combine("combined_%s.deps", out_b, kept, scheme)
                 for scheme in config.schemes}
     combined_full = {scheme: combine("combined_full_%s.deps", out_b_full,
@@ -421,10 +412,8 @@ def run_pipeline(config):
     rows = []
 
     def evaluate(gold_name, section, system_name, system, gold):
-        try:
+        with _stage("eval"):
             report = evaluation.score(system, gold)
-        except ValueError as exc:
-            raise PipelineError("eval", str(exc)) from exc
         rows.append(EvalRow(gold_name, section, system_name, report))
         return report
 
@@ -463,13 +452,13 @@ def run_pipeline(config):
     if "medFromA" in config.schemes:
         significance("combination-medFromA", rep_combined["medFromA"], rep_a)
 
-    sibling_total = sum(len(c.outcome.kept) for c in collapsed)
-    mwe_total = sibling_total + sum(len(c.outcome.discarded) for c in collapsed)
+    sibling_total = sum(map(len, kept.values()))
+    mwe_total = sum(map(len, occurrences.values()))
     stats = {
         "mwe_count": mwe_total,
         "sibling_count": sibling_total,
         "sibling_pct": 100.0 * sibling_total / mwe_total if mwe_total else 0.0,
-        "cycles": sum(c.cycles for c in collapsed),
+        "cycles": sum(c.cycles for c in collapsed.values()),
         "parse_failures_a": len(test) - len(parsed_a),
         "parse_failures_b": len(gold_test) - len(parsed_b),
     }
@@ -500,13 +489,10 @@ def _write_report(path, rows, stats, sig_rows):
 
 
 def _write_summary(path, config, rows, stats, sig_rows):
-    lines = []
-    lines.append("Experiment summary")
-    lines.append("==================")
-    lines.append("recognizer: detector=%s filters=%s resolver=%s"
-                 % (config.recognizer.detector,
-                    ",".join(config.recognizer.filters),
-                    config.recognizer.resolver))
+    lines = ["Experiment summary", "==================",
+             "recognizer: detector=%s filters=%s resolver=%s"
+             % (config.recognizer.detector, ",".join(config.recognizer.filters),
+                config.recognizer.resolver)]
     lines.append("recognized MWEs: %d, siblings: %d (%.2f%%), cycles: %d"
                  % (stats["mwe_count"], stats["sibling_count"],
                     stats["sibling_pct"], stats["cycles"]))

@@ -182,7 +182,7 @@ def recognize(lexicon, tokens, config):
 
 def rebind_tokens(occurrences, tokens):
     """Re-attach verbatim sentence tokens to occurrences loaded from a file
-    (the file stores only the lowercased joined form)."""
+    (the file stores only the lowercased joined form, which must match)."""
     out = []
     for occ in occurrences:
         if occ.indices[-1] >= len(tokens):
@@ -191,4 +191,8 @@ def rebind_tokens(occurrences, tokens):
         out.append(MweOccurrence(occ.indices,
                                  tuple(tokens[i] for i in occ.indices),
                                  occ.kind))
+        if out[-1].joined != occ.joined:
+            raise ValueError("occurrence %r at %s does not match the "
+                             "sentence's units %r" % (occ.joined, ",".join(
+                                 map(str, occ.indices)), out[-1].joined))
     return out

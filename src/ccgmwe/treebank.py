@@ -1,27 +1,32 @@
 """Data model and serialization for derivation trees, dependencies, token
 files and MWE lexicons.
 
-File formats (all UTF-8):
+File formats (all UTF-8); sentence ids are unique within every treebank,
+dependency, ids and counts file:
 
 * Treebank: per sentence a line ``ID <id>`` followed by one line with a
   parenthesized tree, ``(CAT child child)`` for internal nodes and
   ``(CAT token)`` for leaves.  Category strings follow categories.py and
   contain no whitespace; tokens contain neither whitespace nor parentheses.
 * Dependencies: per sentence a line ``ID <id>`` followed by one line per
-  edge, tab-separated ``i j cat_j arg_k word_i word_j``.  Ids are unique
-  within a file.  Indices are 1-based in files and 0-based in memory.
+  edge, tab-separated ``i j cat_j arg_k word_i word_j``.  Indices are
+  1-based in files and 0-based in memory.
 * Token file: one sentence per line, space-separated; collapsed MWE units
-  are joined by '+'.
+  are joined by '+'.  Ids file (``parse --ids``): one sentence id per line.
 * Lexicon: tab-separated ``unit1 unit2 ...  kind  mwe-count  c1;c2;...``.
-* Occurrences: tab-separated ``sentence-id  i1,i2,...  joined  kind``;
-  unit indices are 0-based and strictly increasing.
+* Occurrences: tab-separated ``sentence-id  i1,i2,...  joined  kind``, as
+  written by ``recognize`` (whose ``--preset`` excludes ``--detector``,
+  ``--filters`` and ``--resolver``); unit indices are 0-based and strictly
+  increasing, and joined must be the units' lowercased tokens joined by '+'.
 * Per-sentence counts: tab-separated ``sentence-id  correct  attempted
   gold``, one line per sentence sorted by id, as written by ``eval
   --per-sentence`` and ``run`` and read by ``sigtest``.
 
 Blank lines are skipped everywhere.  Every reader goes through Lines, so a
-malformed input line raises a typed error worded ``<file> line N:
-<reason>``, which the CLI prints before exiting with status 1.
+malformed input line, a repeated id among them, raises a typed error worded
+``<file> line N: <reason>``, which the CLI prints before exiting with status
+1.  Corpora that must hold the same sentences are compared by check_ids, as
+in ``system ids differ from gold's: missing [...], unknown [...]`` (eval).
 """
 
 from __future__ import annotations
@@ -119,8 +124,26 @@ class Dependency:
 @dataclass
 class SentenceRecord:
     sid: str
-    tree: DerivationTree | None = None
+    tree: DerivationTree
     tokens: list = field(default_factory=list)
+
+
+def check_ids(corpus, expected, what):
+    """Raise ValueError("<what>: missing [...], unknown [...]") unless the
+    sentence ids of `corpus` are exactly those of `expected`."""
+    if set(corpus) != set(expected):
+        raise ValueError("%s: missing %s, unknown %s"
+                         % (what, sorted(set(expected) - set(corpus)),
+                            sorted(set(corpus) - set(expected))))
+
+
+def _new_id(sid, seen):
+    """`sid`, if it is not empty and not in `seen`; else ValueError."""
+    if not sid:
+        raise ValueError("empty sentence id")
+    if sid in seen:
+        raise ValueError("duplicate sentence id %s" % sid)
+    return sid
 
 
 def leaf_nodes(tree):
@@ -210,26 +233,24 @@ def render_tree(tree):
 def read_treebank(path):
     """Read a treebank into SentenceRecords; tokens come from the tree
     leaves."""
-    records = []
+    records = {}
     sid = None
     with Lines(path) as lines:
         for line in lines:
             if line.startswith("ID "):
                 if sid is not None:
                     raise ValueError("sentence %s has no tree" % sid)
-                sid = line[3:].strip()
-                if not sid:
-                    raise ValueError("empty sentence id")
+                sid = _new_id(line[3:].strip(), records)
             elif sid is None:
                 raise ValueError("tree without an ID header")
             else:
                 tree = parse_tree(line)
                 tokens = [token for _, token in leaves(tree)]
-                records.append(SentenceRecord(sid, tree, tokens))
+                records[sid] = SentenceRecord(sid, tree, tokens)
                 sid = None
         if sid is not None:
             raise ValueError("sentence %s has no tree" % sid)
-    return records
+    return list(records.values())
 
 
 def write_treebank(path, records):
@@ -252,12 +273,7 @@ def read_dependencies(path):
     with Lines(path) as lines:
         for line in lines:
             if line.startswith("ID "):
-                sid = line[3:].strip()
-                if not sid:
-                    raise ValueError("empty sentence id")
-                if sid in out:
-                    raise ValueError("duplicate sentence id %s" % sid)
-                current = out[sid] = []
+                current = out[_new_id(line[3:].strip(), out)] = []
             elif current is None:
                 raise ValueError("dependency without an ID header")
             else:
@@ -278,10 +294,10 @@ def _parse_dependency(line):
     return Dependency(i - 1, j - 1, cat_j, arg_k, fields[4], fields[5])
 
 
-def write_dependencies(path, items):
-    """Write (sentence id, [Dependency]) pairs; indices become 1-based."""
+def write_dependencies(path, corpus):
+    """Write {sentence id: [Dependency]}; indices become 1-based."""
     with open(path, "w", encoding="utf-8") as handle:
-        for sid, deps in items:
+        for sid, deps in corpus.items():
             handle.write("ID %s\n" % sid)
             for dep in deps:
                 handle.write("%d\t%d\t%s\t%d\t%s\t%s\n"
@@ -296,6 +312,15 @@ def write_dependencies(path, items):
 def read_tokens(path):
     with Lines(path) as lines:
         return [line.split() for line in lines]
+
+
+def read_ids(path):
+    """The ids of an ids file in file order."""
+    ids = {}
+    with Lines(path) as lines:
+        for line in lines:
+            ids[_new_id(line.strip(), ids)] = None
+    return list(ids)
 
 
 def write_tokens(path, sentences):
@@ -389,11 +414,10 @@ def read_occurrences(path):
     return out
 
 
-def write_occurrences(path, items):
-    """Write (sentence id, [MweOccurrence]) pairs, one line per
-    occurrence."""
+def write_occurrences(path, corpus):
+    """Write {sentence id: [MweOccurrence]}, one line per occurrence."""
     with open(path, "w", encoding="utf-8") as handle:
-        for sid, occs in items:
+        for sid, occs in corpus.items():
             for occ in occs:
                 handle.write("%s\t%s\t%s\t%s\n"
                              % (sid, ",".join(str(i) for i in occ.indices),
@@ -412,10 +436,9 @@ def read_counts(path):
             fields = line.strip().split("\t")
             if len(fields) != 4:
                 raise ValueError("expected id, correct, attempted, gold")
-            if fields[0] in counts:
-                raise ValueError("duplicate sentence id %s" % fields[0])
-            counts[fields[0]] = tuple(int(f) for f in fields[1:])
-            if min(counts[fields[0]]) < 0:
+            sid = _new_id(fields[0], counts)
+            counts[sid] = tuple(int(f) for f in fields[1:])
+            if min(counts[sid]) < 0:
                 raise ValueError("counts must be non-negative")
     return counts
 

@@ -1,18 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a PASS line
 (run with `pytest tests/test_acceptance.py -v -s` to see them)."""
 
-import itertools
-import math
 import os
 import random
-import shutil
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from ccgmwe.collapse import (collapse_all_dependencies, collapse_dependencies,
                              collapse_tree)

@@ -136,13 +136,16 @@ class TestSubcommands:
         captured = capsys.readouterr().out
         assert "p\t1.0000" in captured
 
-    def test_eval_id_mismatch_fails(self, tmp_path, fixtures_dir):
+    def test_eval_id_mismatch_fails(self, tmp_path, fixtures_dir, capsys):
         other = tmp_path / "other.deps"
         other.write_text("ID nope\n")
         code = main(["eval", "--system",
                      os.path.join(fixtures_dir, "fig_dep1.deps"),
                      "--gold", str(other)])
         assert code == 1
+        assert capsys.readouterr().err == (
+            "error [eval] system ids differ from gold's: missing ['nope'], "
+            "unknown ['dep1']\n")
 
     def test_combine_round_trip(self, tmp_path, data_dir, fixtures_dir):
         sentence = os.path.join(fixtures_dir, "fig_dep1_sentence.tb")
@@ -247,6 +250,40 @@ class TestStageChecks:
             "error [collapse] occurrences for sentence ids not in the "
             "treebank: 99\n")
 
+    def test_collapse_rejects_occurrence_of_other_units(self, tmp_path,
+                                                         data_dir, capsys):
+        treebank = os.path.join(data_dir, "treebank.txt")
+        occ = tmp_path / "occ.tsv"
+        assert main(["recognize", "--treebank", treebank, "--lexicon",
+                     os.path.join(data_dir, "lexicon.tsv"), "--preset", "rec1",
+                     "--output", str(occ)]) == 0
+        lines = occ.read_text().splitlines(keepends=True)
+        assert lines[0] == "1\t0,1\tmr.+vinken\tproper-noun\n"
+        occ.write_text("".join(["1\t0,1\tfoo+bar\tproper-noun\n"] + lines[1:]))
+        assert main(["collapse", "--treebank", treebank,
+                     "--occurrences", str(occ),
+                     "--output-dir", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err == (
+            "error [collapse] occurrence 'foo+bar' at 0,1 does not match the "
+            "sentence's units 'mr.+vinken' (sentence 1)\n")
+
+    def test_combine_rejects_occurrence_of_other_units(self, rec1_out,
+                                                        tmp_path, capsys):
+        occurrences = tmp_path / "occ.tsv"
+        text = (rec1_out / "occurrences.tsv").read_text()
+        assert "46\t0,1\tmr.+spoon\tproper-noun\n" in text
+        occurrences.write_text(text.replace("46\t0,1\tmr.+spoon\t",
+                                            "46\t0,1\tmr.+vinken\t"))
+        assert main(["combine", "--out-a", str(rec1_out / "out_a.deps"),
+                     "--out-b", str(rec1_out / "out_b_full.deps"),
+                     "--occurrences", str(occurrences),
+                     "--tokens", str(rec1_out / "tokens_test.txt"),
+                     "--scheme", "rightmostMed",
+                     "--output", str(tmp_path / "c.deps")]) == 1
+        assert capsys.readouterr().err == (
+            "error [combine] occurrence 'mr.+vinken' at 0,1 does not match the "
+            "sentence's units 'mr.+spoon' (sentence 46)\n")
+
     def test_collapse_rejects_dependencies_for_other_ids(self, tmp_path,
                                                          data_dir, capsys):
         treebank = os.path.join(data_dir, "treebank.txt")
@@ -334,8 +371,8 @@ class TestStageChecks:
         y.write_text("46\t1\t2\t3\n48\t1\t2\t3\n")
         assert main(["sigtest", "--x", str(x), "--y", str(y)]) == 1
         assert capsys.readouterr().err == (
-            "error [sigtest] sentence ids do not match between systems: "
-            "missing from Y ['47'], unknown to X ['48']\n")
+            "error [sigtest] Y ids differ from X's: missing ['47'], "
+            "unknown ['48']\n")
 
     @pytest.mark.parametrize("both,message", [
         (False, "one of the arguments --treebank --tokens is required"),
@@ -356,7 +393,51 @@ class TestStageChecks:
         assert "error: %s\n" % message in err
         assert not output.exists()
 
-    def test_parse_keeps_one_block_per_id_line(self, rec1_out, tmp_path):
+    @pytest.mark.parametrize("flag,value", [
+        ("--detector", "proper-noun"), ("--filters", "continuous"),
+        ("--resolver", "leftmost")])
+    def test_recognize_preset_excludes_recognizer_flags(self, tmp_path,
+                                                        data_dir, capsys,
+                                                        flag, value):
+        output = tmp_path / "occ.tsv"
+        with pytest.raises(SystemExit) as exc:
+            main(["recognize", "--treebank",
+                  os.path.join(data_dir, "treebank.txt"), "--lexicon",
+                  os.path.join(data_dir, "lexicon.tsv"), "--preset", "rec1",
+                  flag, value, "--output", str(output)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ccgmwe recognize")
+        assert err.endswith("error: argument %s: not allowed with argument "
+                            "--preset\n" % flag)
+        assert not output.exists()
+
+    @pytest.mark.parametrize("command", ["run", "collapse", "split"])
+    def test_treebank_with_repeated_id_fails(self, tmp_path, data_dir, capsys,
+                                             command):
+        text = open(os.path.join(data_dir, "treebank.txt")).read()
+        treebank = tmp_path / "treebank.txt"
+        treebank.write_text(text.replace("ID 47\n", "ID 46\n"))
+        line = text[:text.index("ID 47\n")].count("\n") + 1
+        (tmp_path / "lexicon.tsv").write_bytes(
+            open(os.path.join(data_dir, "lexicon.tsv"), "rb").read())
+        out = tmp_path / "out"
+        occ = tmp_path / "occ.tsv"
+        occ.write_text("")
+        argv = {
+            "run": ["run", "--config", base_config(tmp_path, str(tmp_path))],
+            "collapse": ["collapse", "--treebank", str(treebank),
+                         "--occurrences", str(occ), "--output-dir", str(out)],
+            "split": ["split", "--treebank", str(treebank), "--train", "1-40",
+                      "--test", "46-60", "--output-dir", str(out)],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error [%s] %s line %d: duplicate sentence id 46\n"
+            % ("load" if command == "run" else command, treebank, line))
+        assert not out.exists()
+
+    def test_parse_rejects_repeated_id(self, rec1_out, tmp_path, capsys):
         tokens = tmp_path / "tokens.txt"
         first = (rec1_out / "tokens_test.txt").read_text().splitlines()[0]
         tokens.write_text("%s\n%s\n" % (first, first))
@@ -365,11 +446,10 @@ class TestStageChecks:
         parsed = tmp_path / "parsed.deps"
         assert main(["parse", "--model", str(rec1_out / "model_a.tsv"),
                      "--tokens", str(tokens), "--ids", str(ids),
-                     "--output", str(parsed)]) == 0
-        text = parsed.read_text()
-        first_block, second_block = text.split("ID 46\n")[1:]
-        assert text.startswith("ID 46\n")
-        assert first_block == second_block
+                     "--output", str(parsed)]) == 1
+        assert capsys.readouterr().err == (
+            "error [parse] %s line 2: duplicate sentence id 46\n" % ids)
+        assert not parsed.exists()
 
     def test_parse_id_count_mismatch_fails(self, rec1_out, tmp_path, capsys):
         ids = tmp_path / "ids.txt"

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ccgmwe.parser import load_model
 from ccgmwe.pipeline import CONFIG_KEYS, PipelineError, read_config
 from ccgmwe.treebank import (LexiconError, TreebankFormatError, read_counts,
-                             read_dependencies, read_lexicon,
+                             read_dependencies, read_ids, read_lexicon,
                              read_occurrences, read_tokens, read_treebank)
 
 # well-formed lines of every format, so examples also get past the field
@@ -56,6 +56,7 @@ READERS = [
     pytest.param(read_dependency_headers, TreebankFormatError,
                  id="dependencies-unique"),
     pytest.param(read_tokens, TreebankFormatError, id="tokens"),
+    pytest.param(read_ids, TreebankFormatError, id="ids"),
     pytest.param(read_lexicon, LexiconError, id="lexicon"),
     pytest.param(read_occurrences, TreebankFormatError, id="occurrences"),
     pytest.param(read_counts, TreebankFormatError, id="counts"),

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from ccgmwe.recognition import (MweOccurrence, PRESETS, RecognizerConfig,
-                                apply_filters, detect, recognize, resolve)
+                                apply_filters, detect, rebind_tokens,
+                                recognize, resolve)
 from ccgmwe.treebank import LexiconEntry, MweLexicon
 
 
@@ -194,3 +195,16 @@ class TestOccurrenceInvariants:
     def test_joined_form_is_lowercased(self):
         one = MweOccurrence((0, 1), ("Mr.", "Vinken"), "proper-noun")
         assert one.joined == "mr.+vinken"
+
+    def test_rebind_restores_verbatim_tokens(self):
+        loaded = MweOccurrence((1, 2), ("mr.", "vinken"), "proper-noun")
+        rebound, = rebind_tokens([loaded], ["So", "Mr.", "Vinken", "left"])
+        assert rebound.tokens == ("Mr.", "Vinken")
+        assert rebound.joined == "mr.+vinken"
+
+    def test_rebind_rejects_joined_form_of_other_units(self):
+        loaded = MweOccurrence((0, 1), ("foo", "bar"), "proper-noun")
+        with pytest.raises(ValueError) as err:
+            rebind_tokens([loaded], ["Mr.", "Vinken", "left"])
+        assert str(err.value) == ("occurrence 'foo+bar' at 0,1 does not match "
+                                  "the sentence's units 'mr.+vinken'")

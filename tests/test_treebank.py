@@ -7,9 +7,10 @@ from ccgmwe.categories import derivation_rule, parse_category, render
 from ccgmwe.collapse import collapse_tree
 from ccgmwe.recognition import MweOccurrence
 from ccgmwe.treebank import (Dependency, DerivationTree, LexiconError,
-                             TreebankFormatError, leaves, parse_tree,
-                             read_counts, read_dependencies, read_lexicon,
-                             read_occurrences, read_tokens, read_treebank,
+                             TreebankFormatError, check_ids, leaves,
+                             parse_tree, read_counts, read_dependencies,
+                             read_ids, read_lexicon, read_occurrences,
+                             read_tokens, read_treebank,
                              render_tree, write_counts, write_dependencies,
                              write_tokens, write_treebank)
 
@@ -80,6 +81,13 @@ class TestTreeParsing:
         path.write_text("(N x)\n")
         with pytest.raises(TreebankFormatError):
             read_treebank(str(path))
+
+    def test_repeated_sentence_id(self, tmp_path):
+        path = tmp_path / "bad.tb"
+        path.write_text("ID 46\n(N x)\nID 47\n(N y)\nID 46\n(N z)\n")
+        with pytest.raises(TreebankFormatError) as err:
+            read_treebank(str(path))
+        assert str(err.value) == "%s line 5: duplicate sentence id 46" % path
 
     def test_derivability_flag(self):
         assert is_derivable(parse_tree("(S\\NP ((S\\NP)/NP buys) (NP shares))"))
@@ -218,7 +226,7 @@ class TestDependencyFiles:
         source = os.path.join(fixtures_dir, "fig_dep1.deps")
         items = read_dependencies(source)
         out = tmp_path / "copy.deps"
-        write_dependencies(str(out), items.items())
+        write_dependencies(str(out), items)
         assert out.read_text(encoding="utf-8") == \
             open(source, encoding="utf-8").read()
 
@@ -229,7 +237,7 @@ class TestDependencyFiles:
 
     def test_empty_sentence_writes_header_only(self, tmp_path):
         path = tmp_path / "d.deps"
-        write_dependencies(str(path), [("7", [])])
+        write_dependencies(str(path), {"7": []})
         assert path.read_text() == "ID 7\n"
 
     def test_field_count_error_names_line(self, tmp_path):
@@ -378,3 +386,27 @@ class TestOccurrenceAndCountFiles:
             read_counts(str(path))
         assert str(err.value).startswith("%s line 2: " % path)
         assert message in str(err.value)
+
+
+class TestIds:
+    def test_ids_file_in_file_order(self, tmp_path):
+        path = tmp_path / "ids.txt"
+        path.write_text("47\n\n 46 \n")
+        assert read_ids(str(path)) == ["47", "46"]
+
+    def test_ids_file_rejects_repeated_id(self, tmp_path):
+        path = tmp_path / "ids.txt"
+        path.write_text("46\n47\n46\n")
+        with pytest.raises(TreebankFormatError) as err:
+            read_ids(str(path))
+        assert str(err.value) == "%s line 3: duplicate sentence id 46" % path
+
+    def test_check_ids_passes_equal_sets_in_any_order(self):
+        check_ids({"2": [], "1": []}, ["1", "2"], "x")
+
+    def test_check_ids_names_missing_and_unknown(self):
+        with pytest.raises(ValueError) as err:
+            check_ids({"3": [], "1": []}, {"1": [], "2": [], "10": []},
+                      "out_b ids differ from out_a's")
+        assert str(err.value) == ("out_b ids differ from out_a's: "
+                                  "missing ['10', '2'], unknown ['3']")

@@ -211,29 +211,20 @@ FORWARD_APPLY = "fa"
 BACKWARD_APPLY = "ba"
 FORWARD_COMPOSE = "fc"
 BACKWARD_COMPOSE = "bc"
+# rule -> the parent it derives from a (left, right) pair, or None
+_RULES = {
+    FORWARD_APPLY: lambda left, right: apply(left, right, FORWARD),
+    BACKWARD_APPLY: lambda left, right: apply(right, left, BACKWARD),
+    FORWARD_COMPOSE: lambda left, right: compose(left, right, FORWARD),
+    BACKWARD_COMPOSE: lambda left, right: compose(right, left, BACKWARD),
+}
 
 
 def combine(left, right):
-    """All parent categories derivable from a (left, right) pair.
-
-    Returns a list of (rule, parent) tuples in fixed precedence order:
-    forward application, backward application, forward composition,
-    backward composition.
-    """
-    out = []
-    parent = apply(left, right, FORWARD)
-    if parent is not None:
-        out.append((FORWARD_APPLY, parent))
-    parent = apply(right, left, BACKWARD)
-    if parent is not None:
-        out.append((BACKWARD_APPLY, parent))
-    parent = compose(left, right, FORWARD)
-    if parent is not None:
-        out.append((FORWARD_COMPOSE, parent))
-    parent = compose(right, left, BACKWARD)
-    if parent is not None:
-        out.append((BACKWARD_COMPOSE, parent))
-    return out
+    """All parent categories derivable from a (left, right) pair, as a list
+    of (rule, parent) tuples in the precedence order of _RULES."""
+    return [(rule, parent) for rule, derive in _RULES.items()
+            if (parent := derive(left, right)) is not None]
 
 
 @lru_cache(maxsize=None)

@@ -30,7 +30,10 @@ INTERNAL = "internal"
 MEDIATING = "mediating"
 EXTERNAL = "external"
 
-SCHEMES = ("medFromA", "rightmostMed", "leftmostMed")
+# scheme -> the unit an out_b MWE endpoint expands to (None: out_b edges
+# with an MWE endpoint are dropped and out_a's mediating edges kept)
+_MWE_UNIT = {"medFromA": None, "rightmostMed": -1, "leftmostMed": 0}
+SCHEMES = tuple(_MWE_UNIT)
 
 
 def f1(precision, recall):
@@ -127,8 +130,9 @@ def combine_models(out_a, out_b, occurrences, scheme):
     over the occurrences (which must be pairwise disjoint); an index past
     the last occurrence maps back with the total shift of all of them.
     """
-    if scheme not in SCHEMES:
+    if scheme not in _MWE_UNIT:
         raise ValueError("unknown combination scheme %r" % scheme)
+    unit = _MWE_UNIT[scheme]
     occurrences = check_occurrences(occurrences)
     membership_a = membership_from_occurrences(occurrences)
     n = 1 + max([-1] + [occ.indices[-1] for occ in occurrences])
@@ -137,48 +141,28 @@ def combine_models(out_a, out_b, occurrences, scheme):
     shift = n - len(original)
     positions = {index_map[occ.start]: occ for occ in occurrences}
 
-    def decollapse(index):
-        return original.get(index, index + shift)
+    def endpoint(index, word):
+        """The original-tokenization (index, word) of an out_b endpoint."""
+        occ = positions.get(index)
+        if occ is None:
+            return original.get(index, index + shift), word
+        return occ.indices[unit], occ.tokens[unit]
 
-    combined = []
-    for dep in out_a:
-        edge_class = classify_edge(dep, membership_a)
-        if edge_class == INTERNAL:
-            combined.append(dep)
-        elif edge_class == MEDIATING and scheme == "medFromA":
-            combined.append(dep)
+    from_a = (INTERNAL,) if unit is not None else (INTERNAL, MEDIATING)
+    combined = [dep for dep in out_a
+                if classify_edge(dep, membership_a) in from_a]
 
-    a_cats = {}
-    for dep in out_a:
-        a_cats.setdefault(dep.j, dep.cat_j)
+    a_cats = {dep.j: dep.cat_j for dep in reversed(out_a)}  # first one wins
 
     for dep in out_b:
-        occ_i = positions.get(dep.i)
-        occ_j = positions.get(dep.j)
-        if occ_i is None and occ_j is None:
-            combined.append(Dependency(decollapse(dep.i), decollapse(dep.j),
-                                       dep.cat_j, dep.arg_k, dep.word_i,
-                                       dep.word_j))
-            continue
-        if scheme == "medFromA":
-            continue
-        unit = -1 if scheme == "rightmostMed" else 0
-        if occ_i is not None:
-            i = occ_i.indices[unit]
-            word_i = occ_i.tokens[unit]
-        else:
-            i = decollapse(dep.i)
-            word_i = dep.word_i
-        if occ_j is not None:
-            j = occ_j.indices[unit]
-            word_j = occ_j.tokens[unit]
-            cat_j = a_cats.get(j, dep.cat_j)
-            if dep.arg_k > arity(cat_j):
-                cat_j = dep.cat_j      # keep the slot inside the category
-        else:
-            j = decollapse(dep.j)
-            word_j = dep.word_j
-            cat_j = dep.cat_j
+        if unit is None and (dep.i in positions or dep.j in positions):
+            continue                    # a mediating edge, taken from out_a
+        i, word_i = endpoint(dep.i, dep.word_i)
+        j, word_j = endpoint(dep.j, dep.word_j)
+        cat_j = dep.cat_j
+        # an expanded functor takes out_a's category if the slot fits it
+        if dep.j in positions and dep.arg_k <= arity(a_cats.get(j, cat_j)):
+            cat_j = a_cats.get(j, cat_j)
         combined.append(Dependency(i, j, cat_j, dep.arg_k, word_i, word_j))
     combined.sort(key=lambda d: d.key())
     return combined

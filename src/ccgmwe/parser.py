@@ -462,6 +462,18 @@ def _probability(text):
     return value
 
 
+def _at_least_one(text, what):
+    value = int(text)
+    if value < 1:
+        raise ValueError("%s must be at least 1, got %d" % (what, value))
+    return value
+
+
+# meta key -> converter of its value
+_META = {"smoothing": float,
+         "rare_threshold": lambda text: _at_least_one(text, "rare_threshold")}
+
+
 def load_model(path):
     rules = defaultdict(dict)
     lexical = defaultdict(dict)
@@ -476,8 +488,9 @@ def load_model(path):
                 raise ValueError("expected 4 fields")
             table, condition, outcome, value = fields
             if table == "meta":
-                meta[condition] = float(value) if condition == "smoothing" \
-                    else int(value)
+                if condition not in _META:
+                    raise ValueError("unknown meta key %r" % condition)
+                meta[condition] = _META[condition](value)
             elif table == "rule":
                 rules[parse_category(condition)][_parse_expansion(outcome)] = \
                     _probability(value)
@@ -488,7 +501,8 @@ def load_model(path):
                 backoff[condition][parse_category(outcome)] = \
                     _probability(value)
             elif table == "tokpos":
-                token_pos[condition][outcome] = int(value)
+                count = _at_least_one(value, "tokpos count")
+                token_pos[condition][outcome] = count
             elif table == "root":
                 roots[parse_category(outcome)] = _probability(value)
             else:

@@ -1,24 +1,35 @@
 """MWE recognition: detectors, filters and conflict resolvers.
 
-A recognizer is a three-stage cascade.  Detectors enumerate candidate
-occurrences of lexicon entries in a token sequence (case-insensitively,
-contiguous matches only).  Filters prune candidates; the continuity filter
-is always part of the cascade.  Resolvers turn the surviving candidate set
-into a conflict-free sequence in which no token belongs to two MWEs.
+A recognizer is a three-stage cascade, each stage dispatching by name
+through one table.  Detectors enumerate candidate occurrences of lexicon
+entries in a token sequence (case-insensitively, contiguous matches only);
+DETECTORS maps each to the lexicon kind it admits.  Filters prune
+candidates; _FILTERS maps each to its keep-predicate, and _keep also reads
+"constrain-length(n)".  The continuity filter is always part of the
+cascade.  Resolvers turn the surviving candidate set into a conflict-free
+sequence in which no token belongs to two MWEs; RESOLVERS maps each to the
+key it orders candidates by.  An unknown name fails the same lookup
+wherever it is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-DETECTORS = ("exhaustive", "proper-noun", "stop-word")
-RESOLVERS = ("longest", "leftmost")
+# detector -> the lexicon kind it admits (None: every kind)
+DETECTORS = {"exhaustive": None, "proper-noun": "proper-noun",
+             "stop-word": "stop-word"}
+# resolver -> the order in which it takes candidates
+RESOLVERS = {"longest": lambda c: (-len(c.indices), c.start, c.joined),
+             "leftmost": lambda c: (c.start, -len(c.indices), c.joined)}
 
-_DETECTOR_KINDS = {
-    "exhaustive": None,          # any lexicon kind
-    "proper-noun": "proper-noun",
-    "stop-word": "stop-word",
-}
+
+def _lookup(table, what, name):
+    """table[name]; ValueError("unknown <what> 'name'") when it is absent."""
+    try:
+        return table[name]
+    except KeyError:
+        raise ValueError("unknown %s %r" % (what, name)) from None
 
 
 @dataclass(frozen=True)
@@ -48,6 +59,31 @@ class MweOccurrence:
         return self.indices[-1] - self.indices[0] + 1 == len(self.indices)
 
 
+def _more_frequent_as_mwe(occurrence, lexicon):
+    """Keep an occurrence iff the MWE count beats every unit's standalone count."""
+    entry = lexicon.entries.get(tuple(t.lower() for t in occurrence.tokens))
+    return entry is not None and all(entry.mwe_count > count
+                                     for count in entry.unit_counts)
+
+
+# filter -> keep-predicate (candidate, lexicon) -> bool
+_FILTERS = {"continuous": lambda c, lexicon: c.is_continuous(),
+            "more-frequent-as-mwe": _more_frequent_as_mwe}
+
+
+def _keep(name):
+    """The keep-predicate of filter `name`, constrain-length(n) included."""
+    if name.startswith("constrain-length(") and name.endswith(")"):
+        try:
+            limit = int(name[len("constrain-length("):-1])
+        except ValueError:
+            raise ValueError("bad filter %r" % name) from None
+        if limit < 2:
+            raise ValueError("constrain-length limit must be >= 2")
+        return lambda c, lexicon: len(c.indices) == limit
+    return _lookup(_FILTERS, "filter", name)
+
+
 @dataclass
 class RecognizerConfig:
     """A detector/filters/resolver combination.
@@ -62,30 +98,14 @@ class RecognizerConfig:
     resolver: str = "longest"
 
     def __post_init__(self):
-        if self.detector not in DETECTORS:
-            raise ValueError("unknown detector %r" % self.detector)
-        if self.resolver not in RESOLVERS:
-            raise ValueError("unknown resolver %r" % self.resolver)
+        _lookup(DETECTORS, "detector", self.detector)
+        _lookup(RESOLVERS, "resolver", self.resolver)
         filters = tuple(self.filters)
         for name in filters:
-            _parse_filter(name)
+            _keep(name)
         if "continuous" not in filters:
             filters = ("continuous",) + filters
         self.filters = filters
-
-
-def _parse_filter(name):
-    if name in ("continuous", "more-frequent-as-mwe"):
-        return name, None
-    if name.startswith("constrain-length(") and name.endswith(")"):
-        try:
-            limit = int(name[len("constrain-length("):-1])
-        except ValueError:
-            raise ValueError("bad filter %r" % name) from None
-        if limit < 2:
-            raise ValueError("constrain-length limit must be >= 2")
-        return "constrain-length", limit
-    raise ValueError("unknown filter %r" % name)
 
 
 # The five recognizer presets evaluated in the experiments.
@@ -105,9 +125,7 @@ def detect(lexicon, tokens, detector="exhaustive"):
     and stop-word detectors restrict the lexicon to entries of that kind.
     Matching is case-insensitive.
     """
-    if detector not in DETECTORS:
-        raise ValueError("unknown detector %r" % detector)
-    wanted = _DETECTOR_KINDS[detector]
+    wanted = _lookup(DETECTORS, "detector", detector)
     lowered = [t.lower() for t in tokens]
     found = []
     for start, low in enumerate(lowered):
@@ -128,23 +146,9 @@ def apply_filters(candidates, filters, lexicon):
     """Prune candidates through the ordered filter cascade."""
     out = list(candidates)
     for name in filters:
-        kind, param = _parse_filter(name)
-        if kind == "continuous":
-            out = [c for c in out if c.is_continuous()]
-        elif kind == "constrain-length":
-            out = [c for c in out if len(c.indices) == param]
-        elif kind == "more-frequent-as-mwe":
-            out = [c for c in out if _more_frequent_as_mwe(c, lexicon)]
+        keep = _keep(name)
+        out = [c for c in out if keep(c, lexicon)]
     return out
-
-
-def _more_frequent_as_mwe(occurrence, lexicon):
-    """Keep an occurrence iff the MWE count beats every unit's standalone count."""
-    key = tuple(t.lower() for t in occurrence.tokens)
-    entry = lexicon.entries.get(key)
-    if entry is None:
-        return False
-    return all(entry.mwe_count > count for count in entry.unit_counts)
 
 
 def resolve(candidates, resolver="longest"):
@@ -155,14 +159,7 @@ def resolve(candidates, resolver="longest"):
     overlaps it.  leftmost: scan by start index, taking the candidate with
     the smallest start (ties broken by length, then joined form).
     """
-    if resolver == "longest":
-        order = sorted(candidates,
-                       key=lambda c: (-len(c.indices), c.start, c.joined))
-    elif resolver == "leftmost":
-        order = sorted(candidates,
-                       key=lambda c: (c.start, -len(c.indices), c.joined))
-    else:
-        raise ValueError("unknown resolver %r" % resolver)
+    order = sorted(candidates, key=_lookup(RESOLVERS, "resolver", resolver))
     chosen = []
     taken = set()
     for cand in order:

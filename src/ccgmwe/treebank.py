@@ -1,13 +1,14 @@
 """Data model and serialization for derivation trees, dependencies, token
 files and MWE lexicons.
 
-File formats (all UTF-8); sentence ids are unique within every treebank,
-dependency, ids and counts file:
+File formats (all UTF-8); sentence ids contain no whitespace and are
+unique within every treebank, dependency, ids and counts file:
 
 * Treebank: per sentence a line ``ID <id>`` followed by one line with a
   parenthesized tree, ``(CAT child child)`` for internal nodes and
-  ``(CAT token)`` for leaves.  Category strings follow categories.py and
-  contain no whitespace; tokens contain neither whitespace nor parentheses.
+  ``(CAT token)`` for leaves, nested at most MAX_TREE_DEPTH (200) levels.
+  Category strings follow categories.py and contain no whitespace; tokens
+  contain neither whitespace nor parentheses.
 * Dependencies: per sentence a line ``ID <id>`` followed by one line per
   edge, tab-separated ``i j cat_j arg_k word_i word_j``.  Indices are
   1-based in files and 0-based in memory.
@@ -17,7 +18,11 @@ dependency, ids and counts file:
 * Occurrences: tab-separated ``sentence-id  i1,i2,...  joined  kind``, as
   written by ``recognize`` (whose ``--preset`` excludes ``--detector``,
   ``--filters`` and ``--resolver``); unit indices are 0-based and strictly
-  increasing, and joined must be the units' lowercased tokens joined by '+'.
+  increasing, joined must be the units' lowercased tokens joined by '+',
+  and kind is one of LEXICON_KINDS.
+* Model (parser.py): tab-separated ``table  condition  outcome  value``;
+  the meta keys are ``smoothing`` and ``rare_threshold``, and
+  ``rare_threshold`` and the tokpos counts are at least 1.
 * Per-sentence counts: tab-separated ``sentence-id  correct  attempted
   gold``, one line per sentence sorted by id, as written by ``eval
   --per-sentence`` and ``run`` and read by ``sigtest``.
@@ -36,6 +41,8 @@ from dataclasses import dataclass, field
 from .categories import Category, arity, parse_category, render
 
 LEXICON_KINDS = ("proper-noun", "stop-word", "general")
+# deepest tree parse_tree reads: every recursive tree walk fits the stack
+MAX_TREE_DEPTH = 200
 
 
 class TreebankFormatError(ValueError):
@@ -138,9 +145,11 @@ def check_ids(corpus, expected, what):
 
 
 def _new_id(sid, seen):
-    """`sid`, if it is not empty and not in `seen`; else ValueError."""
+    """`sid`, if non-empty, without whitespace and unseen; else ValueError."""
     if not sid:
         raise ValueError("empty sentence id")
+    if any(c.isspace() for c in sid):
+        raise ValueError("sentence id %r contains whitespace" % sid)
     if sid in seen:
         raise ValueError("duplicate sentence id %s" % sid)
     return sid
@@ -169,8 +178,8 @@ def leaves(tree):
 # ----------------------------------------------------------------------
 
 def parse_tree(text):
-    """Parse one bracketed tree line."""
-    tree, pos = _parse_node(text, 0)
+    """Parse one bracketed tree line nested at most MAX_TREE_DEPTH levels."""
+    tree, pos = _parse_node(text, 0, 1)
     while pos < len(text) and text[pos].isspace():
         pos += 1
     if pos != len(text):
@@ -179,9 +188,12 @@ def parse_tree(text):
     return tree
 
 
-def _parse_node(text, pos):
+def _parse_node(text, pos, depth):
     if pos >= len(text) or text[pos] != "(":
         raise TreebankFormatError("expected '(' at column %d" % pos)
+    if depth > MAX_TREE_DEPTH:
+        raise TreebankFormatError("tree nested deeper than %d levels at "
+                                  "column %d" % (MAX_TREE_DEPTH, pos))
     pos += 1
     end = pos
     while end < len(text) and not text[end].isspace():
@@ -199,7 +211,7 @@ def _parse_node(text, pos):
     if pos < len(text) and text[pos] == "(":
         children = []
         while pos < len(text) and text[pos] == "(":
-            child, pos = _parse_node(text, pos)
+            child, pos = _parse_node(text, pos, depth + 1)
             children.append(child)
             while pos < len(text) and text[pos].isspace():
                 pos += 1
@@ -403,13 +415,14 @@ def read_occurrences(path):
             fields = line.split("\t")
             if len(fields) != 4:
                 raise ValueError("expected 4 tab-separated fields")
-            if not fields[0]:
-                raise ValueError("empty sentence id")
+            sid = _new_id(fields[0], ())    # ids repeat, once per MWE
+            if fields[3] not in LEXICON_KINDS:
+                raise ValueError("unknown kind %r" % fields[3])
             indices = tuple(int(x) for x in fields[1].split(","))
             if indices[0] < 0:
                 raise ValueError("unit indices are 0-based, got %d"
                                  % indices[0])
-            out.setdefault(fields[0], []).append(MweOccurrence(
+            out.setdefault(sid, []).append(MweOccurrence(
                 indices, tuple(fields[2].split("+")), fields[3]))
     return out
 

@@ -7,10 +7,13 @@ import pytest
 
 from ccgmwe.cli import main
 from ccgmwe.evaluation import SCHEMES
+from ccgmwe.parser import load_model, parse
 from ccgmwe.pipeline import (ExperimentConfig, PipelineError, parse_id_spec,
                              read_config, split_records)
 from ccgmwe.recognition import PRESETS
-from ccgmwe.treebank import (read_dependencies, read_tokens, read_treebank)
+from ccgmwe.treebank import (MAX_TREE_DEPTH, read_dependencies,
+                             read_occurrences, read_tokens, read_treebank,
+                             write_treebank)
 
 
 def base_config(tmp_path, data_dir, extra=""):
@@ -172,6 +175,65 @@ class TestSubcommands:
         out = read_dependencies(str(combined))["dep1"]
         expected = read_dependencies(str(gold))["dep1"]
         assert sorted(d.key() for d in out) == sorted(d.key() for d in expected)
+
+    def test_recognize_tokens_matches_treebank(self, rec1_out, tmp_path,
+                                               data_dir):
+        test = [r for r in read_treebank(os.path.join(data_dir,
+                                                      "treebank.txt"))
+                if 46 <= int(r.sid) <= 60]
+        treebank = tmp_path / "test.tb"
+        write_treebank(str(treebank), test)
+        lexicon = os.path.join(data_dir, "lexicon.tsv")
+        by_tree, by_tokens = tmp_path / "tree.tsv", tmp_path / "tokens.tsv"
+        assert main(["recognize", "--treebank", str(treebank), "--lexicon",
+                     lexicon, "--preset", "rec1", "--output",
+                     str(by_tree)]) == 0
+        assert main(["recognize", "--tokens",
+                     str(rec1_out / "tokens_test.txt"), "--lexicon", lexicon,
+                     "--preset", "rec1", "--output", str(by_tokens)]) == 0
+        numbered = {str(n): record.sid for n, record in enumerate(test, 1)}
+        found = read_occurrences(str(by_tokens))
+        assert set(found) <= set(numbered)
+        assert {numbered[n]: occs for n, occs in found.items()} == \
+            read_occurrences(str(by_tree))
+
+    def test_parse_trees_give_the_output_dependencies(self, rec1_out,
+                                                      tmp_path):
+        model, tokens = rec1_out / "model_a.tsv", rec1_out / "tokens_test.txt"
+        output, trees = tmp_path / "p.deps", tmp_path / "p.tb"
+        assert main(["parse", "--model", str(model), "--tokens", str(tokens),
+                     "--output", str(output), "--trees", str(trees)]) == 0
+        sentences = dict(enumerate(read_tokens(str(tokens)), 1))
+        loaded = load_model(str(model))
+        parses = [str(n) for n, words in sentences.items()
+                  if parse(loaded, words).tree is not None]
+        records = read_treebank(str(trees))
+        assert [r.sid for r in records] == parses and parses
+        assert all(r.tokens == sentences[int(r.sid)] for r in records)
+        extracted = tmp_path / "x.deps"
+        assert main(["extract-deps", "--treebank", str(trees),
+                     "--output", str(extracted)]) == 0
+        blocks = read_dependencies(str(output))
+        assert read_dependencies(str(extracted)) == {
+            sid: blocks[sid] for sid in parses}
+
+    def test_eval_output_is_the_printed_report(self, rec1_out, tmp_path,
+                                               capsys):
+        report = tmp_path / "report.tsv"
+        assert main(["eval", "--system", str(rec1_out / "out_a.deps"),
+                     "--gold", str(rec1_out / "gold_a.deps"),
+                     "--output", str(report)]) == 0
+        assert report.read_text() == capsys.readouterr().out
+
+    def test_eval_labeled_compares_functor_category(self, tmp_path, capsys):
+        gold, system = tmp_path / "gold.deps", tmp_path / "system.deps"
+        gold.write_text("ID 1\n1\t2\t(S\\NP)/NP\t1\tJohn\tbuys\n")
+        system.write_text("ID 1\n1\t2\tS\\NP\t1\tJohn\tbuys\n")
+        argv = ["eval", "--system", str(system), "--gold", str(gold)]
+        assert main(argv) == 0
+        assert "correct\t1\n" in capsys.readouterr().out
+        assert main(argv + ["--labeled"]) == 0
+        assert "correct\t0\n" in capsys.readouterr().out
 
     def test_missing_file_gives_nonzero_exit(self, tmp_path):
         assert main(["train", "--treebank", str(tmp_path / "nope.txt"),
@@ -626,6 +688,43 @@ class TestMalformedInput:
                              "--output", str(tmp_path / "m.tsv")],
                     "error [train] %s line 3: sentence 2 has no tree" % bad)
 
+    def test_recognize_rejects_id_with_whitespace(self, tmp_path, data_dir,
+                                                   capsys):
+        bad = tmp_path / "bad.tb"
+        bad.write_text("ID a\tb\n(N (N/N Mr.) (N Vinken))\n")
+        self.expect(capsys, ["recognize", "--treebank", str(bad), "--lexicon",
+                             os.path.join(data_dir, "lexicon.tsv"), "--preset",
+                             "rec3", "--output", str(tmp_path / "occ.tsv")],
+                    "error [recognize] %s line 1: sentence id 'a\\tb' "
+                    "contains whitespace" % bad)
+        assert not (tmp_path / "occ.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["split", "train", "extract-deps"])
+    def test_tree_deeper_than_limit_fails(self, tmp_path, capsys, command):
+        def treebank(levels):
+            # levels - 2 unary S nodes over a noun phrase of two leaves
+            path = tmp_path / ("deep%d.tb" % levels)
+            path.write_text("ID 1\n(S (NP (N/N Mr.) (N Vinken)) (S\\NP left))"
+                            "\nID 2\n%s(NP (N/N Mr.) (N Vinken))%s\n"
+                            % ("(S " * (levels - 2), ")" * (levels - 2)))
+            return path
+
+        def argv(path):
+            out = str(tmp_path / (path.stem + ".out"))
+            return {"split": ["split", "--treebank", str(path), "--train",
+                              "1", "--test", "2", "--output-dir", out],
+                    "train": ["train", "--treebank", str(path),
+                              "--output", out],
+                    "extract-deps": ["extract-deps", "--treebank", str(path),
+                                     "--output", out]}[command]
+
+        assert main(argv(treebank(MAX_TREE_DEPTH))) == 0
+        deep = treebank(250)
+        self.expect(capsys, argv(deep),
+                    "error [%s] %s line 4: tree nested deeper than 200 levels "
+                    "at column 600" % (command, deep))
+        assert not (tmp_path / "deep250.out").exists()
+
     @pytest.mark.parametrize("line,reason", [
         ("mr spoon\tbogus\t1\t1;1", "unknown kind 'bogus'"),
         ("mr spoon\tgeneral\tx\t1;1",
@@ -655,7 +754,11 @@ class TestMalformedInput:
         ("backoff\tNN\tN\tnan", "probability must be a finite number > 0, "
                                "got 'nan'"),
         ("root\t\tS\t-0.5", "probability must be a finite number > 0, "
-                            "got '-0.5'")])
+                            "got '-0.5'"),
+        ("meta\trare_treshold\t\t3", "unknown meta key 'rare_treshold'"),
+        ("meta\trare_threshold\t\t0",
+         "rare_threshold must be at least 1, got 0"),
+        ("tokpos\tfoo\tNN\t-7", "tokpos count must be at least 1, got -7")])
     def test_parse_with_malformed_model_line(self, rec1_out, tmp_path,
                                              capsys, row, reason):
         rows = (rec1_out / "model_a.tsv").read_text().splitlines()

@@ -182,6 +182,14 @@ class TestRecognize:
         with pytest.raises(ValueError):
             RecognizerConfig("exhaustive", ("continuous",), "middle")
 
+    def test_unknown_names_rejected_by_each_stage(self, tiny_lexicon):
+        with pytest.raises(ValueError) as err:
+            detect(tiny_lexicon, ["a", "b"], "fuzzy")
+        assert str(err.value) == "unknown detector 'fuzzy'"
+        with pytest.raises(ValueError) as err:
+            resolve([occ((0, 1))], "middle")
+        assert str(err.value) == "unknown resolver 'middle'"
+
 
 class TestOccurrenceInvariants:
     def test_needs_two_units(self):

@@ -6,11 +6,11 @@ import pytest
 from ccgmwe.categories import derivation_rule, parse_category, render
 from ccgmwe.collapse import collapse_tree
 from ccgmwe.recognition import MweOccurrence
-from ccgmwe.treebank import (Dependency, DerivationTree, LexiconError,
-                             TreebankFormatError, check_ids, leaves,
-                             parse_tree, read_counts, read_dependencies,
-                             read_ids, read_lexicon, read_occurrences,
-                             read_tokens, read_treebank,
+from ccgmwe.treebank import (MAX_TREE_DEPTH, Dependency, DerivationTree,
+                             LexiconError, TreebankFormatError, check_ids,
+                             leaves, parse_tree, read_counts,
+                             read_dependencies, read_ids, read_lexicon,
+                             read_occurrences, read_tokens, read_treebank,
                              render_tree, write_counts, write_dependencies,
                              write_tokens, write_treebank)
 
@@ -88,6 +88,28 @@ class TestTreeParsing:
         with pytest.raises(TreebankFormatError) as err:
             read_treebank(str(path))
         assert str(err.value) == "%s line 5: duplicate sentence id 46" % path
+
+    def test_depth_limit(self):
+        def chain(levels):
+            return "(S " * (levels - 1) + "(N x)" + ")" * (levels - 1)
+
+        assert leaves(parse_tree(chain(MAX_TREE_DEPTH))) == [(0, "x")]
+        with pytest.raises(TreebankFormatError) as err:
+            parse_tree(chain(MAX_TREE_DEPTH + 1))
+        assert str(err.value) == ("tree nested deeper than 200 levels at "
+                                  "column 600")
+
+    @pytest.mark.parametrize("reader,text", [
+        (read_treebank, "ID 4 6\n(N x)\n"), (read_dependencies, "ID a\tb\n"),
+        (read_ids, "4 6\n"), (read_counts, "4 6\t1\t1\t1\n")],
+        ids=["treebank", "dependencies", "ids", "counts"])
+    def test_sentence_id_with_whitespace(self, tmp_path, reader, text):
+        path = tmp_path / "ids"
+        path.write_text(text)
+        with pytest.raises(TreebankFormatError) as err:
+            reader(str(path))
+        assert str(err.value).startswith("%s line 1: sentence id " % path)
+        assert str(err.value).endswith(" contains whitespace")
 
     def test_derivability_flag(self):
         assert is_derivable(parse_tree("(S\\NP ((S\\NP)/NP buys) (NP shares))"))
@@ -348,6 +370,8 @@ class TestOccurrenceAndCountFiles:
         ("7\t-1,0\ta+b\tgeneral", "0-based"),
         ("7\t0,1\ta+b", "expected 4 tab-separated fields"),
         ("\t0,1\ta+b\tgeneral", "empty sentence id"),
+        ("7\t0,1\ta+b\tbogus", "unknown kind 'bogus'"),
+        ("7 x\t0,1\ta+b\tgeneral", "sentence id '7 x' contains whitespace"),
     ])
     def test_malformed_occurrence_names_file_and_line(self, tmp_path, line,
                                                       message):

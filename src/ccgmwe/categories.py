@@ -87,16 +87,6 @@ class Category:
         return "Category(%r)" % render(self)
 
 
-def atom(name, feature=None):
-    return Category(atom=name, feature=feature)
-
-
-def functor(result, direction, argument):
-    if direction not in (FORWARD, BACKWARD):
-        raise ValueError("direction must be '/' or '\\', got %r" % direction)
-    return Category(result=result, direction=direction, argument=argument)
-
-
 @lru_cache(maxsize=None)
 def parse_category(text):
     """Parse a category string into a Category tree.

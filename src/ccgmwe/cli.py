@@ -234,9 +234,7 @@ def _add_run(sub):
 
 def _run_run(args):
     config = pipeline.read_config(args.config)
-    pipeline.run_pipeline(config)
-    with open(os.path.join(config.output, "summary.txt"), encoding="utf-8") as handle:
-        sys.stdout.write(handle.read())
+    sys.stdout.write(pipeline.run_pipeline(config)["summary"])
 
 
 def main(argv=None):

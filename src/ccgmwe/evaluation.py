@@ -194,6 +194,13 @@ def check_iterations(iterations):
     return iterations
 
 
+def check_seed(seed):
+    """`seed`, if it is at least 0; else ValueError."""
+    if seed < 0:
+        raise ValueError("seed must be at least 0, got %d" % seed)
+    return seed
+
+
 def sig_test(counts_x, counts_y, iterations=10000, seed=0):
     """One-tailed stratified shuffling test of X against Y.
 
@@ -205,6 +212,7 @@ def sig_test(counts_x, counts_y, iterations=10000, seed=0):
     sampler is deterministic for a fixed seed.
     """
     check_iterations(iterations)
+    check_seed(seed)
     import numpy as np
 
     check_ids(counts_y, counts_x, "Y ids differ from X's")

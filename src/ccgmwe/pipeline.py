@@ -9,7 +9,9 @@ route), for both gold-sibling and fully-collapsed test data.  Against the
 original gold standard it evaluates the three model-combination schemes.
 Each corpus stage is one function shared with the subcommands, every
 artifact is written in the formats they consume, and the whole run is a
-pure function of the configuration and input files.
+pure function of the configuration and input files.  `run_pipeline`
+writes its artifacts only after every stage has succeeded, so a failed
+run writes no file; it does not remove stale files of an earlier run.
 """
 
 from __future__ import annotations
@@ -57,9 +59,11 @@ def _listed(text):
 
 def _schemes(text):
     schemes = _listed(text)
-    for scheme in schemes:
+    for index, scheme in enumerate(schemes):
         if scheme not in evaluation.SCHEMES:
             raise ValueError("unknown scheme %r" % scheme)
+        if scheme in schemes[:index]:
+            raise ValueError("repeated scheme %r" % scheme)
     return schemes
 
 
@@ -71,12 +75,16 @@ def _iterations(text):
     return evaluation.check_iterations(int(text))
 
 
+def _seed(text):
+    return evaluation.check_seed(int(text))
+
+
 # config key -> converter of its value; detector, filters and resolver set
 # the fields of ExperimentConfig.recognizer, the others their namesakes
 CONFIG_KEYS = {"treebank": str, "lexicon": str, "output": str, "train": str,
                "dev": str, "test": str, "detector": str, "filters": _listed,
                "resolver": str, "schemes": _schemes, "smoothing": _smoothing,
-               "seed": int, "iterations": _iterations}
+               "seed": _seed, "iterations": _iterations}
 
 
 def read_config(paths):
@@ -310,147 +318,100 @@ def _fmt(value):
     return "%.4f" % value
 
 
-@dataclass
-class EvalRow:
-    gold: str
-    section: str
-    system: str
-    report: evaluation.EvalReport
-
-
 def run_pipeline(config):
-    """Run the full experiment; returns the report structure after writing
-    every artifact to config.output."""
-
-    def out(name):
-        return os.path.join(config.output, name)
-
+    """Run the full experiment, then write every artifact to config.output;
+    nothing is written unless every stage succeeds.  Returns the score rows,
+    the stats, the significance rows and the summary text."""
     with _stage("load"):
         records = treebank.read_treebank(config.treebank)
         lexicon = treebank.read_lexicon(config.lexicon)
     splits = split_records(records, config)
-    write_splits(config.output, splits)
     test = {r.sid: r.tokens for r in splits["test"]}
-
-    def write_deps(name, deps):
-        treebank.write_dependencies(out(name), deps)
-        return deps
 
     # recognize, then collapse the whole treebank: gold standards A and B
     gold = extract_corpus(records)
     occurrences = recognize_corpus(lexicon, {r.sid: r.tokens for r in records},
                                    config.recognizer)
-    treebank.write_occurrences(out("occurrences.tsv"), occurrences)
     collapsed = collapse_corpus(records, occurrences, gold)
-    treebank.write_treebank(out("treebank_b.txt"),
-                            [c.record for c in collapsed.values()])
-    gold_a = write_deps("gold_a.deps", {sid: gold[sid] for sid in test})
-    gold_b = write_deps("gold_b.deps",
-                        {sid: collapsed[sid].deps for sid in test})
-    write_deps("gold_b_full.deps", {sid: collapsing.collapse_all_dependencies(
-        gold[sid], occurrences[sid]) for sid in test})
+    gold_a = {sid: gold[sid] for sid in test}
+    gold_b = {sid: collapsed[sid].deps for sid in test}
+    gold_b_full = {sid: collapsing.collapse_all_dependencies(
+        gold[sid], occurrences[sid]) for sid in test}
 
     # test tokens: original, gold-collapsed, and fully collapsed (every
     # recognized MWE treated as a sibling)
     gold_test = {sid: collapsed[sid].record.tokens for sid in test}
     full_test = {sid: collapsing.collapse_tokens(tokens, occurrences[sid])[0]
                  for sid, tokens in test.items()}
-    for name, sentences in (("tokens_test.txt", test),
-                            ("tokens_test_collapsed.txt", gold_test),
-                            ("tokens_test_fully_collapsed.txt", full_test)):
-        treebank.write_tokens(out(name), sentences.values())
 
-    # model A on original tokens, model B on the collapsed treebank
+    # model A on original tokens, model B on the collapsed treebank; each
+    # model's parse memo spans its passes
     with _stage("train-a"):
         model_a = parser.train(splits["train"], config.smoothing)
-    parser.save_model(out("model_a.tsv"), model_a)
     with _stage("train-b"):
         model_b = parser.train([collapsed[r.sid].record
                                 for r in splits["train"]], config.smoothing)
-    parser.save_model(out("model_b.tsv"), model_b)
-    memos = {}
-
-    def parse_pass(model, sentences, stage, name):
-        """One parse pass, memoised per model; writes its dependencies."""
-        deps, parsed = parse_corpus(model, sentences, stage,
-                                    memos.setdefault(id(model), {}))
-        return write_deps(name, deps), parsed
-
-    out_a, parsed_a = parse_pass(model_a, test, "parse-a", "out_a.deps")
-    out_b, parsed_b = parse_pass(model_b, gold_test, "parse-b", "out_b.deps")
+    memo_a, memo_b = {}, {}
+    out_a, parsed_a = parse_corpus(model_a, test, "parse-a", memo_a)
+    out_b, parsed_b = parse_corpus(model_b, gold_test, "parse-b", memo_b)
 
     # before/after parsing routes against gold B
-    out_a_before, _ = parse_pass(model_a, gold_test, "parse-a-before",
-                                 "out_a_before.deps")
+    out_a_before = parse_corpus(model_a, gold_test, "parse-a-before",
+                                memo_a)[0]
     after = {sid: c.deps for sid, c in collapse_corpus(
         parsed_a, {r.sid: occurrences[r.sid] for r in parsed_a},
         {r.sid: out_a[r.sid] for r in parsed_a}, "collapse-out-a").items()}
-    out_a_after = write_deps("out_a_after.deps",
-                             {sid: after.get(sid, []) for sid in test})
-    out_a_full_before, _ = parse_pass(model_a, full_test, "parse-a-full",
-                                      "out_a_full_before.deps")
-    out_a_full_after = write_deps("out_a_full_after.deps", {
+    out_a_after = {sid: after.get(sid, []) for sid in test}
+    out_a_full_before = parse_corpus(model_a, full_test, "parse-a-full",
+                                     memo_a)[0]
+    out_a_full_after = {
         sid: collapsing.collapse_all_dependencies(out_a[sid], occurrences[sid])
-        for sid in test})
-    out_b_full, _ = parse_pass(model_b, full_test, "parse-b-full",
-                               "out_b_full.deps")
+        for sid in test}
+    out_b_full = parse_corpus(model_b, full_test, "parse-b-full", memo_b)[0]
 
     # model combination against gold A, as `combine` computes it from files
-    def combine(name, deps_b, occs, scheme):
-        return write_deps(name % scheme, combine_corpus(
-            out_a, deps_b, occs, scheme, test.values(),
-            out("tokens_test.txt")))
-
     kept = {sid: c.outcome.kept for sid, c in collapsed.items()}
-    combined = {scheme: combine("combined_%s.deps", out_b, kept, scheme)
-                for scheme in config.schemes}
-    combined_full = {scheme: combine("combined_full_%s.deps", out_b_full,
-                                     occurrences, scheme)
-                     for scheme in config.schemes}
+    tokens_path = os.path.join(config.output, "tokens_test.txt")
+    combined = {}                       # artifact name -> dependencies
+    for prefix, deps_b, occs in (("combined_", out_b, kept),
+                                 ("combined_full_", out_b_full, occurrences)):
+        for scheme in config.schemes:
+            combined[prefix + scheme] = combine_corpus(
+                out_a, deps_b, occs, scheme, test.values(), tokens_path)
 
-    # evaluations
-    rows = []
+    # score each system: (gold, section, system, output, gold dependencies)
+    systems = [
+        ("A", "baseline", "A", out_a, gold_a),
+        ("B", "gold-test", "A-before-parsing", out_a_before, gold_b),
+        ("B", "gold-test", "A-after-parsing", out_a_after, gold_b),
+        ("B", "gold-test", "B", out_b, gold_b),
+        ("B", "fully-collapsed", "A-before-parsing", out_a_full_before, gold_b),
+        ("B", "fully-collapsed", "A-after-parsing", out_a_full_after, gold_b),
+        ("B", "fully-collapsed", "B", out_b_full, gold_b)]
+    for section, prefix in (("combination", "combined_"),
+                            ("combination-full", "combined_full_")):
+        systems += [("A", section, "A+B " + scheme, combined[prefix + scheme],
+                     gold_a) for scheme in config.schemes]
+    with _stage("eval"):
+        rows = [(gold_name, section, system, evaluation.score(deps, gold_deps))
+                for gold_name, section, system, deps, gold_deps in systems]
+    reports = {(section, system): report for _, section, system, report in rows}
 
-    def evaluate(gold_name, section, system_name, system, gold):
-        with _stage("eval"):
-            report = evaluation.score(system, gold)
-        rows.append(EvalRow(gold_name, section, system_name, report))
-        return report
-
-    rep_a = evaluate("A", "baseline", "A", out_a, gold_a)
-    rep_a_before = evaluate("B", "gold-test", "A-before-parsing",
-                            out_a_before, gold_b)
-    rep_a_after = evaluate("B", "gold-test", "A-after-parsing",
-                           out_a_after, gold_b)
-    rep_b = evaluate("B", "gold-test", "B", out_b, gold_b)
-    rep_a_full_before = evaluate("B", "fully-collapsed", "A-before-parsing",
-                                 out_a_full_before, gold_b)
-    rep_a_full_after = evaluate("B", "fully-collapsed", "A-after-parsing",
-                                out_a_full_after, gold_b)
-    evaluate("B", "fully-collapsed", "B", out_b_full, gold_b)
-    rep_combined = {scheme: evaluate("A", "combination", "A+B %s" % scheme,
-                                     combined[scheme], gold_a)
-                    for scheme in config.schemes}
-    for scheme in config.schemes:
-        evaluate("A", "combination-full", "A+B %s" % scheme,
-                 combined_full[scheme], gold_a)
-
-    # significance tests
-    sig_rows = []
-
-    def significance(name, rep_x, rep_y):
-        sig_rows.append((name, evaluation.sig_test(
-            rep_x.per_sentence, rep_y.per_sentence,
-            iterations=config.iterations, seed=config.seed)))
-        for side, rep in (("x", rep_x), ("y", rep_y)):
-            treebank.write_counts(out("counts_%s_%s.tsv" % (name, side)),
-                                  rep.per_sentence)
-
-    significance("training-effect", rep_b, rep_a_before)
-    significance("parsing-effect", rep_a_before, rep_a_after)
-    significance("parsing-effect-full", rep_a_full_before, rep_a_full_after)
+    # significance tests of X against Y, each named by its (section, system)
+    pairs = [
+        ("training-effect", ("gold-test", "B"),
+         ("gold-test", "A-before-parsing")),
+        ("parsing-effect", ("gold-test", "A-before-parsing"),
+         ("gold-test", "A-after-parsing")),
+        ("parsing-effect-full", ("fully-collapsed", "A-before-parsing"),
+         ("fully-collapsed", "A-after-parsing"))]
     if "medFromA" in config.schemes:
-        significance("combination-medFromA", rep_combined["medFromA"], rep_a)
+        pairs.append(("combination-medFromA", ("combination", "A+B medFromA"),
+                      ("baseline", "A")))
+    sig_rows = [(name, evaluation.sig_test(
+        reports[x].per_sentence, reports[y].per_sentence,
+        iterations=config.iterations, seed=config.seed))
+        for name, x, y in pairs]
 
     sibling_total = sum(map(len, kept.values()))
     mwe_total = sum(map(len, occurrences.values()))
@@ -462,33 +423,66 @@ def run_pipeline(config):
         "parse_failures_a": len(test) - len(parsed_a),
         "parse_failures_b": len(gold_test) - len(parsed_b),
     }
-    _write_report(out("report.tsv"), rows, stats, sig_rows)
-    _write_summary(out("summary.txt"), config, rows, stats, sig_rows)
-    return {"rows": rows, "stats": stats, "significance": sig_rows}
+    summary = _summary(config, rows, stats, sig_rows)
+
+    # every stage succeeded: write the artifacts
+    dependencies = {
+        "gold_a": gold_a, "gold_b": gold_b, "gold_b_full": gold_b_full,
+        "out_a": out_a, "out_b": out_b, "out_a_before": out_a_before,
+        "out_a_after": out_a_after, "out_a_full_before": out_a_full_before,
+        "out_a_full_after": out_a_full_after, "out_b_full": out_b_full,
+        **combined}
+    artifacts = [
+        (treebank.write_occurrences, "occurrences.tsv", occurrences),
+        (treebank.write_treebank, "treebank_b.txt",
+         [c.record for c in collapsed.values()]),
+        (treebank.write_tokens, "tokens_test.txt", test.values()),
+        (treebank.write_tokens, "tokens_test_collapsed.txt",
+         gold_test.values()),
+        (treebank.write_tokens, "tokens_test_fully_collapsed.txt",
+         full_test.values()),
+        (parser.save_model, "model_a.tsv", model_a),
+        (parser.save_model, "model_b.tsv", model_b)]
+    artifacts += [(treebank.write_dependencies, name + ".deps", deps)
+                  for name, deps in dependencies.items()]
+    artifacts += [(treebank.write_counts, "counts_%s_%s.tsv" % (name, side),
+                   reports[row].per_sentence)
+                  for name, x, y in pairs for side, row in (("x", x), ("y", y))]
+    artifacts += [(_write_text, "report.tsv", _report(rows, stats, sig_rows)),
+                  (_write_text, "summary.txt", summary)]
+    write_splits(config.output, splits)
+    for write, name, value in artifacts:
+        write(os.path.join(config.output, name), value)
+    return {"rows": rows, "stats": stats, "significance": sig_rows,
+            "summary": summary}
 
 
-def _write_report(path, rows, stats, sig_rows):
+def _write_text(path, text):
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("# eval\tgold\tsection\tsystem\tP\tR\tF1\tcorrect\t"
-                     "attempted\tgold_deps\tP_undefined\n")
-        for row in rows:
-            rep = row.report
-            handle.write("eval\t%s\t%s\t%s\t%s\t%s\t%s\t%d\t%d\t%d\t%d\n"
-                         % (row.gold, row.section, row.system,
-                            _fmt(rep.precision), _fmt(rep.recall), _fmt(rep.f1),
-                            rep.correct, rep.attempted, rep.gold,
-                            int(rep.undefined_precision)))
-        for key in sorted(stats):
-            value = stats[key]
-            handle.write("stat\t%s\t%s\n"
-                         % (key, _fmt(value) if isinstance(value, float) else value))
-        for name, result in sig_rows:
-            handle.write("sigtest\t%s\t%s\t%s\t%d\t%d\n"
-                         % (name, _fmt(result.p_value), _fmt(result.observed_diff),
-                            result.iterations, int(result.exhaustive)))
+        handle.write(text)
 
 
-def _write_summary(path, config, rows, stats, sig_rows):
+def _report(rows, stats, sig_rows):
+    lines = ["# eval\tgold\tsection\tsystem\tP\tR\tF1\tcorrect\t"
+             "attempted\tgold_deps\tP_undefined"]
+    for gold_name, section, system, rep in rows:
+        lines.append("eval\t%s\t%s\t%s\t%s\t%s\t%s\t%d\t%d\t%d\t%d"
+                     % (gold_name, section, system,
+                        _fmt(rep.precision), _fmt(rep.recall), _fmt(rep.f1),
+                        rep.correct, rep.attempted, rep.gold,
+                        int(rep.undefined_precision)))
+    for key in sorted(stats):
+        value = stats[key]
+        lines.append("stat\t%s\t%s"
+                     % (key, _fmt(value) if isinstance(value, float) else value))
+    for name, result in sig_rows:
+        lines.append("sigtest\t%s\t%s\t%s\t%d\t%d"
+                     % (name, _fmt(result.p_value), _fmt(result.observed_diff),
+                        result.iterations, int(result.exhaustive)))
+    return "\n".join(lines) + "\n"
+
+
+def _summary(config, rows, stats, sig_rows):
     lines = ["Experiment summary", "==================",
              "recognizer: detector=%s filters=%s resolver=%s"
              % (config.recognizer.detector, ",".join(config.recognizer.filters),
@@ -500,16 +494,15 @@ def _write_summary(path, config, rows, stats, sig_rows):
                  % (stats["parse_failures_a"], stats["parse_failures_b"]))
     lines.append("")
     current = None
-    for row in rows:
-        section = "%s (vs gold %s)" % (row.section, row.gold)
-        if section != current:
-            lines.append(section)
-            lines.append("-" * len(section))
-            current = section
-        rep = row.report
+    for gold_name, section, system, rep in rows:
+        heading = "%s (vs gold %s)" % (section, gold_name)
+        if heading != current:
+            lines.append(heading)
+            lines.append("-" * len(heading))
+            current = heading
         flag = " (P undefined)" if rep.undefined_precision else ""
         lines.append("  %-22s P=%s R=%s F1=%s%s"
-                     % (row.system, _fmt(rep.precision), _fmt(rep.recall),
+                     % (system, _fmt(rep.precision), _fmt(rep.recall),
                         _fmt(rep.f1), flag))
     lines.append("")
     lines.append("significance (one-tailed randomized shuffling)")
@@ -518,5 +511,4 @@ def _write_summary(path, config, rows, stats, sig_rows):
         lines.append("  %-24s diff=%s p=%s%s"
                      % (name, _fmt(result.observed_diff), _fmt(result.p_value),
                         " (exhaustive)" if result.exhaustive else ""))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

@@ -382,9 +382,6 @@ class MweLexicon:
     def __len__(self):
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries.values())
-
 
 def read_lexicon(path):
     lexicon = MweLexicon()

@@ -6,8 +6,8 @@ import sys
 import pytest
 
 from ccgmwe.categories import (BACKWARD, FORWARD, Category, CategoryParseError,
-                               apply, arity, atom, combine, compose, functor,
-                               is_modifier, parse_category, render)
+                               apply, arity, combine, compose, is_modifier,
+                               parse_category, render)
 
 C = parse_category
 
@@ -107,10 +107,10 @@ def random_category(rng, depth):
     if depth == 0 or rng.random() < 0.4:
         name = rng.choice(["S", "NP", "N", "PP"])
         feature = rng.choice([None, None, None, "dcl", "b", "ng"])
-        return atom(name, feature)
-    return functor(random_category(rng, depth - 1),
-                   rng.choice([FORWARD, BACKWARD]),
-                   random_category(rng, depth - 1))
+        return Category(atom=name, feature=feature)
+    return Category(result=random_category(rng, depth - 1),
+                    direction=rng.choice([FORWARD, BACKWARD]),
+                    argument=random_category(rng, depth - 1))
 
 
 class TestProperties:
@@ -146,10 +146,11 @@ class TestProperties:
             x = random_category(rng, rng.randint(0, 3))
             y = random_category(rng, rng.randint(0, 3))
             z = random_category(rng, rng.randint(0, 3))
-            primary = functor(x, FORWARD, y)
-            secondary = functor(y, FORWARD, z)
+            primary = Category(result=x, direction=FORWARD, argument=y)
+            secondary = Category(result=y, direction=FORWARD, argument=z)
             composed = compose(primary, secondary, FORWARD)
-            assert composed == functor(x, FORWARD, z)
+            assert composed == Category(result=x, direction=FORWARD,
+                                        argument=z)
             assert apply(secondary, z, FORWARD) == y
             assert apply(primary, y, FORWARD) == x
             assert apply(composed, z, FORWARD) == x

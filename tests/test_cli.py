@@ -586,12 +586,41 @@ class TestRun:
         assert "sigtest\ttraining-effect" in report
         summary = capsys.readouterr().out
         assert "Experiment summary" in summary
+        assert summary.encode() == (out / "summary.txt").read_bytes()
         # artifacts reconsumable by the subcommands
         for name in ("model_a.tsv", "model_b.tsv", "occurrences.tsv",
                      "treebank_b.txt", "out_a.deps", "out_b.deps",
                      "gold_a.deps", "gold_b.deps"):
             assert (out / name).exists(), name
         assert len(read_tokens(str(out / "tokens_test.txt"))) == 15
+
+    def test_failed_stage_writes_nothing(self, tmp_path, data_dir,
+                                         configs_dir, capsys, monkeypatch):
+        """A stage that fails partway stops the run before any write."""
+        real_parse = parse
+        model_a = []
+        calls_b = []
+
+        def parse_failing_in_parse_b(model, tokens):
+            # parse-a parses with model A alone; parse-b is the first pass
+            # with another model, and fails on its third sentence
+            if not model_a:
+                model_a.append(model)
+            if model is not model_a[0]:
+                calls_b.append(tokens)
+                if len(calls_b) == 3:
+                    raise ValueError("injected failure")
+            return real_parse(model, tokens)
+
+        monkeypatch.setattr("ccgmwe.parser.parse", parse_failing_in_parse_b)
+        config = base_config(tmp_path, data_dir)
+        rec1 = os.path.join(configs_dir, "rec1.cfg")
+        assert main(["run", "--config", config, "--config", rec1]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error [parse-b] injected failure "
+                                "(sentence 48)\n")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_artifacts_reconsumable(self, tmp_path, data_dir, configs_dir):
         config = base_config(tmp_path, data_dir)
@@ -780,6 +809,18 @@ class TestMalformedInput:
                     "error [sigtest] iterations must be at least 1, got %s"
                     % value)
 
+    @pytest.mark.parametrize("iterations", ["4", "3"])
+    def test_sigtest_rejects_negative_seed(self, tmp_path, capsys,
+                                           iterations):
+        # two sentences: 4 iterations enumerate all 2^2 swap patterns
+        # exhaustively, 3 sample them
+        counts = tmp_path / "counts.tsv"
+        counts.write_text("46\t1\t2\t3\n47\t0\t2\t3\n")
+        self.expect(capsys, ["sigtest", "--x", str(counts), "--y",
+                             str(counts), "--iterations", iterations,
+                             "--seed", "-1"],
+                    "error [sigtest] seed must be at least 0, got -1")
+
     def test_run_rejects_zero_iterations(self, tmp_path, data_dir, capsys):
         config = base_config(tmp_path, data_dir, "iterations = 0\n")
         self.expect(capsys, ["run", "--config", config],
@@ -810,7 +851,10 @@ class TestMalformedInput:
         ("detector = bogus", "detector: unknown detector 'bogus'"),
         ("filters = continuous, odd", "filters: unknown filter 'odd'"),
         ("resolver = bogus", "resolver: unknown resolver 'bogus'"),
-        ("schemes = medFromA, bogus", "schemes: unknown scheme 'bogus'")])
+        ("schemes = medFromA, bogus", "schemes: unknown scheme 'bogus'"),
+        ("schemes = medFromA, medFromA",
+         "schemes: repeated scheme 'medFromA'"),
+        ("seed = -1", "seed: seed must be at least 0, got -1")])
     def test_run_names_the_bad_config_key(self, tmp_path, data_dir, capsys,
                                           line, message):
         config = base_config(tmp_path, data_dir, line + "\n")

@@ -9,18 +9,20 @@ where a leaf's expansion is the distinguished LEX outcome and its emission
 is P(token | category) for tokens seen at least `rare_threshold` times in
 training.  Rare and unseen tokens instead emit through a POS back-off,
 P(category | tag), with tags supplied by a unigram frequency tagger trained
-on the same data.  Decoding is Viterbi CKY over the trained expansion
-inventory; candidate binary expansions are the treebank-observed ones,
-which subsume the apply/compose-derivable pairs and also cover
-non-combinatory absorption nodes seen in training.
+on the same data; the leaf candidates of training tokens are compiled
+once per model, so parsing tags only unseen tokens.  Decoding is Viterbi
+CKY over the trained expansion inventory; candidate binary expansions are
+the treebank-observed ones, which subsume the apply/compose-derivable pairs
+and also cover non-combinatory absorption nodes seen in training.  One
+table of model-file sections drives both save_model and load_model.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .categories import (FORWARD_APPLY, FORWARD_COMPOSE, arity,
                          derivation_rule, is_modifier, parse_category, render,
@@ -68,16 +70,14 @@ class ParserModel:
     lexical: dict               # Category -> {token: prob}
     pos_backoff: dict           # tag -> {Category: prob}
     token_pos: dict             # token -> {tag: count}
-    token_freq: dict            # token -> count
     roots: dict                 # Category -> prob over training roots
     smoothing: float = 0.0
     rare_threshold: int = 2
-    _indexes: dict | None = field(default=None, repr=False, compare=False)
 
-    def ensure_indexes(self):
-        if self._indexes is None:
-            self._indexes = _build_indexes(self)
-        return self._indexes
+    @cached_property
+    def indexes(self):
+        """The CKY tables of _build_indexes, built on first use."""
+        return _build_indexes(self)
 
 
 @dataclass
@@ -85,7 +85,7 @@ class ParseResult:
     """Best derivation for a token sequence, or a failure marker.
 
     tree/logprob are None when no sentence-rooted derivation covers the
-    input; stats carries chart counters.
+    input; stats carries the chart's entry count under "chart_entries".
     """
 
     tree: DerivationTree | None
@@ -124,7 +124,6 @@ def train(records, smoothing=0.0):
     lex_counts = defaultdict(Counter)
     backoff_counts = defaultdict(Counter)
     token_pos = defaultdict(Counter)
-    token_freq = Counter()
     root_counts = Counter()
     for record in records:
         root_counts[record.tree.category] += 1
@@ -138,7 +137,6 @@ def train(records, smoothing=0.0):
                 tag = pos_for_category(cat)
                 backoff_counts[tag][cat] += 1
                 token_pos[node.token][tag] += 1
-                token_freq[node.token] += 1
             else:
                 rule_counts[node.category][
                     tuple(child.category for child in node.children)] += 1
@@ -148,7 +146,6 @@ def train(records, smoothing=0.0):
         lexical={c: _smoothed(v, smoothing) for c, v in lex_counts.items()},
         pos_backoff={t: _smoothed(v, smoothing) for t, v in backoff_counts.items()},
         token_pos={t: dict(v) for t, v in token_pos.items()},
-        token_freq=dict(token_freq),
         roots=_smoothed(root_counts, 0.0),
         smoothing=smoothing,
     )
@@ -162,16 +159,14 @@ def pos_tag(model, tokens):
     """Unigram tagging: the most frequent training tag of each token, the
     tag of its lowercased form for unseen tokens, and the globally most
     frequent tag as a last resort.  Ties pick the smallest tag."""
-    indexes = model.ensure_indexes()
+    return [_tag(model.indexes, token) for token in tokens]
+
+
+def _tag(indexes, token):
     best = indexes["best_tag"]
-    default = indexes["default_tag"]
-    tags = []
-    for token in tokens:
-        tag = best.get(token)
-        if tag is None:
-            tag = best.get(token.lower(), default)
-        tags.append(tag)
-    return tags
+    if token in best:
+        return best[token]
+    return best.get(token.lower(), indexes["default_tag"])
 
 
 def _build_indexes(model):
@@ -181,7 +176,9 @@ def _build_indexes(model):
     ids reproduce the render-ordered iteration that fixes tie-breaking.
     Binary rules are nested as left id -> right id -> [(parent id, logp)];
     `categories` maps ids back for tree building.  The tagger's per-token
-    and global best tags are computed here once per model.
+    and global best tags are computed here once per model, and so are the
+    leaf candidates of every training token: its lexical entries if seen
+    at least `rare_threshold` times, else the back-off list of its tag.
     """
     cats = set(model.rules) | set(model.lexical) | set(model.roots)
     for dist in model.rules.values():
@@ -221,15 +218,20 @@ def _build_indexes(model):
     for dist in model.token_pos.values():
         global_counts.update(dist)
     default_tag = _best_tag(global_counts) if global_counts else "N"
+    best_tag, leaves = {}, {}
+    for token, dist in model.token_pos.items():
+        tag = best_tag[token] = _best_tag(dist) if dist else default_tag
+        leaves[token] = (lex_index.get(token, ())
+                         if sum(dist.values()) >= model.rare_threshold
+                         else backoff_index.get(tag, ()))
     return {
         "categories": categories,
         "binary": dict(binary),
         "unary": dict(unary),
-        "lex": dict(lex_index),
+        "leaves": leaves,
         "backoff": dict(backoff_index),
         "roots": sorted(ids[cat] for cat in model.roots),
-        "best_tag": {token: _best_tag(dist) if dist else default_tag
-                     for token, dist in model.token_pos.items()},
+        "best_tag": best_tag,
         "default_tag": default_tag,
     }
 
@@ -239,10 +241,11 @@ def _log_lex_expansion(model, cat):
     return math.log(prob) if prob else None
 
 
-def _leaf_candidates(model, indexes, token, tag):
-    if model.token_freq.get(token, 0) >= model.rare_threshold:
-        return indexes["lex"].get(token, ())
-    return indexes["backoff"].get(tag, ())
+def _leaf_candidates(indexes, token):
+    candidates = indexes["leaves"].get(token)
+    if candidates is None:      # unseen in training: back off by its tag
+        return indexes["backoff"].get(_tag(indexes, token), ())
+    return candidates
 
 
 def _unary_closure(unary_index, scores, backs):
@@ -267,35 +270,24 @@ def parse(model, tokens):
     """
     if not tokens:
         raise ValueError("cannot parse an empty token sequence")
-    indexes = model.ensure_indexes()
+    indexes = model.indexes
     binary_index = indexes["binary"]
     unary_index = indexes["unary"]
-    tags = pos_tag(model, tokens)
     n = len(tokens)
     # span (i, j) lives at [i][j]: category id -> best log-probability, and
     # category id -> backpointer: None for a leaf, (child id,) for a unary
-    # node, (split, left id, right id) for a binary one
+    # node, (split, left id, right id) for a binary one.  A width-1 span
+    # has no split point and at most one leaf candidate per category.
     score_chart = [[None] * (n + 1) for _ in range(n)]
     back_chart = [[None] * (n + 1) for _ in range(n)]
     entries = 0
-    for i, token in enumerate(tokens):
-        scores = {}
-        backs = {}
-        for cid, logp in _leaf_candidates(model, indexes, token, tags[i]):
-            old = scores.get(cid)
-            if old is None or logp > old:
-                scores[cid] = logp
-                backs[cid] = None
-        _unary_closure(unary_index, scores, backs)
-        score_chart[i][i + 1] = scores
-        back_chart[i][i + 1] = backs
-        entries += len(scores)
-    for width in range(2, n + 1):
+    for width in range(1, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
             score_row = score_chart[i]
-            scores = {}
-            backs = {}
+            scores = (dict(_leaf_candidates(indexes, tokens[i]))
+                      if width == 1 else {})
+            backs = dict.fromkeys(scores) if width == 1 else {}
             for k in range(i + 1, j):
                 left_cell = score_row[k]
                 right_cell = score_chart[k][j]
@@ -319,7 +311,7 @@ def parse(model, tokens):
             score_row[j] = scores
             back_chart[i][j] = backs
             entries += len(scores)
-    stats = {"tokens": n, "chart_entries": entries}
+    stats = {"chart_entries": entries}
     best_id, best_logp = None, None
     top = score_chart[0][n]
     for cid in indexes["roots"]:
@@ -428,32 +420,6 @@ def _parse_expansion(text):
     return tuple(parse_category(part) for part in text.split(" "))
 
 
-def save_model(path, model):
-    rows = []
-    rows.append(("meta", "smoothing", "", repr(model.smoothing)))
-    rows.append(("meta", "rare_threshold", "", repr(model.rare_threshold)))
-    for cat in sorted(model.rules, key=render):
-        for expansion, prob in sorted(model.rules[cat].items(),
-                                      key=lambda kv: _render_expansion(kv[0])):
-            rows.append(("rule", render(cat), _render_expansion(expansion),
-                         repr(prob)))
-    for cat in sorted(model.lexical, key=render):
-        for token, prob in sorted(model.lexical[cat].items()):
-            rows.append(("lex", render(cat), token, repr(prob)))
-    for tag in sorted(model.pos_backoff):
-        for cat, prob in sorted(model.pos_backoff[tag].items(),
-                                key=lambda kv: render(kv[0])):
-            rows.append(("backoff", tag, render(cat), repr(prob)))
-    for token in sorted(model.token_pos):
-        for tag, count in sorted(model.token_pos[token].items()):
-            rows.append(("tokpos", token, tag, repr(count)))
-    for cat in sorted(model.roots, key=render):
-        rows.append(("root", "", render(cat), repr(model.roots[cat])))
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write("\t".join(row) + "\n")
-
-
 def _probability(text):
     value = float(text)
     if not (math.isfinite(value) and value > 0):
@@ -469,18 +435,44 @@ def _at_least_one(text, what):
     return value
 
 
-# meta key -> converter of its value
+# meta key -> converter of its value; each key is a ParserModel field
 _META = {"smoothing": float,
          "rare_threshold": lambda text: _at_least_one(text, "rare_threshold")}
 
+# nested table -> (ParserModel field, condition codec, outcome codec,
+# converter of its value), in file order between the meta and root rows; a
+# codec is a (render, parse) pair between a key and the text rows sort by
+_CATEGORY = (render, parse_category)
+_TEXT = (str, str)
+_TABLES = {
+    "rule": ("rules", _CATEGORY, (_render_expansion, _parse_expansion),
+             _probability),
+    "lex": ("lexical", _CATEGORY, _TEXT, _probability),
+    "backoff": ("pos_backoff", _TEXT, _CATEGORY, _probability),
+    "tokpos": ("token_pos", _TEXT, _TEXT,
+               lambda text: _at_least_one(text, "tokpos count")),
+}
+
+
+def save_model(path, model):
+    rows = [("meta", key, "", repr(getattr(model, key))) for key in _META]
+    for table, (name, (condition, _), (outcome, _), _) in _TABLES.items():
+        dists = getattr(model, name)
+        for key in sorted(dists, key=condition):
+            rows += [(table, condition(key), outcome(out), repr(value))
+                     for out, value in sorted(dists[key].items(),
+                                              key=lambda kv: outcome(kv[0]))]
+    rows += [("root", "", render(cat), repr(model.roots[cat]))
+             for cat in sorted(model.roots, key=render)]
+    with open(path, "w", encoding="utf-8") as handle:
+        for row in rows:
+            handle.write("\t".join(row) + "\n")
+
 
 def load_model(path):
-    rules = defaultdict(dict)
-    lexical = defaultdict(dict)
-    backoff = defaultdict(dict)
-    token_pos = defaultdict(dict)
+    tables = {table: defaultdict(dict) for table in _TABLES}
     roots = {}
-    meta = {"smoothing": 0.0, "rare_threshold": 2}
+    meta = {}                   # a missing key keeps its ParserModel default
     with Lines(path) as lines:
         for line in lines:
             fields = line.split("\t")
@@ -491,24 +483,14 @@ def load_model(path):
                 if condition not in _META:
                     raise ValueError("unknown meta key %r" % condition)
                 meta[condition] = _META[condition](value)
-            elif table == "rule":
-                rules[parse_category(condition)][_parse_expansion(outcome)] = \
-                    _probability(value)
-            elif table == "lex":
-                lexical[parse_category(condition)][outcome] = \
-                    _probability(value)
-            elif table == "backoff":
-                backoff[condition][parse_category(outcome)] = \
-                    _probability(value)
-            elif table == "tokpos":
-                count = _at_least_one(value, "tokpos count")
-                token_pos[condition][outcome] = count
             elif table == "root":
                 roots[parse_category(outcome)] = _probability(value)
+            elif table in _TABLES:
+                _, (_, key), (_, out), convert = _TABLES[table]
+                # checks the value first, then the condition and the outcome
+                tables[table][key(condition)][out(outcome)] = convert(value)
             else:
                 raise ValueError("unknown table %r" % table)
-    token_freq = {token: sum(dist.values()) for token, dist in token_pos.items()}
-    return ParserModel(dict(rules), dict(lexical), dict(backoff),
-                       dict(token_pos), token_freq, roots,
-                       smoothing=meta["smoothing"],
-                       rare_threshold=meta["rare_threshold"])
+    return ParserModel(**{_TABLES[table][0]: dict(dists)
+                          for table, dists in tables.items()},
+                       roots=roots, **meta)

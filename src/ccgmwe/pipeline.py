@@ -10,8 +10,9 @@ original gold standard it evaluates the three model-combination schemes.
 Each corpus stage is one function shared with the subcommands, every
 artifact is written in the formats they consume, and the whole run is a
 pure function of the configuration and input files.  `run_pipeline`
-writes its artifacts only after every stage has succeeded, so a failed
-run writes no file; it does not remove stale files of an earlier run.
+checks its output path first and writes its artifacts only after every
+stage has succeeded, so a failed run writes no file; it does not remove
+stale files of an earlier run.
 """
 
 from __future__ import annotations
@@ -322,6 +323,12 @@ def run_pipeline(config):
     """Run the full experiment, then write every artifact to config.output;
     nothing is written unless every stage succeeds.  Returns the score rows,
     the stats, the significance rows and the summary text."""
+    existing = os.path.abspath(config.output)   # can it become a directory?
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise PipelineError("run", "output %s: %s is not a directory"
+                            % (config.output, existing))
     with _stage("load"):
         records = treebank.read_treebank(config.treebank)
         lexicon = treebank.read_lexicon(config.lexicon)

@@ -12,8 +12,9 @@ unique within every treebank, dependency, ids and counts file:
 * Dependencies: per sentence a line ``ID <id>`` followed by one line per
   edge, tab-separated ``i j cat_j arg_k word_i word_j``.  Indices are
   1-based in files and 0-based in memory.
-* Token file: one sentence per line, space-separated; collapsed MWE units
-  are joined by '+'.  Ids file (``parse --ids``): one sentence id per line.
+* Token file: one sentence per line, space-separated tokens without
+  parentheses; collapsed MWE units are joined by '+'.  Ids file (``parse
+  --ids``): one sentence id per line.
 * Lexicon: tab-separated ``unit1 unit2 ...  kind  mwe-count  c1;c2;...``.
 * Occurrences: tab-separated ``sentence-id  i1,i2,...  joined  kind``, as
   written by ``recognize`` (whose ``--preset`` excludes ``--detector``,
@@ -222,7 +223,7 @@ def _parse_node(text, pos, depth):
                                       % (len(children), pos))
         return DerivationTree(category, tuple(children)), pos + 1
     end = pos
-    while end < len(text) and text[end] not in (")", " ", "\t"):
+    while end < len(text) and text[end] not in "() \t":
         end += 1
     token = text[pos:end]
     if not token:
@@ -322,8 +323,16 @@ def write_dependencies(path, corpus):
 # ----------------------------------------------------------------------
 
 def read_tokens(path):
+    """The token lists of a token file; no token contains a parenthesis."""
+    sentences = []
     with Lines(path) as lines:
-        return [line.split() for line in lines]
+        for line in lines:
+            tokens = line.split()
+            if "(" in line or ")" in line:
+                raise ValueError("token %r contains a parenthesis" % next(
+                    token for token in tokens if "(" in token or ")" in token))
+            sentences.append(tokens)
+    return sentences
 
 
 def read_ids(path):

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 from fractions import Fraction
 
 import numpy as np
@@ -38,8 +39,7 @@ def test_criterion_1_tree_figures(fixtures_dir, tmp_path):
     assert outcome.kept == [pib]
     out_path = tmp_path / "collapsed.tb"
     write_treebank(str(out_path), [SentenceRecord("orst", outcome.tree)])
-    expected = open(os.path.join(fixtures_dir, "fig_collapsed_subtree.tb"),
-                    "rb").read()
+    expected = Path(fixtures_dir, "fig_collapsed_subtree.tb").read_bytes()
     assert out_path.read_bytes() == expected
 
     nonsibling = read_treebank(os.path.join(fixtures_dir,
@@ -201,8 +201,8 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
     names = sorted(os.listdir(outputs[0]))
     assert names == sorted(os.listdir(outputs[1]))
     for name in names:
-        first = open(os.path.join(outputs[0], name), "rb").read()
-        second = open(os.path.join(outputs[1], name), "rb").read()
+        first = Path(outputs[0], name).read_bytes()
+        second = Path(outputs[1], name).read_bytes()
         assert first == second, "artifact %s differs between runs" % name
     elapsed = time.monotonic() - start
     assert elapsed < 60

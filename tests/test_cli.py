@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -477,12 +478,12 @@ class TestStageChecks:
     @pytest.mark.parametrize("command", ["run", "collapse", "split"])
     def test_treebank_with_repeated_id_fails(self, tmp_path, data_dir, capsys,
                                              command):
-        text = open(os.path.join(data_dir, "treebank.txt")).read()
+        text = Path(data_dir, "treebank.txt").read_text()
         treebank = tmp_path / "treebank.txt"
         treebank.write_text(text.replace("ID 47\n", "ID 46\n"))
         line = text[:text.index("ID 47\n")].count("\n") + 1
         (tmp_path / "lexicon.tsv").write_bytes(
-            open(os.path.join(data_dir, "lexicon.tsv"), "rb").read())
+            Path(data_dir, "lexicon.tsv").read_bytes())
         out = tmp_path / "out"
         occ = tmp_path / "occ.tsv"
         occ.write_text("")
@@ -523,6 +524,23 @@ class TestStageChecks:
         assert capsys.readouterr().err == (
             "error [parse] %s has 1 ids for 15 sentences in %s\n"
             % (ids, tokens))
+
+    def test_parse_rejects_token_with_parenthesis(self, rec1_out, tmp_path,
+                                                  capsys):
+        """Such a token would make the --trees output unreadable."""
+        tokens = tmp_path / "tokens.txt"
+        tokens.write_text("Mr. Vinken is chairman .\n"
+                          "Mr. Vinken)x is chairman of Elsevier N.V. , the "
+                          "Dutch publishing group .\n")
+        parsed, trees = tmp_path / "p.deps", tmp_path / "p.trees"
+        assert main(["parse", "--model", str(rec1_out / "model_a.tsv"),
+                     "--tokens", str(tokens), "--output", str(parsed),
+                     "--trees", str(trees)]) == 1
+        assert capsys.readouterr().err == (
+            "error [parse] %s line 2: token 'Vinken)x' contains a "
+            "parenthesis\n" % tokens)
+        assert not parsed.exists()
+        assert not trees.exists()
 
 
 NUMPY_GUARD = textwrap.dedent("""
@@ -622,6 +640,27 @@ class TestRun:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "in-file"])
+    def test_output_that_cannot_be_a_directory_fails_first(
+            self, tmp_path, data_dir, capsys, monkeypatch, below):
+        """The output path is checked before the first stage runs."""
+        def train(*args):
+            pytest.fail("trained before checking the output path")
+
+        monkeypatch.setattr("ccgmwe.parser.train", train)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        output = blocker.joinpath(*below)
+        fragment = tmp_path / "output.cfg"
+        fragment.write_text("output = %s\n" % output)
+        assert main(["run", "--config", base_config(tmp_path, data_dir),
+                     "--config", str(fragment)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error [run] output %s: %s is not a "
+                                "directory\n" % (output, blocker))
+        assert captured.out == ""
+        assert blocker.read_text() == "kept\n"
+
     def test_artifacts_reconsumable(self, tmp_path, data_dir, configs_dir):
         config = base_config(tmp_path, data_dir)
         rec1 = os.path.join(configs_dir, "rec1.cfg")
@@ -665,8 +704,8 @@ class TestRun:
                                                     capsys, spec):
         config = base_config(tmp_path, data_dir)
         bad = tmp_path / "bad.cfg"
-        bad.write_text(open(config).read().replace("test = 46-60",
-                                                   "test = %s" % spec))
+        bad.write_text(Path(config).read_text().replace("test = 46-60",
+                                                        "test = %s" % spec))
         assert main(["run", "--config", str(bad)]) == 1
         assert main(["split", "--treebank",
                      os.path.join(data_dir, "treebank.txt"), "--train", "1-40",
@@ -680,8 +719,8 @@ class TestRun:
                                                 capsys):
         config = base_config(tmp_path, data_dir).replace("exp.cfg", "exp.cfg")
         bad = tmp_path / "bad.cfg"
-        bad.write_text(open(config).read().replace("test = 46-60",
-                                                   "test = 90-99"))
+        bad.write_text(Path(config).read_text().replace("test = 46-60",
+                                                        "test = 90-99"))
         assert main(["run", "--config", str(bad)]) == 1
         assert "[split]" in capsys.readouterr().err
 

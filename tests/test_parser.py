@@ -46,7 +46,7 @@ def score_tree(model, tree):
         logp += math.log(prob)
     for index, node in enumerate(leaf_nodes(tree)):
         token = node.token
-        if model.token_freq.get(token, 0) >= model.rare_threshold:
+        if sum(model.token_pos.get(token, {}).values()) >= model.rare_threshold:
             prob = model.lexical.get(node.category, {}).get(token)
         else:
             prob = model.pos_backoff.get(tags[index], {}).get(node.category)
@@ -162,6 +162,38 @@ class TestParse:
         leaf = [n for n in _leaf_nodes(result.tree) if n.token == "part+of+speech"]
         assert render(leaf[0].category) == "N"
 
+    def test_rare_token_boundary(self):
+        """A token seen rare_threshold - 1 times emits through the back-off
+        of its tag, one seen rare_threshold times lexically, and an unseen
+        one through the back-off of its lowercased form's tag."""
+        trees = [record(str(i), "(S (N %s) (S\\N runs))" % token)
+                 for i, token in enumerate(("often", "often", "rare"), 1)]
+        model = train(trees, smoothing=0.0)
+        n, verb = C("N"), C("S\\N")
+        assert sum(model.token_pos["rare"].values()) == \
+            model.rare_threshold - 1
+        assert sum(model.token_pos["often"].values()) == model.rare_threshold
+        assert pos_tag(model, ["Runs", "unseen"]) == ["V", "N"]
+
+        def logprob(first, second):
+            return (math.log(model.rules[C("S")][(n, verb)])
+                    + math.log(model.rules[n][LEX]) + math.log(first)
+                    + math.log(model.rules[verb][LEX]) + math.log(second))
+
+        runs = model.lexical[verb]["runs"]
+        # the two emissions of each token differ, so each check tells them
+        # apart
+        assert model.lexical[n]["rare"] != model.pos_backoff["N"][n]
+        assert model.lexical[n]["often"] != model.pos_backoff["N"][n]
+        assert parse(model, ["rare", "runs"]).logprob == pytest.approx(
+            logprob(model.pos_backoff["N"][n], runs))
+        assert parse(model, ["often", "runs"]).logprob == pytest.approx(
+            logprob(model.lexical[n]["often"], runs))
+        # "Runs" is unseen: the global tag N has no S\N, its lowercased
+        # form's tag V has
+        assert parse(model, ["often", "Runs"]).logprob == pytest.approx(
+            logprob(model.lexical[n]["often"], model.pos_backoff["V"][verb]))
+
     def test_failure_is_a_value(self, corpus):
         model = train(corpus[:10], smoothing=0.0)
         result = parse(model, ["."])
@@ -198,7 +230,7 @@ def _leaf_nodes(tree):
 
 def _oracle_leaf_options(model, token, tag):
     options = []
-    if model.token_freq.get(token, 0) >= model.rare_threshold:
+    if sum(model.token_pos.get(token, {}).values()) >= model.rare_threshold:
         for cat, dist in model.lexical.items():
             lex = model.rules.get(cat, {}).get(LEX)
             if lex and token in dist:
@@ -399,6 +431,18 @@ class TestPersistence:
             if first.tree is not None:
                 assert first.logprob == pytest.approx(second.logprob, abs=1e-12)
 
+    def test_load_gives_the_saved_model(self, corpus, tmp_path):
+        """Every field survives the file, and the loaded model saves to the
+        same bytes."""
+        model = train(corpus[:40], smoothing=0.1)
+        parse(model, corpus[40].tokens)     # the cached indexes are no field
+        first, second = tmp_path / "m1.tsv", tmp_path / "m2.tsv"
+        save_model(str(first), model)
+        again = load_model(str(first))
+        assert again == model
+        save_model(str(second), again)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_save_is_deterministic(self, corpus, tmp_path):
         model = train(corpus[:10], smoothing=0.1)
         one, two = tmp_path / "m1.tsv", tmp_path / "m2.tsv"
@@ -480,7 +524,7 @@ def reference_parse(model, tokens):
     chart = {}
     entries = 0
     for i, token in enumerate(tokens):
-        if model.token_freq.get(token, 0) >= model.rare_threshold:
+        if sum(model.token_pos.get(token, {}).values()) >= model.rare_threshold:
             candidates = lex_index.get(token, ())
         else:
             candidates = backoff_index.get(tags[i], ())

@@ -1,5 +1,6 @@
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -60,7 +61,7 @@ class TestTreeParsing:
 
     @pytest.mark.parametrize("bad", [
         "(N", "N)", "(N (N/N a) (N b) (N c) (N d))", "()", "(N )",
-        "(N (N/N a) b)"])
+        "(N (N/N a) b)", "(N a(b)"])
     def test_malformed_trees(self, bad):
         with pytest.raises(TreebankFormatError):
             parse_tree(bad)
@@ -208,7 +209,7 @@ class TestRoundTrips:
         out = tmp_path / "copy.txt"
         write_treebank(str(out), records)
         assert out.read_text(encoding="utf-8") == \
-            open(source, encoding="utf-8").read()
+            Path(source).read_text(encoding="utf-8")
 
     def test_random_trees_round_trip(self):
         rng = random.Random(99)
@@ -250,7 +251,7 @@ class TestDependencyFiles:
         out = tmp_path / "copy.deps"
         write_dependencies(str(out), items)
         assert out.read_text(encoding="utf-8") == \
-            open(source, encoding="utf-8").read()
+            Path(source).read_text(encoding="utf-8")
 
     def test_dep1_has_ten_edges(self, fixtures_dir):
         deps, = read_dependencies(os.path.join(fixtures_dir,

@@ -8,6 +8,7 @@ either with `run --config ...` or by chaining the individual stages.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -232,9 +233,20 @@ def _add_run(sub):
     cmd.set_defaults(run=_run_run)
 
 
+# gen-0 threshold while `run` holds the corpus: its objects live to the
+# end of the run, so each full sweep of the cyclic collector frees nothing
+RUN_GC_THRESHOLD = 50_000
+
+
 def _run_run(args):
     config = pipeline.read_config(args.config)
-    sys.stdout.write(pipeline.run_pipeline(config)["summary"])
+    thresholds = gc.get_threshold()
+    gc.set_threshold(RUN_GC_THRESHOLD, *thresholds[1:])
+    try:
+        summary = pipeline.run_pipeline(config)["summary"]
+    finally:
+        gc.set_threshold(*thresholds)
+    sys.stdout.write(summary)
 
 
 def main(argv=None):

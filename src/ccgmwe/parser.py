@@ -265,8 +265,12 @@ def _unary_closure(unary_index, scores, backs):
 def parse(model, tokens):
     """Viterbi CKY decoding; returns the best sentence-rooted derivation.
 
-    Failure to cover the input with a training-root category is a normal
-    outcome reported through the result, not an error.
+    A span (i, j) is split only at the k where both (i, k) and (k, j) hold
+    an entry, taken in ascending order as a full scan would visit them, so
+    every tie resolves the same way.  A span with no entry allocates nothing
+    and stays None in the chart.  Failure to cover the input with a
+    training-root category is a normal outcome reported through the
+    result, not an error.
     """
     if not tokens:
         raise ValueError("cannot parse an empty token sequence")
@@ -276,44 +280,57 @@ def parse(model, tokens):
     n = len(tokens)
     # span (i, j) lives at [i][j]: category id -> best log-probability, and
     # category id -> backpointer: None for a leaf, (child id,) for a unary
-    # node, (split, left id, right id) for a binary one.  A width-1 span
-    # has no split point and at most one leaf candidate per category.
+    # node, (split, left id, right id) for a binary one; a span with no
+    # entry stays None.  ends[i] lists the ends of the non-empty spans that
+    # start at i in ascending order, and starts[j] holds the starts of the
+    # non-empty spans that end at j, so the split points of (i, j) are the
+    # k of ends[i] in starts[j].  A width-1 span has no split point and at
+    # most one leaf candidate per category.
     score_chart = [[None] * (n + 1) for _ in range(n)]
     back_chart = [[None] * (n + 1) for _ in range(n)]
+    ends = [[] for _ in range(n)]
+    starts = [set() for _ in range(n + 1)]
     entries = 0
     for width in range(1, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
-            score_row = score_chart[i]
-            scores = (dict(_leaf_candidates(indexes, tokens[i]))
-                      if width == 1 else {})
-            backs = dict.fromkeys(scores) if width == 1 else {}
-            for k in range(i + 1, j):
-                left_cell = score_row[k]
-                right_cell = score_chart[k][j]
-                if not left_cell or not right_cell:
+            if width == 1:
+                scores = dict(_leaf_candidates(indexes, tokens[i]))
+                backs = dict.fromkeys(scores)
+            else:
+                split_starts = starts[j]
+                splits = [k for k in ends[i] if k in split_starts]
+                if not splits:
                     continue
-                for lid, lp in left_cell.items():
-                    by_right = binary_index.get(lid)
-                    if by_right is None:
-                        continue
-                    for rid, rp in right_cell.items():
-                        rules = by_right.get(rid)
-                        if rules is None:
+                score_row = score_chart[i]
+                scores, backs = {}, {}
+                for k in splits:
+                    right_cell = score_chart[k][j]
+                    for lid, lp in score_row[k].items():
+                        by_right = binary_index.get(lid)
+                        if by_right is None:
                             continue
-                        for pid, logq in rules:
-                            cand = lp + rp + logq
-                            old = scores.get(pid)
-                            if old is None or cand > old:
-                                scores[pid] = cand
-                                backs[pid] = (k, lid, rid)
+                        for rid, rp in right_cell.items():
+                            rules = by_right.get(rid)
+                            if rules is None:
+                                continue
+                            for pid, logq in rules:
+                                cand = lp + rp + logq
+                                old = scores.get(pid)
+                                if old is None or cand > old:
+                                    scores[pid] = cand
+                                    backs[pid] = (k, lid, rid)
+            if not scores:
+                continue
             _unary_closure(unary_index, scores, backs)
-            score_row[j] = scores
+            score_chart[i][j] = scores
             back_chart[i][j] = backs
+            ends[i].append(j)
+            starts[j].add(i)
             entries += len(scores)
     stats = {"chart_entries": entries}
     best_id, best_logp = None, None
-    top = score_chart[0][n]
+    top = score_chart[0][n] or {}
     for cid in indexes["roots"]:
         logp = top.get(cid)
         if logp is not None and (best_logp is None or logp > best_logp):
@@ -435,6 +452,11 @@ def _at_least_one(text, what):
     return value
 
 
+def _empty(text, what):
+    if text:
+        raise ValueError("%s must be empty, got %r" % (what, text))
+
+
 # meta key -> converter of its value; each key is a ParserModel field
 _META = {"smoothing": float,
          "rare_threshold": lambda text: _at_least_one(text, "rare_threshold")}
@@ -482,8 +504,10 @@ def load_model(path):
             if table == "meta":
                 if condition not in _META:
                     raise ValueError("unknown meta key %r" % condition)
+                _empty(outcome, "outcome of a meta row")
                 meta[condition] = _META[condition](value)
             elif table == "root":
+                _empty(condition, "condition of a root row")
                 roots[parse_category(outcome)] = _probability(value)
             elif table in _TABLES:
                 _, (_, key), (_, out), convert = _TABLES[table]

@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -6,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from ccgmwe.cli import main
+from ccgmwe import parser, pipeline
+from ccgmwe.cli import RUN_GC_THRESHOLD, main
 from ccgmwe.evaluation import SCHEMES
 from ccgmwe.parser import load_model, parse
 from ccgmwe.pipeline import (ExperimentConfig, PipelineError, parse_id_spec,
-                             read_config, split_records)
+                             read_config, run_pipeline, split_records)
 from ccgmwe.recognition import PRESETS
 from ccgmwe.treebank import (MAX_TREE_DEPTH, read_dependencies,
                              read_occurrences, read_tokens, read_treebank,
@@ -909,3 +911,67 @@ class TestMalformedInput:
         config = base_config(tmp_path, data_dir, "# extra\n" + line + "\n")
         self.expect(capsys, ["run", "--config", config],
                     "error [config] %s line 11: %s" % (config, reason))
+
+
+class TestRunGcScope:
+    """`run` raises the collector's gen-0 threshold only while run_pipeline
+    runs; the caller's thresholds are back afterwards, however it exits."""
+
+    CUSTOM = (1234, 11, 12)
+
+    @pytest.fixture(autouse=True)
+    def custom_thresholds(self):
+        saved = gc.get_threshold()
+        gc.set_threshold(*self.CUSTOM)
+        yield
+        gc.set_threshold(*saved)
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """The thresholds in force each time run_pipeline is entered."""
+        seen = []
+        real_run = pipeline.run_pipeline
+
+        def recording_run(config):
+            seen.append(gc.get_threshold())
+            return real_run(config)
+
+        monkeypatch.setattr(pipeline, "run_pipeline", recording_run)
+        return seen
+
+    def test_run_restores_thresholds(self, tmp_path, data_dir, configs_dir,
+                                     seen):
+        assert main(["run", "--config", base_config(tmp_path, data_dir),
+                     "--config", os.path.join(configs_dir, "rec1.cfg")]) == 0
+        assert seen == [(RUN_GC_THRESHOLD,) + self.CUSTOM[1:]]
+        assert gc.get_threshold() == self.CUSTOM
+
+    @pytest.mark.parametrize("line,raised", [
+        ("mystery = 3", False), ("output = %(blocker)s", True)],
+        ids=["unknown-key", "output-is-a-file"])
+    def test_failed_run_restores_thresholds(self, tmp_path, data_dir, capsys,
+                                            seen, line, raised):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        config = base_config(tmp_path, data_dir,
+                             line % {"blocker": blocker} + "\n")
+        assert main(["run", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith("error [")
+        assert seen == ([(RUN_GC_THRESHOLD,) + self.CUSTOM[1:]] if raised
+                        else [])
+        assert gc.get_threshold() == self.CUSTOM
+
+    def test_run_pipeline_keeps_thresholds(self, tmp_path, data_dir,
+                                           configs_dir, monkeypatch):
+        during = set()
+        real_parse = parser.parse
+
+        def recording_parse(model, tokens):
+            during.add(gc.get_threshold())
+            return real_parse(model, tokens)
+
+        monkeypatch.setattr(parser, "parse", recording_parse)
+        run_pipeline(read_config([base_config(tmp_path, data_dir),
+                                  os.path.join(configs_dir, "rec1.cfg")]))
+        assert during == {self.CUSTOM}
+        assert gc.get_threshold() == self.CUSTOM

@@ -86,3 +86,18 @@ def test_reader_names_file_and_line(tmp_path, reader, error, text):
         located = re.match(re.escape(str(path)) + r" line (\d+): ", message)
         assert located, message
         assert 1 <= int(located.group(1)) <= text.count("\n") + 1, message
+
+
+@pytest.mark.parametrize("row,reason", [
+    ("meta\tsmoothing\tjunk\t0.1",
+     "outcome of a meta row must be empty, got 'junk'"),
+    ("root\tjunk\tS\t1.0",
+     "condition of a root row must be empty, got 'junk'")])
+def test_model_rejects_a_field_save_model_leaves_empty(tmp_path, row, reason):
+    """save_model writes no outcome on a meta row and no condition on a
+    root row, so a model file that has one would not survive a save."""
+    path = tmp_path / "model.tsv"
+    path.write_text("rule\tS\t<LEX>\t1.0\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(TreebankFormatError) as err:
+        load_model(str(path))
+    assert str(err.value) == "%s line 2: %s" % (path, reason)

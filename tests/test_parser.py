@@ -618,3 +618,34 @@ class TestIntegerChartMatchesReference:
                 stream = [token for tokens in sentences for token in tokens]
                 for length in (16, 24, 32, 48, 64):
                     _assert_matches_reference(model, stream[:length])
+
+
+class TestSparseChart:
+    """Charts with empty cells: the split-point sets skip them and the
+    cells stay None, with the reference's tree, logprob and entry count."""
+
+    @staticmethod
+    def model_with_gap():
+        """A model whose token "gap" has no leaf candidate: a tokpos row
+        counts it as frequent, and no lex row emits it."""
+        model = train([record("1", JOHN_BUYS_SHARES)], smoothing=0.0)
+        model.token_pos["gap"] = {"N": model.rare_threshold}
+        return model
+
+    def test_middle_token_without_leaf_candidate(self):
+        model = self.model_with_gap()
+        assert not _assert_matches_reference(model, ["John", "gap", "shares"])
+        assert parse(model, ["John", "gap", "shares"]).stats == {
+            "chart_entries": 2}
+
+    def test_one_token_with_empty_cell(self):
+        model = self.model_with_gap()
+        assert not _assert_matches_reference(model, ["gap"])
+        assert parse(model, ["gap"]).stats == {"chart_entries": 0}
+
+    def test_only_width_one_spans_hold_entries(self):
+        model = train([record("1", JOHN_BUYS_SHARES)], smoothing=0.0)
+        # three NP leaves, and no rule combines NP with NP
+        tokens = ["shares", "John", "shares"]
+        assert not _assert_matches_reference(model, tokens)
+        assert parse(model, tokens).stats == {"chart_entries": 3}

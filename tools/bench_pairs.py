@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Benchmark two checkouts in alternating pairs and record both sides.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR \\
+        [--workload scaled-experiment] [--seeds 2,3,4] [--seconds S] \\
+        [--output-dir .]
+
+For each seed it runs ``perfbench/run.py --workload W --seed N --trace 0``
+once in each checkout, one process at a time.  The side that goes first
+alternates from seed to seed, so a drift in host speed falls on both sides
+alike.  It then writes ``BENCH_<sha>_<workload>.json`` for each side, <sha>
+being the checkout's short commit id (with ``-dirty`` if its tree has
+uncommitted changes).  Each file holds the final JSON line of every seed's
+run, the operations attempted and failed over all seeds, and the median
+over the seeds of each metric.  --seconds defaults to ``run_seconds`` of
+the change's BENCHMARK.json.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def commit_id(checkout):
+    def git(*args):
+        return subprocess.run(["git", "-C", checkout, *args], check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    sha = git("rev-parse", "--short", "HEAD")
+    return sha + "-dirty" if git("status", "--porcelain") else sha
+
+
+def run_once(checkout, workload, seed, seconds):
+    """The final JSON line that perfbench/run.py prints in `checkout`."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit("%s, seed %d: perfbench exited %d\n%s"
+                         % (checkout, seed, done.returncode, done.stderr))
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def summary(sha, workload, seconds, runs):
+    names = runs[0]["result"]["metrics"]
+    return {
+        "sha": sha,
+        "workload": workload,
+        "seconds": seconds,
+        "runs": runs,
+        "attempted": sum(r["result"]["attempted"] for r in runs),
+        "failed": sum(r["result"]["failed"] for r in runs),
+        "median": {name: statistics.median(
+            r["result"]["metrics"][name]["value"] for r in runs)
+            for name in names},
+    }
+
+
+def main(argv=None):
+    cli = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    cli.add_argument("--parent", required=True, help="parent checkout")
+    cli.add_argument("--change", required=True, help="changed checkout")
+    cli.add_argument("--workload", default="scaled-experiment")
+    cli.add_argument("--seeds", default="2,3,4",
+                     help="comma-separated benchmark seeds, one pair each")
+    cli.add_argument("--seconds", type=float)
+    cli.add_argument("--output-dir", default=".")
+    args = cli.parse_args(argv)
+    seeds = [int(seed) for seed in args.seeds.split(",")]
+    seconds = args.seconds
+    if seconds is None:
+        with open(os.path.join(args.change, "BENCHMARK.json"),
+                  encoding="utf-8") as handle:
+            seconds = json.load(handle)["run_seconds"]
+    sides = {"parent": args.parent, "change": args.change}
+    runs = {side: [] for side in sides}
+    for index, seed in enumerate(seeds):
+        order = ["parent", "change"]
+        if index % 2:
+            order.reverse()
+        for side in order:
+            result = run_once(sides[side], args.workload, seed, seconds)
+            runs[side].append({"seed": seed, "result": result})
+            print("seed %d %s: wall_s %.3f, failed %d"
+                  % (seed, side, result["metrics"]["wall_s"]["value"],
+                     result["failed"]), file=sys.stderr)
+    for side, checkout in sides.items():
+        sha = commit_id(checkout)
+        path = os.path.join(args.output_dir,
+                            "BENCH_%s_%s.json" % (sha, args.workload))
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(summary(sha, args.workload, seconds, runs[side]),
+                      handle, indent=1, sort_keys=True)
+            handle.write("\n")
+        print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

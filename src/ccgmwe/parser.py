@@ -267,10 +267,10 @@ def parse(model, tokens):
 
     A span (i, j) is split only at the k where both (i, k) and (k, j) hold
     an entry, taken in ascending order as a full scan would visit them, so
-    every tie resolves the same way.  A span with no entry allocates nothing
-    and stays None in the chart.  Failure to cover the input with a
-    training-root category is a normal outcome reported through the
-    result, not an error.
+    every tie resolves the same way.  A span with no split point allocates
+    nothing, and every span with no entry stays None in the chart.
+    Failure to cover the input with a training-root category is a normal
+    outcome reported through the result, not an error.
     """
     if not tokens:
         raise ValueError("cannot parse an empty token sequence")

@@ -92,7 +92,8 @@ def test_reader_names_file_and_line(tmp_path, reader, error, text):
     ("meta\tsmoothing\tjunk\t0.1",
      "outcome of a meta row must be empty, got 'junk'"),
     ("root\tjunk\tS\t1.0",
-     "condition of a root row must be empty, got 'junk'")])
+     "condition of a root row must be empty, got 'junk'")],
+    ids=["meta-outcome", "root-condition"])
 def test_model_rejects_a_field_save_model_leaves_empty(tmp_path, row, reason):
     """save_model writes no outcome on a meta row and no condition on a
     root row, so a model file that has one would not survive a save."""

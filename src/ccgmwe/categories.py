@@ -8,7 +8,9 @@ functors, which is the canonical form used in all file formats.
 
 Categories are immutable values: they can be shared freely between threads
 and used as dictionary keys.  Each category computes its hash once, from
-its children's cached hashes, so hashing never walks the tree.
+its children's cached hashes, so hashing never walks the tree.  Equal
+categories built by parse_category, and all their parts, are one object,
+so comparing or looking up parsed categories stops at the identity test.
 """
 
 from __future__ import annotations
@@ -87,6 +89,14 @@ class Category:
         return "Category(%r)" % render(self)
 
 
+# value -> the one instance of it that parse_category hands out
+_CANONICAL = {}
+
+
+def _canonical(cat):
+    return _CANONICAL.setdefault(cat, cat)
+
+
 @lru_cache(maxsize=None)
 def parse_category(text):
     """Parse a category string into a Category tree.
@@ -107,7 +117,8 @@ def _parse_spine(text, pos):
     while pos < len(text) and text[pos] in (FORWARD, BACKWARD):
         direction = text[pos]
         arg, pos = _parse_operand(text, pos + 1)
-        cat = Category(result=cat, direction=direction, argument=arg)
+        cat = _canonical(Category(result=cat, direction=direction,
+                                  argument=arg))
     return cat, pos
 
 
@@ -133,7 +144,7 @@ def _parse_operand(text, pos):
         if not feature:
             raise CategoryParseError("empty feature tag", text, pos)
         pos = end + 1
-    return Category(atom=name, feature=feature), pos
+    return _canonical(Category(atom=name, feature=feature)), pos
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +165,7 @@ def _wrap(cat):
 def arity(cat):
     """Number of argument slots on the spine of `cat`."""
     count = 0
-    while cat.is_functor():
+    while cat.result is not None:
         count += 1
         cat = cat.result
     return count
@@ -162,7 +173,7 @@ def arity(cat):
 
 def target(cat):
     """The atomic result left after peeling every argument."""
-    while cat.is_functor():
+    while cat.result is not None:
         cat = cat.result
     return cat
 

@@ -233,19 +233,18 @@ def _add_run(sub):
     cmd.set_defaults(run=_run_run)
 
 
-# gen-0 threshold while `run` holds the corpus: its objects live to the
-# end of the run, so each full sweep of the cyclic collector frees nothing
-RUN_GC_THRESHOLD = 50_000
-
-
 def _run_run(args):
     config = pipeline.read_config(args.config)
-    thresholds = gc.get_threshold()
-    gc.set_threshold(RUN_GC_THRESHOLD, *thresholds[1:])
+    # the objects of a run live to its end and form no cycles, so a sweep
+    # of the cyclic collector would free nothing: it is off while the
+    # pipeline runs, whatever collections the interpreter made before
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         summary = pipeline.run_pipeline(config)["summary"]
     finally:
-        gc.set_threshold(*thresholds)
+        if enabled:
+            gc.enable()
     sys.stdout.write(summary)
 
 

@@ -88,15 +88,16 @@ def _match(node, start, wanted, found):
     in `wanted`, keyed by its (first, last) unit index, moves to `found`
     with the first node that spans exactly those leaves: descendants come
     first, so a unary chain gives its lowest node."""
-    if node.is_leaf():
+    if node.token is not None:
         end = start + 1
     else:
         end = start
         for child in node.children:
             end = _match(child, end, wanted, found)
-    occ = wanted.pop((start, end - 1), None)
-    if occ is not None:
-        found[occ] = node
+    if wanted:
+        occ = wanted.pop((start, end - 1), None)
+        if occ is not None:
+            found[occ] = node
     return end
 
 
@@ -107,11 +108,11 @@ def _build(node, replacements, tokens):
     occ = replacements.get(id(node))
     if occ is not None:
         token = occ.joined
-    elif node.is_leaf():
+    elif node.token is not None:
         token = node.token
     else:
-        return DerivationTree(node.category, tuple(
-            _build(child, replacements, tokens) for child in node.children))
+        return DerivationTree(node.category, tuple([
+            _build(child, replacements, tokens) for child in node.children]))
     tokens.append(token)
     return DerivationTree(node.category, (), token)
 

@@ -55,20 +55,22 @@ class EvalReport:
     per_sentence: dict = field(default_factory=dict)
 
 
-def _match_key(dep, labeled):
-    key = (dep.i, dep.word_i, dep.j, dep.word_j)
+def _match_keys(deps, labeled):
+    """The multiset of the match keys of `deps`."""
     if labeled:
-        key += (render(dep.cat_j), dep.arg_k)
-    return key
+        return Counter([(d.i, d.word_i, d.j, d.word_j, render(d.cat_j),
+                         d.arg_k) for d in deps])
+    return Counter([(d.i, d.word_i, d.j, d.word_j) for d in deps])
 
 
 def sentence_counts(system_deps, gold_deps, labeled=False):
     """(correct, attempted, gold) for one sentence, matching multisets of
     dependency keys."""
-    system_keys = Counter(_match_key(d, labeled) for d in system_deps)
-    gold_keys = Counter(_match_key(d, labeled) for d in gold_deps)
-    correct = sum((system_keys & gold_keys).values())
-    return correct, sum(system_keys.values()), sum(gold_keys.values())
+    gold_keys = _match_keys(gold_deps, labeled)
+    correct = sum(min(count, gold_keys[key]) for key, count
+                  in _match_keys(system_deps, labeled).items()
+                  if key in gold_keys)
+    return correct, len(system_deps), len(gold_deps)
 
 
 def score(system, gold, labeled=False):
@@ -180,6 +182,10 @@ class SigTestResult:
     exhaustive: bool
 
 
+# swap decisions drawn per block of rows by sig_test's sampler
+_SWAP_BLOCK = 1 << 18
+
+
 def _pooled_f1(correct, attempted, gold):
     # F1 = 2PR/(P+R) collapses to 2c/(a+g) on pooled counts
     if attempted + gold == 0:
@@ -233,8 +239,14 @@ def sig_test(counts_x, counts_y, iterations=10000, seed=0):
         for row in delta:
             shift = np.concatenate((shift, shift + row))
     else:
+        # the swap patterns are drawn a block of rows at a time: the same
+        # stream as one (iterations, n) draw, in a fraction of its memory
         rng = np.random.default_rng(seed)
-        shift = (rng.random((iterations, n)) < 0.5).astype(np.int64) @ delta
+        rows = max(1, _SWAP_BLOCK // n)
+        shift = np.concatenate([
+            (rng.random((min(rows, iterations - first), n)) < 0.5)
+            .astype(np.int64) @ delta
+            for first in range(0, iterations, rows)])
     x_tot = x.sum(axis=0)[None, :] + shift
     y_tot = y.sum(axis=0)[None, :] - shift
     f1_x = np.zeros(iterations)

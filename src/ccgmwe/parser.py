@@ -23,6 +23,7 @@ import math
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 from .categories import (FORWARD_APPLY, FORWARD_COMPOSE, arity,
                          derivation_rule, is_modifier, parse_category, render,
@@ -36,6 +37,8 @@ LEX = ()
 PUNCT_ATOMS = {"PUNC", ",", ".", ";", ":", "conj", "LRB", "RRB"}
 
 _DETERMINER = parse_category("NP/N")
+
+_CATEGORY_OF = attrgetter("category")
 
 _ATOM_POS = {"S": "V", "N": "N", "NP": "N", "PP": "P", "PUNC": "PUNC",
              "conj": "PUNC"}
@@ -120,33 +123,37 @@ def train(records, smoothing=0.0):
     records = list(records)
     if not records:
         raise ValueError("cannot train on an empty treebank")
+    leaves = []                 # (category, token) of every leaf
+    nodes = []                  # (category, child categories) of the rest
+    for record in records:
+        stack = [record.tree]
+        while stack:
+            node = stack.pop()
+            if node.token is not None:
+                leaves.append((node.category, node.token))
+            else:
+                children = node.children
+                nodes.append((node.category,
+                              tuple(map(_CATEGORY_OF, children))))
+                stack.extend(children)
     rule_counts = defaultdict(Counter)
     lex_counts = defaultdict(Counter)
     backoff_counts = defaultdict(Counter)
     token_pos = defaultdict(Counter)
-    root_counts = Counter()
-    for record in records:
-        root_counts[record.tree.category] += 1
-        stack = [record.tree]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf():
-                cat = node.category
-                rule_counts[cat][LEX] += 1
-                lex_counts[cat][node.token] += 1
-                tag = pos_for_category(cat)
-                backoff_counts[tag][cat] += 1
-                token_pos[node.token][tag] += 1
-            else:
-                rule_counts[node.category][
-                    tuple(child.category for child in node.children)] += 1
-                stack.extend(node.children)
+    for (cat, expansion), count in Counter(nodes).items():
+        rule_counts[cat][expansion] += count
+    for (cat, token), count in Counter(leaves).items():
+        rule_counts[cat][LEX] += count
+        lex_counts[cat][token] += count
+        tag = pos_for_category(cat)
+        backoff_counts[tag][cat] += count
+        token_pos[token][tag] += count
     return ParserModel(
         rules={c: _smoothed(v, smoothing) for c, v in rule_counts.items()},
         lexical={c: _smoothed(v, smoothing) for c, v in lex_counts.items()},
         pos_backoff={t: _smoothed(v, smoothing) for t, v in backoff_counts.items()},
         token_pos={t: dict(v) for t, v in token_pos.items()},
-        roots=_smoothed(root_counts, 0.0),
+        roots=_smoothed(Counter(r.tree.category for r in records), 0.0),
         smoothing=smoothing,
     )
 
@@ -281,15 +288,14 @@ def parse(model, tokens):
     # span (i, j) lives at [i][j]: category id -> best log-probability, and
     # category id -> backpointer: None for a leaf, (child id,) for a unary
     # node, (split, left id, right id) for a binary one; a span with no
-    # entry stays None.  ends[i] lists the ends of the non-empty spans that
-    # start at i in ascending order, and starts[j] holds the starts of the
-    # non-empty spans that end at j, so the split points of (i, j) are the
-    # k of ends[i] in starts[j].  A width-1 span has no split point and at
-    # most one leaf candidate per category.
+    # entry stays None.  Bit k of ends[i] is set when span (i, k) is
+    # non-empty and bit k of starts[j] when span (k, j) is, so the set bits
+    # of ends[i] & starts[j] are the split points of (i, j).  A width-1
+    # span has no split point and at most one leaf candidate per category.
     score_chart = [[None] * (n + 1) for _ in range(n)]
     back_chart = [[None] * (n + 1) for _ in range(n)]
-    ends = [[] for _ in range(n)]
-    starts = [set() for _ in range(n + 1)]
+    ends = [0] * n
+    starts = [0] * (n + 1)
     entries = 0
     for width in range(1, n + 1):
         for i in range(0, n - width + 1):
@@ -298,13 +304,15 @@ def parse(model, tokens):
                 scores = dict(_leaf_candidates(indexes, tokens[i]))
                 backs = dict.fromkeys(scores)
             else:
-                split_starts = starts[j]
-                splits = [k for k in ends[i] if k in split_starts]
+                splits = ends[i] & starts[j]
                 if not splits:
                     continue
                 score_row = score_chart[i]
                 scores, backs = {}, {}
-                for k in splits:
+                while splits:           # split points in ascending order
+                    lowest = splits & -splits
+                    splits ^= lowest
+                    k = lowest.bit_length() - 1
                     right_cell = score_chart[k][j]
                     for lid, lp in score_row[k].items():
                         by_right = binary_index.get(lid)
@@ -322,11 +330,12 @@ def parse(model, tokens):
                                     backs[pid] = (k, lid, rid)
             if not scores:
                 continue
-            _unary_closure(unary_index, scores, backs)
+            if not unary_index.keys().isdisjoint(scores):  # else no growth
+                _unary_closure(unary_index, scores, backs)
             score_chart[i][j] = scores
             back_chart[i][j] = backs
-            ends[i].append(j)
-            starts[j].add(i)
+            ends[i] |= 1 << j
+            starts[j] |= 1 << i
             entries += len(scores)
     stats = {"chart_entries": entries}
     best_id, best_logp = None, None
@@ -385,11 +394,12 @@ def _heads(node, start, deps, skipped):
     returns the index after its last leaf and the subtree's heads as
     (index, leaf) pairs in leaf order.  Appends the subtree's edges to
     `deps` and each node that fits no rule to `skipped`."""
-    if node.is_leaf():
+    if node.token is not None:
         return start + 1, ((start, node),)
-    if len(node.children) == 1:
-        return _heads(node.children[0], start, deps, skipped)
-    left, right = node.children
+    children = node.children
+    if len(children) == 1:
+        return _heads(children[0], start, deps, skipped)
+    left, right = children
     mid, left_heads = _heads(left, start, deps, skipped)
     end, right_heads = _heads(right, mid, deps, skipped)
     rule = derivation_rule(left.category, right.category, node.category)

@@ -163,6 +163,13 @@ class TestProperties:
 
 
 class TestValueContract:
+    def test_parsed_equal_categories_are_one_object(self):
+        whole = parse_category("(S\\NP)/NP")
+        assert whole.result is parse_category("S\\NP")
+        assert whole.argument is parse_category("NP")
+        modifier = parse_category("(S\\NP)\\(S\\NP)")
+        assert modifier.result is modifier.argument is whole.result
+
     def test_separately_built_equal_categories(self):
         rng = random.Random(5)
         for _ in range(500):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ccgmwe import parser, pipeline
-from ccgmwe.cli import RUN_GC_THRESHOLD, main
+from ccgmwe.cli import main
 from ccgmwe.evaluation import SCHEMES
 from ccgmwe.parser import load_model, parse
 from ccgmwe.pipeline import (ExperimentConfig, PipelineError, parse_id_spec,
@@ -914,8 +914,9 @@ class TestMalformedInput:
 
 
 class TestRunGcScope:
-    """`run` raises the collector's gen-0 threshold only while run_pipeline
-    runs; the caller's thresholds are back afterwards, however it exits."""
+    """`run` turns the cyclic collector off only while run_pipeline runs;
+    the caller's collector state and thresholds are back afterwards,
+    however it exits."""
 
     CUSTOM = (1234, 11, 12)
 
@@ -925,53 +926,64 @@ class TestRunGcScope:
         gc.set_threshold(*self.CUSTOM)
         yield
         gc.set_threshold(*saved)
+        gc.enable()
 
     @pytest.fixture
     def seen(self, monkeypatch):
-        """The thresholds in force each time run_pipeline is entered."""
+        """(enabled, thresholds) each time run_pipeline is entered."""
         seen = []
         real_run = pipeline.run_pipeline
 
         def recording_run(config):
-            seen.append(gc.get_threshold())
+            seen.append((gc.isenabled(), gc.get_threshold()))
             return real_run(config)
 
         monkeypatch.setattr(pipeline, "run_pipeline", recording_run)
         return seen
 
-    def test_run_restores_thresholds(self, tmp_path, data_dir, configs_dir,
-                                     seen):
+    def test_run_restores_the_collector(self, tmp_path, data_dir,
+                                        configs_dir, seen):
         assert main(["run", "--config", base_config(tmp_path, data_dir),
                      "--config", os.path.join(configs_dir, "rec1.cfg")]) == 0
-        assert seen == [(RUN_GC_THRESHOLD,) + self.CUSTOM[1:]]
+        assert seen == [(False, self.CUSTOM)]
+        assert gc.isenabled()
         assert gc.get_threshold() == self.CUSTOM
 
-    @pytest.mark.parametrize("line,raised", [
+    def test_run_leaves_a_disabled_collector_off(self, tmp_path, data_dir,
+                                                 configs_dir, seen):
+        gc.disable()
+        assert main(["run", "--config", base_config(tmp_path, data_dir),
+                     "--config", os.path.join(configs_dir, "rec1.cfg")]) == 0
+        assert seen == [(False, self.CUSTOM)]
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("line,entered", [
         ("mystery = 3", False), ("output = %(blocker)s", True)],
         ids=["unknown-key", "output-is-a-file"])
-    def test_failed_run_restores_thresholds(self, tmp_path, data_dir, capsys,
-                                            seen, line, raised):
+    def test_failed_run_restores_the_collector(self, tmp_path, data_dir,
+                                               capsys, seen, line, entered):
         blocker = tmp_path / "blocker"
         blocker.write_text("kept\n")
         config = base_config(tmp_path, data_dir,
                              line % {"blocker": blocker} + "\n")
         assert main(["run", "--config", config]) == 1
         assert capsys.readouterr().err.startswith("error [")
-        assert seen == ([(RUN_GC_THRESHOLD,) + self.CUSTOM[1:]] if raised
-                        else [])
+        assert seen == ([(False, self.CUSTOM)] if entered else [])
+        assert gc.isenabled()
         assert gc.get_threshold() == self.CUSTOM
 
-    def test_run_pipeline_keeps_thresholds(self, tmp_path, data_dir,
-                                           configs_dir, monkeypatch):
+    def test_run_pipeline_keeps_the_collector(self, tmp_path, data_dir,
+                                              configs_dir, monkeypatch):
         during = set()
         real_parse = parser.parse
 
         def recording_parse(model, tokens):
-            during.add(gc.get_threshold())
+            during.add((gc.isenabled(), gc.get_threshold()))
             return real_parse(model, tokens)
 
         monkeypatch.setattr(parser, "parse", recording_parse)
         run_pipeline(read_config([base_config(tmp_path, data_dir),
                                   os.path.join(configs_dir, "rec1.cfg")]))
-        assert during == {self.CUSTOM}
+        assert during == {(True, self.CUSTOM)}
+        assert gc.isenabled()
         assert gc.get_threshold() == self.CUSTOM

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ccgmwe import evaluation
 from ccgmwe.categories import arity, parse_category, render
 from ccgmwe.collapse import (collapse_dependencies, collapse_tokens,
                              collapse_tree)
@@ -473,6 +474,24 @@ class TestSigTest:
         second = sig_test(counts_x, counts_y, iterations=5000, seed=11)
         assert not first.exhaustive
         assert first.p_value == second.p_value
+
+    @pytest.mark.parametrize("block", [1, 37 * 3, 37 * 64 + 5, 1 << 18])
+    def test_sampler_draws_one_stream(self, monkeypatch, block):
+        # swap patterns are drawn a block of rows at a time; every block
+        # size gives the p-value of one (iterations, n) draw
+        counts_x, counts_y = _random_counts(random.Random(12), 37)
+        sids = sorted(counts_x)
+        x = np.array([counts_x[sid] for sid in sids], dtype=np.int64)
+        y = np.array([counts_y[sid] for sid in sids], dtype=np.int64)
+        swaps = np.random.default_rng(5).random((1000, len(sids))) < 0.5
+        shift = swaps.astype(np.int64) @ (y - x)
+        x_tot, y_tot = x.sum(axis=0) + shift, y.sum(axis=0) - shift
+        diffs = (2.0 * x_tot[:, 0] / (x_tot[:, 1] + x_tot[:, 2])
+                 - 2.0 * y_tot[:, 0] / (y_tot[:, 1] + y_tot[:, 2]))
+        monkeypatch.setattr(evaluation, "_SWAP_BLOCK", block)
+        result = sig_test(counts_x, counts_y, iterations=1000, seed=5)
+        hits = int(np.count_nonzero(diffs >= result.observed_diff))
+        assert result.p_value == (hits + 1) / 1001
 
     def test_exhaustive_exactly_when_patterns_fit_budget(self):
         counts_x, counts_y = _random_counts(random.Random(4), 4)

@@ -37,7 +37,6 @@ in ``system ids differ from gold's: missing [...], unknown [...]`` (eval).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .categories import Category, arity, parse_category, render
@@ -179,20 +178,8 @@ def leaves(tree):
 # Tree serialization
 # ----------------------------------------------------------------------
 
-# the pieces of a tree line in the layout render_tree writes: a whole leaf
-# "(CAT token)", the opening "(CAT " of an inner node, a closing bracket,
-# a space between siblings.  Each starts with its own kind of character and
-# has one possible extent, so a line that matches _LAID_OUT splits into
-# these pieces in one way only.
-_PIECE = re.compile(r"\((\S+) (?:([^\s()]+)\))?|(\))|( )")
-_LAID_OUT = re.compile(r"(?:\(\S+ (?:[^\s()]+\))?|\)| )+")
-
-
 def parse_tree(text):
     """Parse one bracketed tree line nested at most MAX_TREE_DEPTH levels."""
-    tree = _parse_laid_out(text)
-    if tree is not None:
-        return tree
     tree, pos = _parse_node(text, 0, 1)
     while pos < len(text) and text[pos].isspace():
         pos += 1
@@ -200,46 +187,6 @@ def parse_tree(text):
         raise TreebankFormatError("trailing text after tree at column %d"
                                   % pos)
     return tree
-
-
-def _parse_laid_out(text):
-    """The tree of a valid line in render_tree's layout, as _parse_node
-    reads it; None for any other line, which _parse_node then reads or
-    rejects with its message."""
-    if _LAID_OUT.fullmatch(text) is None:
-        return None
-    open_nodes = []             # (category, children) from the root down
-    tree = None
-    done = False                # the previous piece completed a node
-    try:
-        for cat_text, token, close, _ in _PIECE.findall(text):
-            if cat_text:
-                if done or len(open_nodes) == MAX_TREE_DEPTH:
-                    return None
-                if not token:
-                    open_nodes.append((parse_category(cat_text), []))
-                    continue
-                node = DerivationTree(parse_category(cat_text), (), token)
-            elif close:
-                if not done or not open_nodes:
-                    return None
-                category, children = open_nodes.pop()
-                if len(children) > 2:
-                    return None
-                node = DerivationTree(category, tuple(children))
-            else:
-                if not done or not open_nodes:
-                    return None
-                done = False
-                continue
-            if open_nodes:
-                open_nodes[-1][1].append(node)
-            else:
-                tree = node
-            done = True
-    except ValueError:          # a malformed category
-        return None
-    return tree                 # None while a node is still open
 
 
 def _parse_node(text, pos, depth):

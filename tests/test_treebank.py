@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from ccgmwe import treebank
 from ccgmwe.categories import derivation_rule, parse_category, render
 from ccgmwe.collapse import collapse_tree
 from ccgmwe.recognition import MweOccurrence
@@ -201,42 +200,6 @@ def random_tree(rng, budget):
     return DerivationTree(rng.choice(CATS),
                           (random_tree(rng, split),
                            random_tree(rng, budget - split)))
-
-
-def _outcome(text):
-    """("tree", tree) or ("error", message) of parse_tree on `text`."""
-    try:
-        return "tree", parse_tree(text)
-    except TreebankFormatError as exc:
-        return "error", str(exc)
-
-
-class TestLaidOutReader:
-    def test_reads_as_the_exact_reader(self, monkeypatch):
-        # rendered trees, some with a bracket, space, tab or character
-        # inserted or deleted: the fast path of parse_tree must return the
-        # tree, or leave the line to the character-by-character reader
-        # that raises its error
-        rng = random.Random(17)
-        texts = [" (N x)", "(N x) ", "(N x)(N y)", "(N x) (N y)",
-                 "(S  (N x) (N y))", "(S (N x)(N y))", "(S (N x) (N y) )",
-                 "(S (N x) (N y)))", "((N x)", "(S (N x)) (N y)", "(N\tx)"]
-        for _ in range(2000):
-            chars = list(render_tree(random_tree(rng, rng.randint(1, 10))))
-            for _ in range(rng.randint(0, 2)):
-                at = rng.randrange(len(chars))
-                if rng.random() < 0.5:
-                    chars.insert(at, rng.choice("() \tNx/\\\x0b"))
-                else:
-                    del chars[at]
-            texts.append("".join(chars))
-        fast = [_outcome(text) for text in texts]
-        laid_out = sum(treebank._parse_laid_out(text) is not None
-                       for text in texts)
-        monkeypatch.setattr(treebank, "_parse_laid_out", lambda text: None)
-        assert [_outcome(text) for text in texts] == fast
-        assert 500 < laid_out < len(texts)
-        assert 100 < sum(kind == "error" for kind, _ in fast)
 
 
 class TestRoundTrips:

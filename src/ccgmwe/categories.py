@@ -89,12 +89,11 @@ class Category:
         return "Category(%r)" % render(self)
 
 
-# value -> the one instance of it that parse_category hands out
-_CANONICAL = {}
-
-
-def _canonical(cat):
-    return _CANONICAL.setdefault(cat, cat)
+@lru_cache(maxsize=None)
+def _category(atom, feature, result, direction, argument):
+    """The one Category with these fields that parse_category hands out;
+    its parts come from here too, so they compare by identity."""
+    return Category(atom, feature, result, direction, argument)
 
 
 @lru_cache(maxsize=None)
@@ -117,8 +116,7 @@ def _parse_spine(text, pos):
     while pos < len(text) and text[pos] in (FORWARD, BACKWARD):
         direction = text[pos]
         arg, pos = _parse_operand(text, pos + 1)
-        cat = _canonical(Category(result=cat, direction=direction,
-                                  argument=arg))
+        cat = _category(None, None, cat, direction, arg)
     return cat, pos
 
 
@@ -144,7 +142,7 @@ def _parse_operand(text, pos):
         if not feature:
             raise CategoryParseError("empty feature tag", text, pos)
         pos = end + 1
-    return _canonical(Category(atom=name, feature=feature)), pos
+    return _category(name, feature, None, None, None), pos
 
 
 @lru_cache(maxsize=None)

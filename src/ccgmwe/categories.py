@@ -9,8 +9,9 @@ functors, which is the canonical form used in all file formats.
 Categories are immutable values: they can be shared freely between threads
 and used as dictionary keys.  Each category computes its hash once, from
 its children's cached hashes, so hashing never walks the tree.  Equal
-categories built by parse_category, and all their parts, are one object,
-so comparing or looking up parsed categories stops at the identity test.
+categories built by parse_category, all their parts and the categories
+that apply and compose derive from them, are one object, so comparing or
+looking up these categories stops at the identity test.
 """
 
 from __future__ import annotations
@@ -71,10 +72,10 @@ class Category:
                 and self.argument == other.argument)
 
     def __reduce__(self):
-        # rebuild through the constructor: the cached hash depends on the
-        # interpreter's string-hash seed and must not travel in a pickle
-        return (Category, (self.atom, self.feature, self.result,
-                           self.direction, self.argument))
+        # rebuild by parsing the canonical form: the cached hash depends on
+        # the interpreter's string-hash seed and must not travel in a
+        # pickle, and the unpickled category is the interned one
+        return (parse_category, (render(self),))
 
     def is_atom(self):
         return self.atom is not None
@@ -91,8 +92,8 @@ class Category:
 
 @lru_cache(maxsize=None)
 def _category(atom, feature, result, direction, argument):
-    """The one Category with these fields that parse_category hands out;
-    its parts come from here too, so they compare by identity."""
+    """The one Category with these fields that parse_category and compose
+    hand out; its parts come from here too, so they compare by identity."""
     return Category(atom, feature, result, direction, argument)
 
 
@@ -201,8 +202,8 @@ def compose(primary, secondary, direction):
         return None
     if primary.argument != secondary.result:
         return None
-    return Category(result=primary.result, direction=direction,
-                    argument=secondary.argument)
+    return _category(None, None, primary.result, direction,
+                     secondary.argument)
 
 
 # Binary rule names, in the fixed precedence used when classifying nodes.

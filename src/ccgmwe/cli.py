@@ -186,7 +186,6 @@ def _add_eval(sub):
     cmd.add_argument("--system", required=True)
     cmd.add_argument("--gold", required=True)
     cmd.add_argument("--labeled", action="store_true")
-    cmd.add_argument("--output", help="write a TSV report here")
     cmd.add_argument("--per-sentence", help="write per-sentence counts here")
     cmd.set_defaults(run=_run_eval)
 
@@ -195,14 +194,11 @@ def _run_eval(args):
     report = evaluation.score(treebank.read_dependencies(args.system),
                               treebank.read_dependencies(args.gold),
                               labeled=args.labeled)
-    line = ("P\t%.4f\nR\t%.4f\nF1\t%.4f\ncorrect\t%d\nattempted\t%d\n"
-            "gold\t%d\nP_undefined\t%d\n"
-            % (report.precision, report.recall, report.f1, report.correct,
-               report.attempted, report.gold, int(report.undefined_precision)))
-    sys.stdout.write(line)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(line)
+    sys.stdout.write("P\t%.4f\nR\t%.4f\nF1\t%.4f\ncorrect\t%d\nattempted\t%d\n"
+                     "gold\t%d\nP_undefined\t%d\n"
+                     % (report.precision, report.recall, report.f1,
+                        report.correct, report.attempted, report.gold,
+                        int(report.undefined_precision)))
     if args.per_sentence:
         treebank.write_counts(args.per_sentence, report.per_sentence)
 

@@ -48,7 +48,6 @@ class ExperimentConfig:
     test: str = ""
     recognizer: recognition.RecognizerConfig = field(
         default_factory=recognition.RecognizerConfig)
-    schemes: tuple = evaluation.SCHEMES
     smoothing: float = 0.1
     seed: int = 0
     iterations: int = 10000
@@ -56,16 +55,6 @@ class ExperimentConfig:
 
 def _listed(text):
     return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-def _schemes(text):
-    schemes = _listed(text)
-    for index, scheme in enumerate(schemes):
-        if scheme not in evaluation.SCHEMES:
-            raise ValueError("unknown scheme %r" % scheme)
-        if scheme in schemes[:index]:
-            raise ValueError("repeated scheme %r" % scheme)
-    return schemes
 
 
 def _smoothing(text):
@@ -84,8 +73,8 @@ def _seed(text):
 # the fields of ExperimentConfig.recognizer, the others their namesakes
 CONFIG_KEYS = {"treebank": str, "lexicon": str, "output": str, "train": str,
                "dev": str, "test": str, "detector": str, "filters": _listed,
-               "resolver": str, "schemes": _schemes, "smoothing": _smoothing,
-               "seed": _seed, "iterations": _iterations}
+               "resolver": str, "smoothing": _smoothing, "seed": _seed,
+               "iterations": _iterations}
 
 
 def read_config(paths):
@@ -382,7 +371,7 @@ def run_pipeline(config):
     combined = {}                       # artifact name -> dependencies
     for prefix, deps_b, occs in (("combined_", out_b, kept),
                                  ("combined_full_", out_b_full, occurrences)):
-        for scheme in config.schemes:
+        for scheme in evaluation.SCHEMES:
             combined[prefix + scheme] = combine_corpus(
                 out_a, deps_b, occs, scheme, test.values(), tokens_path)
 
@@ -398,7 +387,7 @@ def run_pipeline(config):
     for section, prefix in (("combination", "combined_"),
                             ("combination-full", "combined_full_")):
         systems += [("A", section, "A+B " + scheme, combined[prefix + scheme],
-                     gold_a) for scheme in config.schemes]
+                     gold_a) for scheme in evaluation.SCHEMES]
     with _stage("eval"):
         rows = [(gold_name, section, system, evaluation.score(deps, gold_deps))
                 for gold_name, section, system, deps, gold_deps in systems]
@@ -411,10 +400,9 @@ def run_pipeline(config):
         ("parsing-effect", ("gold-test", "A-before-parsing"),
          ("gold-test", "A-after-parsing")),
         ("parsing-effect-full", ("fully-collapsed", "A-before-parsing"),
-         ("fully-collapsed", "A-after-parsing"))]
-    if "medFromA" in config.schemes:
-        pairs.append(("combination-medFromA", ("combination", "A+B medFromA"),
-                      ("baseline", "A")))
+         ("fully-collapsed", "A-after-parsing")),
+        ("combination-medFromA", ("combination", "A+B medFromA"),
+         ("baseline", "A"))]
     sig_rows = [(name, evaluation.sig_test(
         reports[x].per_sentence, reports[y].per_sentence,
         iterations=config.iterations, seed=config.seed))

@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -191,6 +192,14 @@ class TestValueContract:
         assert (cat != "NP") is True
         assert (cat == None) is False   # noqa: E711
         assert (cat == ("NP",)) is False
+
+    def test_composed_category_is_the_parsed_one(self):
+        assert compose(C("S/NP"), C("NP/N"), FORWARD) is C("S/N")
+        assert compose(C("S\\PP"), C("PP\\NP"), BACKWARD) is C("S\\NP")
+
+    @pytest.mark.parametrize("text", ["NP", "S[dcl]", "((S[dcl]\\NP)/PP)/NP"])
+    def test_unpickled_category_is_the_parsed_one(self, text):
+        assert pickle.loads(pickle.dumps(C(text))) is C(text)
 
     def test_pickle_carries_no_hash_seed(self, tmp_path):
         # the cached hash of a string-built category depends on the

@@ -2,12 +2,12 @@
 private module-level name of the package is used in its own module.
 
 No linter is a test dependency, so these checks stand in for one: each
-module under src/ccgmwe/ (except __init__.py, which re-exports), tests/
-and tools/ is parsed with ast, and a top-level import that binds a name the
-module never uses fails, unless the import's lines carry ``# noqa``.  In
-src/ccgmwe/, a top-level function, class or assignment whose name starts
-with one underscore fails unless another top-level statement of the same
-module refers to it, so a refactor cannot leave a dead helper or table.
+module under src/ccgmwe/, tests/ and tools/ is parsed with ast, and a
+top-level import that binds a name the module never uses fails, unless
+the import's lines carry ``# noqa``.  In src/ccgmwe/, a top-level
+function, class or assignment whose name starts with one underscore fails
+unless another top-level statement of the same module refers to it, so a
+refactor cannot leave a dead helper or table.
 """
 
 import ast
@@ -17,10 +17,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "ccgmwe").glob("*.py"))
-MODULES = sorted(
-    [path for path in (ROOT / "src" / "ccgmwe").glob("*.py")
-     if path.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py")) + list((ROOT / "tools").glob("*.py")))
+MODULES = sorted(PACKAGE + list((ROOT / "tests").glob("*.py"))
+                 + list((ROOT / "tools").glob("*.py")))
 
 
 def unused_imports(source):

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import inspect
+import json
 import os
 
 from ccgmwe import parser
@@ -10,6 +11,11 @@ from ccgmwe.pipeline import read_config, run_pipeline
 # memo must leave them byte-identical to one parse per pass
 REC1_REPORT = "7d8d894b1afc46106ea59b12a88a050629c2c2dec9937a43f4bc72fda9afbe97"
 REC1_SUMMARY = "d6aa5614d34a537ebb79a699563729e7cb643ef169ba5690bd8ee0ac6aa292dd"
+
+
+# records the artifact digests of each shipped-preset run under out/<name>
+REFERENCE = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "reference.json")
 
 
 def _sha256(path):
@@ -67,3 +73,22 @@ def test_run_leaves_no_cyclic_garbage(tmp_path, data_dir, configs_dir):
         gc.set_debug(flags)
         gc.garbage.clear()
     assert ours == []
+
+
+def test_empty_dev_split_writes_every_artifact_but_its_treebank(
+        tmp_path, data_dir, configs_dir):
+    layer = tmp_path / "nodev.cfg"
+    layer.write_text("treebank = %s\nlexicon = %s\noutput = %s\ndev =\n"
+                     % (os.path.join(data_dir, "treebank.txt"),
+                        os.path.join(data_dir, "lexicon.tsv"),
+                        tmp_path / "out"))
+    run_pipeline(read_config([os.path.join(configs_dir, "base.cfg"),
+                              os.path.join(configs_dir, "rec1.cfg"),
+                              str(layer)]))
+    with open(REFERENCE, encoding="utf-8") as handle:
+        shipped = json.load(handle)["shipped-presets"]["rec1"]
+    expected = sorted(name[len("out/"):] for name in shipped
+                      if name.startswith("out/")
+                      and name != "out/treebank_dev.txt")
+    assert len(expected) == 35
+    assert sorted(os.listdir(tmp_path / "out")) == expected

@@ -191,9 +191,10 @@ def _add_eval(sub):
 
 
 def _run_eval(args):
-    report = evaluation.score(treebank.read_dependencies(args.system),
-                              treebank.read_dependencies(args.gold),
-                              labeled=args.labeled)
+    system = treebank.read_dependencies(args.system)
+    gold = evaluation.gold_keys(treebank.read_dependencies(args.gold),
+                                labeled=args.labeled)
+    report = evaluation.score(system, gold, labeled=args.labeled)
     sys.stdout.write("P\t%.4f\nR\t%.4f\nF1\t%.4f\ncorrect\t%d\nattempted\t%d\n"
                      "gold\t%d\nP_undefined\t%d\n"
                      % (report.precision, report.recall, report.f1,

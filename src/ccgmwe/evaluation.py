@@ -12,9 +12,11 @@ each iteration swaps each sentence's (correct, attempted, gold) triple
 between the two systems with probability one half and recomputes the
 aggregate F1 difference; the p-value is (hits + 1) / (iterations + 1).
 When 2^n does not exceed the iteration budget every swap pattern is
-enumerated instead, so small inputs get the exact randomization p-value
-under the same +1 convention.  numpy is imported by sig_test alone, so
-that the other stages and subcommands start without loading it.
+counted instead, so small inputs get the exact randomization p-value
+under the same +1 convention.  Pooled F1 is 2c / (a + g), so the exact
+branch counts the patterns by the shift in (correct, attempted + gold)
+they cause, in plain Python; numpy is imported by the sampled branch
+alone, so that the other stages and subcommands start without loading it.
 """
 
 from __future__ import annotations
@@ -63,25 +65,28 @@ def _match_keys(deps, labeled):
     return Counter([(d.i, d.word_i, d.j, d.word_j) for d in deps])
 
 
-def sentence_counts(system_deps, gold_deps, labeled=False):
-    """(correct, attempted, gold) for one sentence, matching multisets of
-    dependency keys."""
-    gold_keys = _match_keys(gold_deps, labeled)
-    correct = sum(min(count, gold_keys[key]) for key, count
-                  in _match_keys(system_deps, labeled).items()
-                  if key in gold_keys)
-    return correct, len(system_deps), len(gold_deps)
+def gold_keys(gold, labeled=False):
+    """{sentence id: multiset of match keys} of gold dependencies, the form
+    in which score takes its gold side: a gold corpus scored against many
+    systems is keyed once."""
+    return {sid: _match_keys(deps, labeled) for sid, deps in gold.items()}
 
 
 def score(system, gold, labeled=False):
-    """Score system dependencies against gold, both {sentence id: [Dependency]}.
+    """Score system dependencies, {sentence id: [Dependency]}, against
+    gold_keys(gold dependencies, labeled), matching multisets of keys.
 
     Raises ValueError listing the ids when the two sides cover different
     sentences.
     """
     check_ids(system, gold, "system ids differ from gold's")
-    per_sentence = {sid: sentence_counts(system[sid], gold[sid], labeled)
-                    for sid in sorted(system)}
+    per_sentence = {}
+    for sid in sorted(system):
+        keys = gold[sid]
+        correct = sum(min(count, keys[key]) for key, count
+                      in _match_keys(system[sid], labeled).items()
+                      if key in keys)
+        per_sentence[sid] = correct, len(system[sid]), sum(keys.values())
     correct = sum(c for c, _, _ in per_sentence.values())
     attempted = sum(a for _, a, _ in per_sentence.values())
     gold_total = sum(g for _, _, g in per_sentence.values())
@@ -186,11 +191,11 @@ class SigTestResult:
 _SWAP_BLOCK = 1 << 18
 
 
-def _pooled_f1(correct, attempted, gold):
+def _pooled_f1(correct, attempted_plus_gold):
     # F1 = 2PR/(P+R) collapses to 2c/(a+g) on pooled counts
-    if attempted + gold == 0:
+    if attempted_plus_gold == 0:
         return 0.0
-    return 2.0 * correct / (attempted + gold)
+    return 2.0 * correct / attempted_plus_gold
 
 
 def check_iterations(iterations):
@@ -216,45 +221,54 @@ def sig_test(counts_x, counts_y, iterations=10000, seed=0):
     enumeration replaces sampling whenever 2^n <= iterations, making the
     result deterministic and seed-free on small inputs; otherwise the
     sampler is deterministic for a fixed seed.
+
+    The exact branch needs neither numpy nor 2^n rows: sentence by sentence
+    it counts the swap patterns per (correct, attempted + gold) shift they
+    move onto X, in n steps over the distinct shifts.  Only the sampler
+    imports numpy.
     """
     check_iterations(iterations)
     check_seed(seed)
-    import numpy as np
-
     check_ids(counts_y, counts_x, "Y ids differ from X's")
     sids = sorted(counts_x)
     if not sids:
         raise ValueError("no sentences to test")
-    x = np.array([counts_x[sid] for sid in sids], dtype=np.int64)
-    y = np.array([counts_y[sid] for sid in sids], dtype=np.int64)
-    observed = (_pooled_f1(*x.sum(axis=0).tolist())
-                - _pooled_f1(*y.sum(axis=0).tolist()))
+    x = [(c, a + g) for c, a, g in map(counts_x.get, sids)]
+    y = [(c, a + g) for c, a, g in map(counts_y.get, sids)]
+    correct_x, denom_x = map(sum, zip(*x))
+    correct_y, denom_y = map(sum, zip(*y))
+    observed = _pooled_f1(correct_x, denom_x) - _pooled_f1(correct_y, denom_y)
     n = len(sids)
-    exhaustive = 2 ** n <= iterations
-    delta = y - x                                 # swap adds delta to x side
-    if exhaustive:
-        # row p sums delta over p's set bits; no 2^n-by-n matrix in memory
-        iterations = 2 ** n
-        shift = np.zeros((1, 3), dtype=np.int64)
-        for row in delta:
-            shift = np.concatenate((shift, shift + row))
-    else:
-        # the swap patterns are drawn a block of rows at a time: the same
-        # stream as one (iterations, n) draw, in a fraction of its memory
-        rng = np.random.default_rng(seed)
-        rows = max(1, _SWAP_BLOCK // n)
-        shift = np.concatenate([
-            (rng.random((min(rows, iterations - first), n)) < 0.5)
-            .astype(np.int64) @ delta
-            for first in range(0, iterations, rows)])
+    if 2 ** n <= iterations:
+        shifts = Counter({(0, 0): 1})       # swap adds y - x to the x side
+        for (cx, dx), (cy, dy) in zip(x, y):
+            grown = shifts.copy()
+            for (c, d), patterns in shifts.items():
+                grown[c + cy - cx, d + dy - dx] += patterns
+            shifts = grown
+        hits = sum(patterns for (c, d), patterns in shifts.items()
+                   if _pooled_f1(correct_x + c, denom_x + d)
+                   - _pooled_f1(correct_y - c, denom_y - d) >= observed)
+        return SigTestResult((hits + 1) / (2 ** n + 1), observed, 2 ** n, True)
+    import numpy as np
+
+    x = np.array(x, dtype=np.int64)
+    y = np.array(y, dtype=np.int64)
+    delta = y - x
+    # the swap patterns are drawn a block of rows at a time: the same
+    # stream as one (iterations, n) draw, in a fraction of its memory
+    rng = np.random.default_rng(seed)
+    rows = max(1, _SWAP_BLOCK // n)
+    shift = np.concatenate([
+        (rng.random((min(rows, iterations - first), n)) < 0.5)
+        .astype(np.int64) @ delta
+        for first in range(0, iterations, rows)])
     x_tot = x.sum(axis=0)[None, :] + shift
     y_tot = y.sum(axis=0)[None, :] - shift
     f1_x = np.zeros(iterations)
     f1_y = np.zeros(iterations)
-    denom_x = x_tot[:, 1] + x_tot[:, 2]
-    denom_y = y_tot[:, 1] + y_tot[:, 2]
-    np.divide(2.0 * x_tot[:, 0], denom_x, out=f1_x, where=denom_x > 0)
-    np.divide(2.0 * y_tot[:, 0], denom_y, out=f1_y, where=denom_y > 0)
+    np.divide(2.0 * x_tot[:, 0], x_tot[:, 1], out=f1_x, where=x_tot[:, 1] > 0)
+    np.divide(2.0 * y_tot[:, 0], y_tot[:, 1], out=f1_y, where=y_tot[:, 1] > 0)
     hits = int(np.count_nonzero(f1_x - f1_y >= observed))
     return SigTestResult((hits + 1) / (iterations + 1), observed,
-                         iterations, exhaustive)
+                         iterations, False)

@@ -375,22 +375,25 @@ def run_pipeline(config):
             combined[prefix + scheme] = combine_corpus(
                 out_a, deps_b, occs, scheme, test.values(), tokens_path)
 
-    # score each system: (gold, section, system, output, gold dependencies)
+    # score each system: (gold, section, system, output)
     systems = [
-        ("A", "baseline", "A", out_a, gold_a),
-        ("B", "gold-test", "A-before-parsing", out_a_before, gold_b),
-        ("B", "gold-test", "A-after-parsing", out_a_after, gold_b),
-        ("B", "gold-test", "B", out_b, gold_b),
-        ("B", "fully-collapsed", "A-before-parsing", out_a_full_before, gold_b),
-        ("B", "fully-collapsed", "A-after-parsing", out_a_full_after, gold_b),
-        ("B", "fully-collapsed", "B", out_b_full, gold_b)]
+        ("A", "baseline", "A", out_a),
+        ("B", "gold-test", "A-before-parsing", out_a_before),
+        ("B", "gold-test", "A-after-parsing", out_a_after),
+        ("B", "gold-test", "B", out_b),
+        ("B", "fully-collapsed", "A-before-parsing", out_a_full_before),
+        ("B", "fully-collapsed", "A-after-parsing", out_a_full_after),
+        ("B", "fully-collapsed", "B", out_b_full)]
     for section, prefix in (("combination", "combined_"),
                             ("combination-full", "combined_full_")):
-        systems += [("A", section, "A+B " + scheme, combined[prefix + scheme],
-                     gold_a) for scheme in evaluation.SCHEMES]
+        systems += [("A", section, "A+B " + scheme, combined[prefix + scheme])
+                    for scheme in evaluation.SCHEMES]
     with _stage("eval"):
-        rows = [(gold_name, section, system, evaluation.score(deps, gold_deps))
-                for gold_name, section, system, deps, gold_deps in systems]
+        keys = {"A": evaluation.gold_keys(gold_a),
+                "B": evaluation.gold_keys(gold_b)}
+        rows = [(gold_name, section, system,
+                 evaluation.score(deps, keys[gold_name]))
+                for gold_name, section, system, deps in systems]
     reports = {(section, system): report for _, section, system, report in rows}
 
     # significance tests of X against Y, each named by its (section, system)

@@ -1,5 +1,10 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +15,7 @@ from ccgmwe.categories import arity, parse_category, render
 from ccgmwe.collapse import (collapse_dependencies, collapse_tokens,
                              collapse_tree)
 from ccgmwe.evaluation import (EXTERNAL, INTERNAL, MEDIATING, SCHEMES,
-                               classify_edge, combine_models, f1,
+                               classify_edge, combine_models, f1, gold_keys,
                                membership_from_occurrences, score, sig_test)
 from ccgmwe.parser import extract_dependencies
 from ccgmwe.recognition import MweOccurrence, PRESETS, recognize
@@ -54,13 +59,13 @@ class TestFMeasure:
 class TestScore:
     def test_identical_sets_are_perfect(self):
         deps = {"1": [dep(0, 1, "N/N", 1, "a", "b")]}
-        report = score(deps, deps)
+        report = score(deps, gold_keys(deps))
         assert report.precision == report.recall == report.f1 == 1.0
 
     def test_disjoint_sets(self):
         system = {"1": []}
         gold = {"1": [dep(0, 1, "N/N", 1, "a", "b")]}
-        report = score(system, gold)
+        report = score(system, gold_keys(gold))
         assert report.undefined_precision
         assert report.precision == 0.0 and report.recall == 0.0
         assert report.f1 == 0.0
@@ -68,18 +73,19 @@ class TestScore:
     def test_unlabeled_match_ignores_label(self):
         system = {"1": [dep(0, 1, "NP/N", 1, "a", "b")]}
         gold = {"1": [dep(0, 1, "N/N", 1, "a", "b")]}
-        assert score(system, gold).f1 == 1.0
-        assert score(system, gold, labeled=True).f1 == 0.0
+        assert score(system, gold_keys(gold)).f1 == 1.0
+        assert score(system, gold_keys(gold, labeled=True),
+                     labeled=True).f1 == 0.0
 
     def test_word_mismatch_is_an_error(self):
         system = {"1": [dep(0, 1, "N/N", 1, "a", "b")]}
         gold = {"1": [dep(0, 1, "N/N", 1, "x", "b")]}
-        assert score(system, gold).correct == 0
+        assert score(system, gold_keys(gold)).correct == 0
 
     def test_direction_sensitive(self):
         system = {"1": [dep(1, 0, "N/N", 1, "b", "a")]}
         gold = {"1": [dep(0, 1, "N/N", 1, "a", "b")]}
-        assert score(system, gold).correct == 0
+        assert score(system, gold_keys(gold)).correct == 0
 
     def test_swapping_system_and_gold_swaps_p_and_r(self):
         rng = random.Random(12)
@@ -90,8 +96,8 @@ class TestScore:
                                for i in rng.sample(range(8), rng.randint(0, 4))]
                 gold[sid] = [dep(i, 9, "N/N", 1, "w%d" % i, "h")
                              for i in rng.sample(range(8), rng.randint(1, 4))]
-            forward = score(system, gold)
-            backward = score(gold, system)
+            forward = score(system, gold_keys(gold))
+            backward = score(gold, gold_keys(system))
             assert forward.precision == pytest.approx(backward.recall)
             assert forward.recall == pytest.approx(backward.precision)
 
@@ -99,19 +105,19 @@ class TestScore:
         system = {"1": [dep(0, 1, "N/N", 1, "a", "b")], "2": []}
         gold = {"1": [dep(0, 1, "N/N", 1, "a", "b")],
                 "2": [dep(0, 1, "N/N", 1, "c", "d")]}
-        report = score(system, gold)
+        report = score(system, gold_keys(gold))
         assert report.precision == 1.0
         assert report.recall == 0.5
 
     def test_id_mismatch_lists_ids(self):
         with pytest.raises(ValueError) as err:
-            score({"1": []}, {"2": []})
+            score({"1": []}, gold_keys({"2": []}))
         assert "1" in str(err.value) and "2" in str(err.value)
 
     def test_duplicate_edges_match_as_multisets(self):
         two = [dep(0, 1, "N/N", 1, "a", "b"), dep(0, 1, "N/N", 2, "a", "b")]
         one = [dep(0, 1, "N/N", 1, "a", "b")]
-        report = score({"1": two}, {"1": one})
+        report = score({"1": two}, gold_keys({"1": one}))
         assert report.correct == 1 and report.attempted == 2
 
 
@@ -432,6 +438,73 @@ def exhaustive_p_value(counts_x, counts_y):
     return Fraction(hits + 1, 2 ** len(sids) + 1)
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+# sig_test over 60 sentences with 2^60 iterations, in a process of its own
+LARGE_N_EXACT = textwrap.dedent("""
+    import json, sys, time
+    from ccgmwe.evaluation import sig_test
+    counts_x, counts_y = json.loads(sys.argv[1])
+    start = time.perf_counter()
+    result = sig_test(counts_x, counts_y, iterations=2 ** 60)
+    seconds = time.perf_counter() - start
+    print(json.dumps([result.p_value, result.exhaustive, seconds,
+                      "numpy" in sys.modules]))
+""")
+
+
+def enumerated_sig_test(counts_x, counts_y):
+    """The exhaustive test with every one of the 2^n swap patterns as a row
+    of numpy arrays, in the arithmetic sig_test must reproduce exactly."""
+    sids = sorted(counts_x)
+    x = np.array([counts_x[sid] for sid in sids], dtype=np.int64)
+    y = np.array([counts_y[sid] for sid in sids], dtype=np.int64)
+
+    def pooled_f1(correct, attempted, gold):
+        return 2.0 * correct / (attempted + gold) if attempted + gold else 0.0
+
+    observed = (pooled_f1(*x.sum(axis=0).tolist())
+                - pooled_f1(*y.sum(axis=0).tolist()))
+    shift = np.zeros((1, 3), dtype=np.int64)
+    for row in y - x:                             # row p: p's set bits swapped
+        shift = np.concatenate((shift, shift + row))
+    x_tot = x.sum(axis=0)[None, :] + shift
+    y_tot = y.sum(axis=0)[None, :] - shift
+    f1_x = np.zeros(len(shift))
+    f1_y = np.zeros(len(shift))
+    denom_x = x_tot[:, 1] + x_tot[:, 2]
+    denom_y = y_tot[:, 1] + y_tot[:, 2]
+    np.divide(2.0 * x_tot[:, 0], denom_x, out=f1_x, where=denom_x > 0)
+    np.divide(2.0 * y_tot[:, 0], denom_y, out=f1_y, where=denom_y > 0)
+    hits = int(np.count_nonzero(f1_x - f1_y >= observed))
+    return ((hits + 1) / (len(shift) + 1), observed, len(shift), True)
+
+
+def _swap_counts(rng, n):
+    """Counts of X and Y on n sentences, mixing sentences the systems score
+    alike, ones that differ only in gold, empty ones, and a system with no
+    dependencies at all."""
+    empty_x = rng.random() < 0.1
+    counts_x, counts_y = {}, {}
+    for sid in range(n):
+        rows = []
+        for _ in "xy":
+            gold, attempted = rng.randint(0, 6), rng.randint(0, 6)
+            rows.append((rng.randint(0, min(gold, attempted)), attempted, gold))
+        row_x, row_y = rows
+        kind = rng.randrange(4)
+        if kind == 0:
+            row_y = row_x
+        elif kind == 1:
+            row_y = row_x[:2] + (rng.randint(row_x[0], 8),)
+        elif kind == 2:
+            row_y = (0, 0, 0)
+        counts_x[str(sid)] = (0, 0, 0) if empty_x else row_x
+        counts_y[str(sid)] = row_y
+    return counts_x, counts_y
+
+
 def _random_counts(rng, n, better=0.0):
     counts_x, counts_y = {}, {}
     for sid in range(n):
@@ -457,7 +530,40 @@ class TestSigTest:
             result = sig_test(counts_x, counts_y, iterations=10000, seed=trial)
             assert result.exhaustive
             expected = exhaustive_p_value(counts_x, counts_y)
-            assert result.p_value == pytest.approx(float(expected), abs=1e-12)
+            assert Fraction(result.p_value).limit_denominator(2 ** n + 1) == expected
+
+    def test_exhaustive_matches_all_rows_enumerated(self):
+        rng = random.Random(16)
+        for trial in range(1200):
+            n = rng.randint(1, 14)
+            counts_x, counts_y = _swap_counts(rng, n)
+            result = sig_test(counts_x, counts_y, iterations=2 ** n, seed=trial)
+            assert (result.p_value, result.observed_diff, result.iterations,
+                    result.exhaustive) == enumerated_sig_test(counts_x, counts_y)
+
+    def test_exhaustive_on_many_alike_sentences_without_numpy(self):
+        # 52 sentences scored alike only double every pattern's count: with
+        # them pooled into one sentence, 9 sentences give the hits of 60
+        rng = random.Random(60)
+        counts_x, counts_y = _random_counts(rng, 8)
+        alike = [(rng.randint(0, 5), rng.randint(5, 9), rng.randint(5, 9))
+                 for _ in range(52)]
+        pooled = tuple(map(sum, zip(*alike)))
+        hits = int(exhaustive_p_value(dict(counts_x, alike=pooled),
+                                      dict(counts_y, alike=pooled))
+                   * (2 ** 9 + 1) - 1)
+        for sid, row in enumerate(alike):
+            counts_x["alike%d" % sid] = counts_y["alike%d" % sid] = row
+        done = subprocess.run(
+            [sys.executable, "-c", LARGE_N_EXACT, json.dumps([counts_x, counts_y])],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [SRC, os.environ.get("PYTHONPATH")]))),
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        p_value, exhaustive, seconds, numpy_loaded = json.loads(done.stdout)
+        assert exhaustive and not numpy_loaded
+        assert p_value == (2 ** 51 * hits + 1) / (2 ** 60 + 1)
+        assert seconds < 1.0
 
     def test_uniformly_better_system_is_significant(self):
         counts_x, counts_y = {}, {}

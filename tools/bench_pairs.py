@@ -11,9 +11,12 @@ alternates from seed to seed, so a drift in host speed falls on both sides
 alike.  It then writes ``BENCH_<sha>_<workload>.json`` for each side, <sha>
 being the checkout's short commit id (with ``-dirty`` if its tree has
 uncommitted changes).  Each file holds the final JSON line of every seed's
-run, the operations attempted and failed over all seeds, and the median
-over the seeds of each metric.  --seconds defaults to ``run_seconds`` of
-the change's BENCHMARK.json.
+run, the operations attempted and failed over all seeds, the median and
+quartiles over the seeds of each metric, and for each end-to-end metric the
+number of pairs in which that side reads better than the other (ties count
+for neither), by the direction BENCHMARK.json gives it.  Every metric is
+printed per seed, and each metric's medians, quartiles and wins at the end.
+--seconds defaults to ``run_seconds`` of the change's BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -46,8 +49,23 @@ def run_once(checkout, workload, seed, seconds):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def summary(sha, workload, seconds, runs):
-    names = runs[0]["result"]["metrics"]
+def quartiles(values):
+    """The first and third quartiles of `values`, inclusive method."""
+    if len(values) < 2:
+        return [values[0], values[0]]
+    first, _, third = statistics.quantiles(values, n=4, method="inclusive")
+    return [first, third]
+
+
+def summary(sha, workload, seconds, runs, rivals, better):
+    """One side's record: its runs, the median and quartiles of each metric,
+    and the pairs it wins against `rivals`, the other side's runs in the
+    same seed order, for each metric `better` maps to "lower" or "higher"."""
+    def values(side, name):
+        return [r["result"]["metrics"][name]["value"] for r in side]
+
+    names = sorted(runs[0]["result"]["metrics"])
+    sign = {"lower": -1, "higher": 1}
     return {
         "sha": sha,
         "workload": workload,
@@ -55,9 +73,14 @@ def summary(sha, workload, seconds, runs):
         "runs": runs,
         "attempted": sum(r["result"]["attempted"] for r in runs),
         "failed": sum(r["result"]["failed"] for r in runs),
-        "median": {name: statistics.median(
-            r["result"]["metrics"][name]["value"] for r in runs)
-            for name in names},
+        "median": {name: statistics.median(values(runs, name))
+                   for name in names},
+        "quartiles": {name: quartiles(values(runs, name)) for name in names},
+        "pairs": len(runs),
+        "wins": {name: sum(sign[better[name]] * (ours - theirs) > 0
+                           for ours, theirs in zip(values(runs, name),
+                                                   values(rivals, name)))
+                 for name in names if name in better},
     }
 
 
@@ -72,11 +95,14 @@ def main(argv=None):
     cli.add_argument("--output-dir", default=".")
     args = cli.parse_args(argv)
     seeds = [int(seed) for seed in args.seeds.split(",")]
+    with open(os.path.join(args.change, "BENCHMARK.json"),
+              encoding="utf-8") as handle:
+        benchmark = json.load(handle)
     seconds = args.seconds
     if seconds is None:
-        with open(os.path.join(args.change, "BENCHMARK.json"),
-                  encoding="utf-8") as handle:
-            seconds = json.load(handle)["run_seconds"]
+        seconds = benchmark["run_seconds"]
+    better = {metric["name"]: metric["better"]
+              for metric in benchmark["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     runs = {side: [] for side in sides}
     for index, seed in enumerate(seeds):
@@ -86,18 +112,29 @@ def main(argv=None):
         for side in order:
             result = run_once(sides[side], args.workload, seed, seconds)
             runs[side].append({"seed": seed, "result": result})
-            print("seed %d %s: wall_s %.3f, failed %d"
-                  % (seed, side, result["metrics"]["wall_s"]["value"],
-                     result["failed"]), file=sys.stderr)
-    for side, checkout in sides.items():
-        sha = commit_id(checkout)
+            print("seed %d %s: failed %d, %s" % (
+                seed, side, result["failed"], ", ".join(
+                    "%s %.4f" % (name, metric["value"]) for name, metric
+                    in sorted(result["metrics"].items()))), file=sys.stderr)
+    records = {}
+    for side, rival in (("parent", "change"), ("change", "parent")):
+        sha = commit_id(sides[side])
+        records[side] = summary(sha, args.workload, seconds, runs[side],
+                                runs[rival], better)
         path = os.path.join(args.output_dir,
                             "BENCH_%s_%s.json" % (sha, args.workload))
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(summary(sha, args.workload, seconds, runs[side]),
-                      handle, indent=1, sort_keys=True)
+            json.dump(records[side], handle, indent=1, sort_keys=True)
             handle.write("\n")
         print(path)
+    parent, change = records["parent"], records["change"]
+    for name in sorted(change["median"]):
+        print("%s: parent %.4f [%.4f, %.4f], change %.4f [%.4f, %.4f], "
+              "change better in %s of %d pairs"
+              % (name, parent["median"][name], *parent["quartiles"][name],
+                 change["median"][name], *change["quartiles"][name],
+                 change["wins"].get(name, "-"), change["pairs"]),
+              file=sys.stderr)
     return 0
 
 

@@ -394,6 +394,7 @@ def run_pipeline(config):
         rows = [(gold_name, section, system,
                  evaluation.score(deps, keys[gold_name]))
                 for gold_name, section, system, deps in systems]
+        del keys                # freed before the writes, where run peaks
     reports = {(section, system): report for _, section, system, report in rows}
 
     # significance tests of X against Y, each named by its (section, system)

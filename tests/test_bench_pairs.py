@@ -36,7 +36,7 @@ def test_summary_records_medians_quartiles_and_wins(bench_pairs):
     record = bench_pairs.summary("abc1234", "stage-chain", 38, change,
                                  parent, better)
     assert record["runs"] is change
-    assert (record["attempted"], record["failed"], record["pairs"]) == (50, 5, 5)
+    assert (record["attempted"], record["failed"]) == (50, 5)
     assert record["median"] == {"wall_s": 2.1, "peak_rss_mb": 20.2, "rate": 6}
     assert record["quartiles"]["wall_s"] == pytest.approx([2.0, 2.2])
     assert record["quartiles"]["rate"] == statistics.quantiles(

@@ -76,7 +76,6 @@ def summary(sha, workload, seconds, runs, rivals, better):
         "median": {name: statistics.median(values(runs, name))
                    for name in names},
         "quartiles": {name: quartiles(values(runs, name)) for name in names},
-        "pairs": len(runs),
         "wins": {name: sum(sign[better[name]] * (ours - theirs) > 0
                            for ours, theirs in zip(values(runs, name),
                                                    values(rivals, name)))
@@ -133,7 +132,7 @@ def main(argv=None):
               "change better in %s of %d pairs"
               % (name, parent["median"][name], *parent["quartiles"][name],
                  change["median"][name], *change["quartiles"][name],
-                 change["wins"].get(name, "-"), change["pairs"]),
+                 change["wins"].get(name, "-"), len(change["runs"])),
               file=sys.stderr)
     return 0
 

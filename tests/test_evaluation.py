@@ -491,7 +491,8 @@ def _swap_counts(rng, n):
         rows = []
         for _ in "xy":
             gold, attempted = rng.randint(0, 6), rng.randint(0, 6)
-            rows.append((rng.randint(0, min(gold, attempted)), attempted, gold))
+            correct = rng.randint(0, min(gold, attempted))
+            rows.append((correct, attempted, gold))
         row_x, row_y = rows
         kind = rng.randrange(4)
         if kind == 0:
@@ -530,22 +531,31 @@ class TestSigTest:
             result = sig_test(counts_x, counts_y, iterations=10000, seed=trial)
             assert result.exhaustive
             expected = exhaustive_p_value(counts_x, counts_y)
-            assert Fraction(result.p_value).limit_denominator(2 ** n + 1) == expected
+            assert (Fraction(result.p_value).limit_denominator(2 ** n + 1)
+                    == expected)
 
     def test_exhaustive_matches_all_rows_enumerated(self):
         rng = random.Random(16)
         for trial in range(1200):
             n = rng.randint(1, 14)
             counts_x, counts_y = _swap_counts(rng, n)
-            result = sig_test(counts_x, counts_y, iterations=2 ** n, seed=trial)
-            assert (result.p_value, result.observed_diff, result.iterations,
-                    result.exhaustive) == enumerated_sig_test(counts_x, counts_y)
+            result = sig_test(counts_x, counts_y, iterations=2 ** n,
+                              seed=trial)
+            assert ((result.p_value, result.observed_diff, result.iterations,
+                     result.exhaustive)
+                    == enumerated_sig_test(counts_x, counts_y))
 
     def test_exhaustive_on_many_alike_sentences_without_numpy(self):
         # 52 sentences scored alike only double every pattern's count: with
         # them pooled into one sentence, 9 sentences give the hits of 60
         rng = random.Random(60)
-        counts_x, counts_y = _random_counts(rng, 8)
+        counts_x, counts_y = {}, {}
+        for sid in range(8):                      # every one differs
+            gold = rng.randint(4, 14)
+            correct_x, correct_y = rng.sample(range(gold + 1), 2)
+            counts_x[str(sid)] = (correct_x, gold, gold)
+            counts_y[str(sid)] = (correct_y, rng.randint(gold - 2, gold + 2),
+                                  gold)
         alike = [(rng.randint(0, 5), rng.randint(5, 9), rng.randint(5, 9))
                  for _ in range(52)]
         pooled = tuple(map(sum, zip(*alike)))
@@ -555,7 +565,8 @@ class TestSigTest:
         for sid, row in enumerate(alike):
             counts_x["alike%d" % sid] = counts_y["alike%d" % sid] = row
         done = subprocess.run(
-            [sys.executable, "-c", LARGE_N_EXACT, json.dumps([counts_x, counts_y])],
+            [sys.executable, "-c", LARGE_N_EXACT,
+             json.dumps([counts_x, counts_y])],
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(
                 filter(None, [SRC, os.environ.get("PYTHONPATH")]))),
             capture_output=True, text=True, timeout=60)

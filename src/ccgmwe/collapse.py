@@ -14,6 +14,7 @@ as collapsible, which is how fully-collapsed test data is produced.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .treebank import DerivationTree, Dependency
@@ -102,19 +103,22 @@ def _match(node, start, wanted, found):
 
 
 def _build(node, replacements, tokens):
-    """A fresh copy of `node` in which each node whose id is a key of
-    `replacements` becomes a leaf of its occurrence's joined token.  Each
-    leaf appends its token to `tokens`."""
+    """`node` with each node whose id is a key of `replacements` made a
+    leaf of its occurrence's joined token.  Only the nodes above a
+    replacement are new; every other subtree is shared with the input.
+    Each leaf appends its token to `tokens`."""
     occ = replacements.get(id(node))
     if occ is not None:
-        token = occ.joined
-    elif node.token is not None:
-        token = node.token
-    else:
-        return DerivationTree(node.category, tuple([
-            _build(child, replacements, tokens) for child in node.children]))
-    tokens.append(token)
-    return DerivationTree(node.category, (), token)
+        tokens.append(occ.joined)
+        return DerivationTree(node.category, (), occ.joined)
+    if node.token is not None:
+        tokens.append(node.token)
+        return node
+    children = tuple([_build(child, replacements, tokens)
+                      for child in node.children])
+    if all(map(operator.is_, children, node.children)):
+        return node
+    return DerivationTree(node.category, children)
 
 
 def collapse_tree(tree, occurrences):

@@ -188,7 +188,7 @@ class SigTestResult:
 
 
 # swap decisions drawn per block of rows by sig_test's sampler
-_SWAP_BLOCK = 1 << 18
+_SWAP_BLOCK = 1 << 14
 
 
 def _pooled_f1(correct, attempted_plus_gold):

@@ -308,6 +308,52 @@ def _fmt(value):
     return "%.4f" % value
 
 
+def _gold_standards(records, lexicon, config, test):
+    """Recognize and collapse the whole treebank.  Returns the occurrences,
+    the collapsed treebank {sentence id: SentenceRecord}, the kept MWEs,
+    the cycle count and {artifact name: dependencies} of gold A, B and
+    B-full on the test sentences; the other sentences' dependencies and
+    the collapse outcomes are written nowhere, so they die on return."""
+    gold = extract_corpus(records)
+    occurrences = recognize_corpus(lexicon, {r.sid: r.tokens for r in records},
+                                   config.recognizer)
+    collapsed = collapse_corpus(records, occurrences, gold)
+    golds = {"gold_a": {sid: gold[sid] for sid in test},
+             "gold_b": {sid: collapsed[sid].deps for sid in test},
+             "gold_b_full": {sid: collapsing.collapse_all_dependencies(
+                 gold[sid], occurrences[sid]) for sid in test}}
+    return (occurrences, {sid: c.record for sid, c in collapsed.items()},
+            {sid: c.outcome.kept for sid, c in collapsed.items()},
+            sum(c.cycles for c in collapsed.values()), golds)
+
+
+def _parse_passes(model_a, model_b, test, gold_test, full_test, occurrences):
+    """{artifact name: dependencies} of the five parse passes and of the
+    after-parsing collapse, and the parse failures of the parse-a and
+    parse-b passes.  Each model's parse memo spans its passes; the memos
+    and parse trees are written nowhere, so they die on return."""
+    memo_a, memo_b = {}, {}
+    out_a, parsed_a = parse_corpus(model_a, test, "parse-a", memo_a)
+    out_b, parsed_b = parse_corpus(model_b, gold_test, "parse-b", memo_b)
+    # before/after parsing routes against gold B
+    out_a_before = parse_corpus(model_a, gold_test, "parse-a-before",
+                                memo_a)[0]
+    after = {sid: c.deps for sid, c in collapse_corpus(
+        parsed_a, {r.sid: occurrences[r.sid] for r in parsed_a},
+        {r.sid: out_a[r.sid] for r in parsed_a}, "collapse-out-a").items()}
+    outputs = {
+        "out_a": out_a, "out_b": out_b, "out_a_before": out_a_before,
+        "out_a_after": {sid: after.get(sid, []) for sid in test},
+        "out_a_full_before": parse_corpus(model_a, full_test, "parse-a-full",
+                                          memo_a)[0],
+        "out_a_full_after": {sid: collapsing.collapse_all_dependencies(
+            out_a[sid], occurrences[sid]) for sid in test},
+        "out_b_full": parse_corpus(model_b, full_test, "parse-b-full",
+                                   memo_b)[0]}
+    return (outputs, len(test) - len(parsed_a),
+            len(gold_test) - len(parsed_b))
+
+
 def run_pipeline(config):
     """Run the full experiment, then write every artifact to config.output;
     nothing is written unless every stage succeeds.  Returns the score rows,
@@ -325,76 +371,54 @@ def run_pipeline(config):
     test = {r.sid: r.tokens for r in splits["test"]}
 
     # recognize, then collapse the whole treebank: gold standards A and B
-    gold = extract_corpus(records)
-    occurrences = recognize_corpus(lexicon, {r.sid: r.tokens for r in records},
-                                   config.recognizer)
-    collapsed = collapse_corpus(records, occurrences, gold)
-    gold_a = {sid: gold[sid] for sid in test}
-    gold_b = {sid: collapsed[sid].deps for sid in test}
-    gold_b_full = {sid: collapsing.collapse_all_dependencies(
-        gold[sid], occurrences[sid]) for sid in test}
+    occurrences, treebank_b, kept, cycles, dependencies = _gold_standards(
+        records, lexicon, config, test)
 
     # test tokens: original, gold-collapsed, and fully collapsed (every
     # recognized MWE treated as a sibling)
-    gold_test = {sid: collapsed[sid].record.tokens for sid in test}
+    gold_test = {sid: treebank_b[sid].tokens for sid in test}
     full_test = {sid: collapsing.collapse_tokens(tokens, occurrences[sid])[0]
                  for sid, tokens in test.items()}
 
-    # model A on original tokens, model B on the collapsed treebank; each
-    # model's parse memo spans its passes
+    # model A on original tokens, model B on the collapsed treebank
     with _stage("train-a"):
         model_a = parser.train(splits["train"], config.smoothing)
     with _stage("train-b"):
-        model_b = parser.train([collapsed[r.sid].record
-                                for r in splits["train"]], config.smoothing)
-    memo_a, memo_b = {}, {}
-    out_a, parsed_a = parse_corpus(model_a, test, "parse-a", memo_a)
-    out_b, parsed_b = parse_corpus(model_b, gold_test, "parse-b", memo_b)
-
-    # before/after parsing routes against gold B
-    out_a_before = parse_corpus(model_a, gold_test, "parse-a-before",
-                                memo_a)[0]
-    after = {sid: c.deps for sid, c in collapse_corpus(
-        parsed_a, {r.sid: occurrences[r.sid] for r in parsed_a},
-        {r.sid: out_a[r.sid] for r in parsed_a}, "collapse-out-a").items()}
-    out_a_after = {sid: after.get(sid, []) for sid in test}
-    out_a_full_before = parse_corpus(model_a, full_test, "parse-a-full",
-                                     memo_a)[0]
-    out_a_full_after = {
-        sid: collapsing.collapse_all_dependencies(out_a[sid], occurrences[sid])
-        for sid in test}
-    out_b_full = parse_corpus(model_b, full_test, "parse-b-full", memo_b)[0]
+        model_b = parser.train([treebank_b[r.sid] for r in splits["train"]],
+                               config.smoothing)
+    outputs, failures_a, failures_b = _parse_passes(
+        model_a, model_b, test, gold_test, full_test, occurrences)
+    dependencies.update(outputs)        # artifact name -> dependencies
 
     # model combination against gold A, as `combine` computes it from files
-    kept = {sid: c.outcome.kept for sid, c in collapsed.items()}
     tokens_path = os.path.join(config.output, "tokens_test.txt")
-    combined = {}                       # artifact name -> dependencies
-    for prefix, deps_b, occs in (("combined_", out_b, kept),
-                                 ("combined_full_", out_b_full, occurrences)):
+    for prefix, deps_b, occs in (("combined_", "out_b", kept),
+                                 ("combined_full_", "out_b_full", occurrences)):
         for scheme in evaluation.SCHEMES:
-            combined[prefix + scheme] = combine_corpus(
-                out_a, deps_b, occs, scheme, test.values(), tokens_path)
+            dependencies[prefix + scheme] = combine_corpus(
+                dependencies["out_a"], dependencies[deps_b], occs, scheme,
+                test.values(), tokens_path)
 
-    # score each system: (gold, section, system, output)
+    # score each system: (gold, section, system, output artifact)
     systems = [
-        ("A", "baseline", "A", out_a),
-        ("B", "gold-test", "A-before-parsing", out_a_before),
-        ("B", "gold-test", "A-after-parsing", out_a_after),
-        ("B", "gold-test", "B", out_b),
-        ("B", "fully-collapsed", "A-before-parsing", out_a_full_before),
-        ("B", "fully-collapsed", "A-after-parsing", out_a_full_after),
-        ("B", "fully-collapsed", "B", out_b_full)]
+        ("A", "baseline", "A", "out_a"),
+        ("B", "gold-test", "A-before-parsing", "out_a_before"),
+        ("B", "gold-test", "A-after-parsing", "out_a_after"),
+        ("B", "gold-test", "B", "out_b"),
+        ("B", "fully-collapsed", "A-before-parsing", "out_a_full_before"),
+        ("B", "fully-collapsed", "A-after-parsing", "out_a_full_after"),
+        ("B", "fully-collapsed", "B", "out_b_full")]
     for section, prefix in (("combination", "combined_"),
                             ("combination-full", "combined_full_")):
-        systems += [("A", section, "A+B " + scheme, combined[prefix + scheme])
+        systems += [("A", section, "A+B " + scheme, prefix + scheme)
                     for scheme in evaluation.SCHEMES]
     with _stage("eval"):
-        keys = {"A": evaluation.gold_keys(gold_a),
-                "B": evaluation.gold_keys(gold_b)}
+        keys = {"A": evaluation.gold_keys(dependencies["gold_a"]),
+                "B": evaluation.gold_keys(dependencies["gold_b"])}
         rows = [(gold_name, section, system,
-                 evaluation.score(deps, keys[gold_name]))
-                for gold_name, section, system, deps in systems]
-        del keys                # freed before the writes, where run peaks
+                 evaluation.score(dependencies[name], keys[gold_name]))
+                for gold_name, section, system, name in systems]
+        del keys        # freed before sig_test imports numpy, where run peaks
     reports = {(section, system): report for _, section, system, report in rows}
 
     # significance tests of X against Y, each named by its (section, system)
@@ -418,23 +442,16 @@ def run_pipeline(config):
         "mwe_count": mwe_total,
         "sibling_count": sibling_total,
         "sibling_pct": 100.0 * sibling_total / mwe_total if mwe_total else 0.0,
-        "cycles": sum(c.cycles for c in collapsed.values()),
-        "parse_failures_a": len(test) - len(parsed_a),
-        "parse_failures_b": len(gold_test) - len(parsed_b),
+        "cycles": cycles,
+        "parse_failures_a": failures_a,
+        "parse_failures_b": failures_b,
     }
     summary = _summary(config, rows, stats, sig_rows)
 
     # every stage succeeded: write the artifacts
-    dependencies = {
-        "gold_a": gold_a, "gold_b": gold_b, "gold_b_full": gold_b_full,
-        "out_a": out_a, "out_b": out_b, "out_a_before": out_a_before,
-        "out_a_after": out_a_after, "out_a_full_before": out_a_full_before,
-        "out_a_full_after": out_a_full_after, "out_b_full": out_b_full,
-        **combined}
     artifacts = [
         (treebank.write_occurrences, "occurrences.tsv", occurrences),
-        (treebank.write_treebank, "treebank_b.txt",
-         [c.record for c in collapsed.values()]),
+        (treebank.write_treebank, "treebank_b.txt", treebank_b.values()),
         (treebank.write_tokens, "tokens_test.txt", test.values()),
         (treebank.write_tokens, "tokens_test_collapsed.txt",
          gold_test.values()),

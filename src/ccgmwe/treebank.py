@@ -37,6 +37,7 @@ in ``system ids differ from gold's: missing [...], unknown [...]`` (eval).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from .categories import Category, arity, parse_category, render
@@ -93,6 +94,8 @@ class DerivationTree:
     """A derivation node: binary, unary, or a leaf carrying a token.
 
     Internal binary nodes need not be derivable by a combinatory rule.
+    Subtrees are shared between trees (a collapsed tree shares every
+    subtree it did not change with its input), so no tree is ever mutated.
     """
 
     category: Category
@@ -225,7 +228,7 @@ def _parse_node(text, pos, depth):
     end = pos
     while end < len(text) and text[end] not in "() \t":
         end += 1
-    token = text[pos:end]
+    token = sys.intern(text[pos:end])     # one object per distinct token
     if not token:
         raise TreebankFormatError("empty leaf token at column %d" % pos)
     pos = end

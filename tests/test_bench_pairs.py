@@ -55,3 +55,37 @@ def test_summary_gives_wins_only_for_directed_metrics(bench_pairs):
                                  {"wall_s": "lower"})
     assert record["quartiles"] == {"wall_s": [2.0, 2.0], "trace_s": [0.5, 0.5]}
     assert record["wins"] == {"wall_s": 1}
+
+
+def _records(bench_pairs, parent_values, change_values):
+    parent = fake_runs(0, peak_rss_mb=parent_values)
+    change = fake_runs(0, peak_rss_mb=change_values)
+    better = {"peak_rss_mb": "lower"}
+    return (bench_pairs.summary("p", "w", 38, parent, change, better),
+            bench_pairs.summary("c", "w", 38, change, parent, better))
+
+
+def test_claim_holds_with_nine_of_ten_wins_beyond_the_spread(bench_pairs):
+    # one tie, and a gap of 13 MB against a parent spread of 0.02 MB
+    parent, change = _records(bench_pairs,
+                              [74.17, 74.18, 74.19, 74.18, 74.17,
+                               74.18, 74.19, 74.18, 61.0, 74.18],
+                              [61.0] * 10)
+    assert change["wins"]["peak_rss_mb"] == 9
+    assert bench_pairs.claim_holds(parent, change, "peak_rss_mb", "lower")
+    assert not bench_pairs.claim_holds(change, parent, "peak_rss_mb", "lower")
+
+
+def test_claim_fails_on_eight_wins_or_a_gap_inside_the_spread(bench_pairs):
+    parent, change = _records(bench_pairs, [74.0] * 8 + [60.0, 60.0],
+                              [61.0] * 10)
+    assert change["wins"]["peak_rss_mb"] == 8
+    assert not bench_pairs.claim_holds(parent, change, "peak_rss_mb",
+                                       "lower")
+    # ten wins, but the medians differ by less than the parent's spread
+    parent, change = _records(bench_pairs, [2.0, 2.4] * 5, [1.95, 2.35] * 5)
+    assert change["wins"]["peak_rss_mb"] == 10
+    assert parent["quartiles"]["peak_rss_mb"][1] \
+        - parent["quartiles"]["peak_rss_mb"][0] > 0.05
+    assert not bench_pairs.claim_holds(parent, change, "peak_rss_mb",
+                                       "lower")

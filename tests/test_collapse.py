@@ -99,16 +99,34 @@ class TestCollapseTree:
             assert outcome.tree is tree
             assert outcome.tokens is None
 
-    def test_kept_collapse_builds_fresh_nodes(self, fixtures_dir):
+    def test_kept_collapse_shares_unchanged_subtrees(self, fixtures_dir):
         record = read_treebank(os.path.join(fixtures_dir,
                                             "fig_dep1_sentence.tb"))[0]
         before = render_tree(record.tree)
         mr_vinken = MweOccurrence((0, 1), ("Mr.", "Vinken"), "proper-noun")
-        outcome = collapse_tree(record.tree, [mr_vinken])
+        elsevier = MweOccurrence((5, 6), ("Elsevier", "N.V."), "proper-noun")
+        outcome = collapse_tree(record.tree, [mr_vinken, elsevier])
+        assert outcome.kept == [mr_vinken, elsevier]
         assert render_tree(record.tree) == before
-        assert {id(n) for n in _nodes(outcome.tree)}.isdisjoint(
-            id(n) for n in _nodes(record.tree))
-        assert outcome.tokens == ["mr.+vinken"] + record.tokens[2:]
+        spans = []
+        _spans(record.tree, 0, spans)
+        kept = [(0, 1), (5, 6)]
+        # a node spanning a kept MWE is on a root-to-MWE path and is new;
+        # a node strictly inside one is gone; every other node is shared
+        path = [node for node, first, last in spans
+                if any(first <= a and b <= last for a, b in kept)]
+        inside = [node for node, first, last in spans
+                  if any(a <= first and last <= b and (first, last) != (a, b)
+                         for a, b in kept)]
+        gone = {id(node) for node in path + inside}
+        shared = {id(node) for node, _, _ in spans} - gone
+        assert len(path) == 9 and len(inside) == 4
+        collapsed = {id(node) for node in _nodes(outcome.tree)}
+        assert collapsed.isdisjoint(gone)
+        assert shared <= collapsed
+        assert len(collapsed) == len(shared) + len(path)
+        assert outcome.tokens == (["mr.+vinken"] + record.tokens[2:5]
+                                  + ["elsevier+n.v."] + record.tokens[7:])
 
     def test_order_independence(self, fixtures_dir):
         record = read_treebank(os.path.join(fixtures_dir,
@@ -178,6 +196,17 @@ def _nodes(tree):
     yield tree
     for child in tree.children:
         yield from _nodes(child)
+
+
+def _spans(node, start, out):
+    """Append (node, first leaf, last leaf) for every node of the subtree
+    of `node`, whose first leaf has index `start`; returns the index after
+    its last leaf."""
+    end = start + 1 if node.token is not None else start
+    for child in node.children:
+        end = _spans(child, end, out)
+    out.append((node, start, end - 1))
+    return end
 
 
 # ----------------------------------------------------------------------

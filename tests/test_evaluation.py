@@ -592,7 +592,8 @@ class TestSigTest:
         assert not first.exhaustive
         assert first.p_value == second.p_value
 
-    @pytest.mark.parametrize("block", [1, 37 * 3, 37 * 64 + 5, 1 << 18])
+    @pytest.mark.parametrize("block",
+                             [1, 37 * 3, 37 * 64 + 5, 1 << 14, 1 << 18])
     def test_sampler_draws_one_stream(self, monkeypatch, block):
         # swap patterns are drawn a block of rows at a time; every block
         # size gives the p-value of one (iterations, n) draw

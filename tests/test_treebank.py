@@ -53,6 +53,16 @@ class TestTreeParsing:
         assert record.tokens[0] == "Mr."
         assert record.tokens[-1] == "group"
 
+    def test_equal_tokens_are_one_object(self, data_dir):
+        first = {}
+        repeated = 0
+        for record in read_treebank(os.path.join(data_dir, "treebank.txt")):
+            for token in record.tokens:
+                repeated += token in first
+                assert first.setdefault(token, token) is token
+        # far more tokens than distinct ones, repeated across sentences
+        assert repeated > 2 * len(first)
+
     def test_nested_category_in_node(self):
         tree = parse_tree("((S\\NP)\\(S\\NP) (((S\\NP)\\(S\\NP))/PP according)"
                           " (PP (PP/NP to) (NP (N bureau))))")

@@ -16,6 +16,10 @@ quartiles over the seeds of each metric, and for each end-to-end metric the
 number of pairs in which that side reads better than the other (ties count
 for neither), by the direction BENCHMARK.json gives it.  Every metric is
 printed per seed, and each metric's medians, quartiles and wins at the end.
+For each end-to-end metric it then prints the change's median as a signed
+percentage of the parent's, next to the metric's bound, and whether a gain
+could be claimed: the change wins at least 9 in 10 pairs and its median is
+better than the parent's by more than the parent's interquartile range.
 --seconds defaults to ``run_seconds`` of the change's BENCHMARK.json.
 """
 
@@ -27,6 +31,8 @@ import os
 import statistics
 import subprocess
 import sys
+
+SIGN = {"lower": -1, "higher": 1}     # direction -> sign of a gain
 
 
 def commit_id(checkout):
@@ -65,7 +71,6 @@ def summary(sha, workload, seconds, runs, rivals, better):
         return [r["result"]["metrics"][name]["value"] for r in side]
 
     names = sorted(runs[0]["result"]["metrics"])
-    sign = {"lower": -1, "higher": 1}
     return {
         "sha": sha,
         "workload": workload,
@@ -76,11 +81,22 @@ def summary(sha, workload, seconds, runs, rivals, better):
         "median": {name: statistics.median(values(runs, name))
                    for name in names},
         "quartiles": {name: quartiles(values(runs, name)) for name in names},
-        "wins": {name: sum(sign[better[name]] * (ours - theirs) > 0
+        "wins": {name: sum(SIGN[better[name]] * (ours - theirs) > 0
                            for ours, theirs in zip(values(runs, name),
                                                    values(rivals, name)))
                  for name in names if name in better},
     }
+
+
+def claim_holds(parent, change, name, better):
+    """Whether the change's gain on metric `name` may be claimed from the
+    two summary() records: it wins at least 9 in 10 of the pairs, and its
+    median is better than the parent's by more than the distance between
+    the parent's quartiles."""
+    first, third = parent["quartiles"][name]
+    gap = SIGN[better] * (change["median"][name] - parent["median"][name])
+    return (10 * change["wins"][name] >= 9 * len(change["runs"])
+            and gap > third - first)
 
 
 def main(argv=None):
@@ -100,8 +116,8 @@ def main(argv=None):
     seconds = args.seconds
     if seconds is None:
         seconds = benchmark["run_seconds"]
-    better = {metric["name"]: metric["better"]
-              for metric in benchmark["end_to_end"]}
+    metrics = {metric["name"]: metric for metric in benchmark["end_to_end"]}
+    better = {name: metric["better"] for name, metric in metrics.items()}
     sides = {"parent": args.parent, "change": args.change}
     runs = {side: [] for side in sides}
     for index, seed in enumerate(seeds):
@@ -133,6 +149,15 @@ def main(argv=None):
               % (name, parent["median"][name], *parent["quartiles"][name],
                  change["median"][name], *change["quartiles"][name],
                  change["wins"].get(name, "-"), len(change["runs"])),
+              file=sys.stderr)
+    for name, metric in metrics.items():
+        base = parent["median"][name]
+        print("%s: change %+.2f%% of the parent's median (bound %g%%), "
+              "gain claim %s" % (
+                  name, 100.0 * (change["median"][name] - base) / base,
+                  100.0 * metric["bound"],
+                  "holds" if claim_holds(parent, change, name,
+                                         metric["better"]) else "fails"),
               file=sys.stderr)
     return 0
 

@@ -7,17 +7,14 @@ argument, as in ``(S\\NP)/NP``.  Slashes associate to the left, so
 functors, which is the canonical form used in all file formats.
 
 Categories are immutable values: they can be shared freely between threads
-and used as dictionary keys.  Each category computes its hash once, from
-its children's cached hashes, so hashing never walks the tree.  Equal
-categories built by parse_category, all their parts and the categories
-that apply and compose derive from them, are one object, so comparing or
-looking up these categories stops at the identity test.
+and used as dictionary keys.  Equal values are one object: the constructor
+interns every category it builds, so equality and hashing are the
+identity ones and never walk the tree.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 FORWARD = "/"
@@ -35,7 +32,6 @@ class CategoryParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True, eq=False)
 class Category:
     """An atomic or functor CCG category.
 
@@ -44,37 +40,30 @@ class Category:
     and compared exactly, with no unification.
     """
 
-    atom: str | None = None
-    feature: str | None = None
-    result: Category | None = None
-    direction: str | None = None
-    argument: Category | None = None
-    _hash: int = field(init=False, repr=False)
+    __slots__ = ("atom", "feature", "result", "direction", "argument")
+    _interned = {}              # field tuple -> the one Category with it
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(
-            (self.atom, self.feature, self.result, self.direction,
-             self.argument)))
+    def __new__(cls, atom=None, feature=None, result=None, direction=None,
+                argument=None):
+        key = (atom, feature, result, direction, argument)
+        cat = cls._interned.get(key)
+        if cat is None:
+            cat = object.__new__(cls)
+            for name, value in zip(cls.__slots__, key):
+                object.__setattr__(cat, name, value)
+            # a racing thread may have stored its twin first: keep that one
+            cat = cls._interned.setdefault(key, cat)
+        return cat
 
-    def __hash__(self):
-        return self._hash
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot set %r: Category is immutable" % name)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Category):
-            return NotImplemented
-        return (self._hash == other._hash
-                and self.atom == other.atom
-                and self.feature == other.feature
-                and self.direction == other.direction
-                and self.result == other.result
-                and self.argument == other.argument)
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete %r: Category is immutable" % name)
 
     def __reduce__(self):
-        # rebuild by parsing the canonical form: the cached hash depends on
-        # the interpreter's string-hash seed and must not travel in a
-        # pickle, and the unpickled category is the interned one
+        # rebuild by parsing the canonical form, so the unpickled category
+        # is the interned one
         return (parse_category, (render(self),))
 
     def is_atom(self):
@@ -88,13 +77,6 @@ class Category:
 
     def __repr__(self):
         return "Category(%r)" % render(self)
-
-
-@lru_cache(maxsize=None)
-def _category(atom, feature, result, direction, argument):
-    """The one Category with these fields that parse_category and compose
-    hand out; its parts come from here too, so they compare by identity."""
-    return Category(atom, feature, result, direction, argument)
 
 
 @lru_cache(maxsize=None)
@@ -117,7 +99,7 @@ def _parse_spine(text, pos):
     while pos < len(text) and text[pos] in (FORWARD, BACKWARD):
         direction = text[pos]
         arg, pos = _parse_operand(text, pos + 1)
-        cat = _category(None, None, cat, direction, arg)
+        cat = Category(None, None, cat, direction, arg)
     return cat, pos
 
 
@@ -143,7 +125,7 @@ def _parse_operand(text, pos):
         if not feature:
             raise CategoryParseError("empty feature tag", text, pos)
         pos = end + 1
-    return _category(name, feature, None, None, None), pos
+    return Category(name, feature), pos
 
 
 @lru_cache(maxsize=None)
@@ -202,8 +184,8 @@ def compose(primary, secondary, direction):
         return None
     if primary.argument != secondary.result:
         return None
-    return _category(None, None, primary.result, direction,
-                     secondary.argument)
+    return Category(None, None, primary.result, direction,
+                    secondary.argument)
 
 
 # Binary rule names, in the fixed precedence used when classifying nodes.

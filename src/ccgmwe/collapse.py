@@ -128,8 +128,9 @@ def collapse_tree(tree, occurrences):
     replaced by a single leaf labelled with the lowest such node's
     category; the rest are discarded.  The input tree is never mutated:
     with nothing kept it is returned as is and outcome.tokens is None,
-    otherwise outcome.tree is a fresh tree and outcome.tokens its leaf
-    tokens.
+    otherwise outcome.tree shares every subtree it did not change with the
+    input (only each kept MWE's leaf and the nodes above it are new) and
+    outcome.tokens is its leaf tokens.
     """
     wanted = {(occ.start, occ.indices[-1]): occ
               for occ in occurrences if occ.is_continuous()}

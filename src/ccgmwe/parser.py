@@ -468,7 +468,7 @@ def _empty(text, what):
 
 
 # meta key -> converter of its value; each key is a ParserModel field
-_META = {"smoothing": float,
+_META = {"smoothing": lambda text: check_smoothing(float(text)),
          "rare_threshold": lambda text: _at_least_one(text, "rare_threshold")}
 
 # nested table -> (ParserModel field, condition codec, outcome codec,

@@ -459,9 +459,13 @@ def read_counts(path):
             if len(fields) != 4:
                 raise ValueError("expected id, correct, attempted, gold")
             sid = _new_id(fields[0], counts)
-            counts[sid] = tuple(int(f) for f in fields[1:])
-            if min(counts[sid]) < 0:
+            correct, attempted, gold = counts[sid] = tuple(
+                int(f) for f in fields[1:])
+            if min(correct, attempted, gold) < 0:
                 raise ValueError("counts must be non-negative")
+            if correct > min(attempted, gold):
+                raise ValueError("correct %d exceeds attempted %d or gold %d"
+                                 % (correct, attempted, gold))
     return counts
 
 

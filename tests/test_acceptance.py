@@ -182,7 +182,8 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
     start = time.monotonic()
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     outputs = []
-    for run in ("one", "two"):
+    # distinct string-hash seeds, so no artifact may depend on hash order
+    for run, seed in (("one", "0"), ("two", "1")):
         out_dir = tmp_path / run
         config = tmp_path / ("%s.cfg" % run)
         config.write_text(
@@ -195,7 +196,8 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
             [sys.executable, "-m", "ccgmwe.cli", "run",
              "--config", str(config),
              "--config", os.path.join(root, "data", "configs", "rec1.cfg")],
-            cwd=root, capture_output=True, text=True)
+            cwd=root, env=dict(os.environ, PYTHONHASHSEED=seed),
+            capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         outputs.append(out_dir)
     names = sorted(os.listdir(outputs[0]))

@@ -177,9 +177,28 @@ class TestValueContract:
             cat = random_category(rng, rng.randint(0, 5))
             twin = parse_category(render(cat))
             rebuilt = _rebuild(cat)
-            assert rebuilt is not cat
-            assert rebuilt == cat and twin == cat
+            assert rebuilt is cat and twin is cat
             assert hash(rebuilt) == hash(cat) == hash(twin)
+
+    def test_constructed_category_is_the_parsed_one(self):
+        assert Category(atom="NP") is parse_category("NP")
+        assert Category(atom="S", feature="dcl") is parse_category("S[dcl]")
+        assert (Category(result=C("S"), direction=BACKWARD, argument=C("NP"))
+                is parse_category("S\\NP"))
+
+    @pytest.mark.parametrize("field", ["atom", "feature", "result",
+                                       "direction", "argument"])
+    def test_fields_cannot_be_assigned_or_deleted(self, field):
+        cat = C("(S\\NP)/NP")
+        before = getattr(cat, field)
+        with pytest.raises(AttributeError):
+            setattr(cat, field, None)
+        with pytest.raises(AttributeError):
+            delattr(cat, field)
+        with pytest.raises(AttributeError):
+            cat.extra = 1
+        assert getattr(cat, field) is before
+        assert render(cat) == "(S\\NP)/NP"
 
     def test_distinct_categories_differ(self):
         assert C("S\\NP") != C("S/NP")

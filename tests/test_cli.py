@@ -825,6 +825,10 @@ class TestMalformedInput:
         ("meta\trare_treshold\t\t3", "unknown meta key 'rare_treshold'"),
         ("meta\trare_threshold\t\t0",
          "rare_threshold must be at least 1, got 0"),
+        ("meta\tsmoothing\t\tnan",
+         "smoothing must be a finite number >= 0, got nan"),
+        ("meta\tsmoothing\t\t-1",
+         "smoothing must be a finite number >= 0, got -1.0"),
         ("tokpos\tfoo\tNN\t-7", "tokpos count must be at least 1, got -7")])
     def test_parse_with_malformed_model_line(self, rec1_out, tmp_path,
                                              capsys, row, reason):

@@ -92,3 +92,27 @@ def test_empty_dev_split_writes_every_artifact_but_its_treebank(
                       and name != "out/treebank_dev.txt")
     assert len(expected) == 35
     assert sorted(os.listdir(tmp_path / "out")) == expected
+
+
+def test_longest_and_leftmost_resolvers_differ_end_to_end(tmp_path, data_dir,
+                                                          configs_dir):
+    # test sentence 48 is "The stock market fell slightly yesterday ."; the
+    # longer entry starts later, so longest and leftmost keep different ones
+    lexicon = tmp_path / "overlap.tsv"
+    lexicon.write_text("stock market\tgeneral\t7\t2;3\n"
+                       "market fell slightly\tgeneral\t9\t1;1;1\n")
+    occurrences = {}
+    for preset in ("rec1", "rec2"):
+        config = read_config([os.path.join(configs_dir, "base.cfg"),
+                              os.path.join(configs_dir, preset + ".cfg")])
+        config.treebank = os.path.join(data_dir, "treebank.txt")
+        config.lexicon = str(lexicon)
+        config.output = str(tmp_path / preset)
+        run_pipeline(config)
+        occurrences[preset] = (tmp_path / preset / "occurrences.tsv"
+                               ).read_text().splitlines()
+    assert occurrences["rec1"] != occurrences["rec2"]
+    sentence = {preset: [line for line in lines if line.startswith("48\t")]
+                for preset, lines in occurrences.items()}
+    assert sentence["rec1"] == ["48\t2,3,4\tmarket+fell+slightly\tgeneral"]
+    assert sentence["rec2"] == ["48\t1,2\tstock+market\tgeneral"]

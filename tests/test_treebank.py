@@ -411,6 +411,8 @@ class TestOccurrenceAndCountFiles:
         ("47\t3\t5", "expected id, correct, attempted, gold"),
         ("47\t3\t5\t6\t1", "expected id, correct, attempted, gold"),
         ("47\t-3\t5\t6", "non-negative"),
+        ("47\t5\t2\t3", "correct 5 exceeds attempted 2 or gold 3"),
+        ("47\t4\t5\t3", "correct 4 exceeds attempted 5 or gold 3"),
         ("46\t1\t1\t1", "duplicate sentence id 46"),
     ])
     def test_malformed_counts_name_file_and_line(self, tmp_path, line,

@@ -3,6 +3,11 @@
 Each pipeline stage is exposed as a subcommand operating on the file
 formats documented in treebank.py, so a full experiment can be reproduced
 either with `run --config ...` or by chaining the individual stages.
+
+At module level this imports only recognition, whose tables argparse
+offers as choices.  Each `_run_*` handler imports the stage modules it
+calls, so that a subcommand, which the chain starts as a fresh process,
+compiles and runs only the modules of its own stage.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import gc
 import os
 import sys
 
-from . import evaluation, parser, pipeline, recognition, treebank
+from . import recognition
 
 
 def _add_split(sub):
@@ -26,6 +31,7 @@ def _add_split(sub):
 
 
 def _run_split(args):
+    from . import pipeline, treebank
     records = treebank.read_treebank(args.treebank)
     config = pipeline.ExperimentConfig(train=args.train, dev=args.dev,
                                        test=args.test)
@@ -54,6 +60,7 @@ def _numbered(sentences):
 
 
 def _run_recognize(args):
+    from . import pipeline, treebank
     flags = {name: value for name, value in vars(args).items()
              if name in ("detector", "filters", "resolver") and value is not None}
     if args.preset and flags:
@@ -82,6 +89,7 @@ def _add_collapse(sub):
 
 
 def _run_collapse(args):
+    from . import pipeline, treebank
     records = treebank.read_treebank(args.treebank)
     occurrences = treebank.read_occurrences(args.occurrences)
     deps = (treebank.read_dependencies(args.dependencies) if args.dependencies
@@ -115,6 +123,7 @@ def _add_train(sub):
 
 
 def _run_train(args):
+    from . import parser, treebank
     records = treebank.read_treebank(args.treebank)
     model = parser.train(records, args.smoothing)
     parser.save_model(args.output, model)
@@ -132,6 +141,7 @@ def _add_parse(sub):
 
 
 def _run_parse(args):
+    from . import parser, pipeline, treebank
     model = parser.load_model(args.model)
     sentences = treebank.read_tokens(args.tokens)
     corpus = _numbered(sentences)
@@ -156,6 +166,7 @@ def _add_extract(sub):
 
 
 def _run_extract(args):
+    from . import pipeline, treebank
     treebank.write_dependencies(args.output, pipeline.extract_corpus(
         treebank.read_treebank(args.treebank)))
 
@@ -167,17 +178,18 @@ def _add_combine(sub):
     cmd.add_argument("--occurrences", required=True)
     cmd.add_argument("--tokens", required=True,
                      help="original token file (restores unit tokens)")
-    cmd.add_argument("--scheme", required=True, choices=evaluation.SCHEMES)
+    cmd.add_argument("--scheme", required=True, choices=recognition.SCHEMES)
     cmd.add_argument("--output", required=True)
     cmd.set_defaults(run=_run_combine)
 
 
 def _run_combine(args):
+    from . import pipeline, treebank
     combined = pipeline.combine_corpus(
         treebank.read_dependencies(args.out_a),
         treebank.read_dependencies(args.out_b),
         treebank.read_occurrences(args.occurrences), args.scheme,
-        treebank.read_tokens(args.tokens), args.tokens)
+        treebank.read_tokens(args.tokens), args.tokens, args.out_b)
     treebank.write_dependencies(args.output, combined)
 
 
@@ -191,6 +203,7 @@ def _add_eval(sub):
 
 
 def _run_eval(args):
+    from . import evaluation, treebank
     system = treebank.read_dependencies(args.system)
     gold = evaluation.gold_keys(treebank.read_dependencies(args.gold),
                                 labeled=args.labeled)
@@ -214,6 +227,7 @@ def _add_sigtest(sub):
 
 
 def _run_sigtest(args):
+    from . import evaluation, treebank
     result = evaluation.sig_test(treebank.read_counts(args.x),
                                  treebank.read_counts(args.y),
                                  iterations=args.iterations, seed=args.seed)
@@ -231,6 +245,7 @@ def _add_run(sub):
 
 
 def _run_run(args):
+    from . import pipeline
     config = pipeline.read_config(args.config)
     # the objects of a run live to its end and form no cycles, so a sweep
     # of the cyclic collector would free nothing: it is off while the
@@ -255,9 +270,10 @@ def main(argv=None):
                 _add_sigtest, _add_run):
         add(sub)
     args = root.parse_args(argv)
+    from .treebank import PipelineError     # every handler loads treebank
     try:
         args.run(args)
-    except pipeline.PipelineError as exc:
+    except PipelineError as exc:
         sys.stderr.write("error %s\n" % exc)
         return 1
     except (OSError, ValueError) as exc:

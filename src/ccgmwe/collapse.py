@@ -15,8 +15,8 @@ as collapsible, which is how fully-collapsed test data is produced.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
+from .records import Record
 from .treebank import DerivationTree, Dependency
 
 
@@ -28,8 +28,7 @@ class DataInconsistencyError(ValueError):
     """A dependency references a leaf index unknown to the collapse."""
 
 
-@dataclass
-class CollapseOutcome:
+class CollapseOutcome(Record):
     """Result of collapsing one tree.
 
     kept holds the occurrences that were spans-only constituents (now
@@ -40,12 +39,17 @@ class CollapseOutcome:
     collapsed tree's leaf tokens, or None when the tree is unchanged.
     """
 
-    tree: DerivationTree
-    kept: list = field(default_factory=list)
-    discarded: list = field(default_factory=list)
-    index_map: dict = field(default_factory=dict)
-    categories: dict = field(default_factory=dict)
-    tokens: list | None = None
+    __slots__ = ("tree", "kept", "discarded", "index_map", "categories",
+                 "tokens")
+
+    def __init__(self, tree, kept=None, discarded=None, index_map=None,
+                 categories=None, tokens=None):
+        self.tree = tree
+        self.kept = [] if kept is None else kept
+        self.discarded = [] if discarded is None else discarded
+        self.index_map = {} if index_map is None else index_map
+        self.categories = {} if categories is None else categories
+        self.tokens = tokens
 
 
 def check_occurrences(occurrences, n_tokens=None):

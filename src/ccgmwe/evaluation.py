@@ -22,20 +22,16 @@ alone, so that the other stages and subcommands start without loading it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .categories import arity, render
 from .collapse import build_index_map, check_occurrences
+from .records import Record
+from .recognition import SCHEME_UNITS
 from .treebank import Dependency, check_ids
 
 INTERNAL = "internal"
 MEDIATING = "mediating"
 EXTERNAL = "external"
-
-# scheme -> the unit an out_b MWE endpoint expands to (None: out_b edges
-# with an MWE endpoint are dropped and out_a's mediating edges kept)
-_MWE_UNIT = {"medFromA": None, "rightmostMed": -1, "leftmostMed": 0}
-SCHEMES = tuple(_MWE_UNIT)
 
 
 def f1(precision, recall):
@@ -45,16 +41,20 @@ def f1(precision, recall):
     return 2 * precision * recall / (precision + recall)
 
 
-@dataclass
-class EvalReport:
-    precision: float
-    recall: float
-    f1: float
-    correct: int
-    attempted: int
-    gold: int
-    undefined_precision: bool = False
-    per_sentence: dict = field(default_factory=dict)
+class EvalReport(Record):
+    __slots__ = ("precision", "recall", "f1", "correct", "attempted", "gold",
+                 "undefined_precision", "per_sentence")
+
+    def __init__(self, precision, recall, f1, correct, attempted, gold,
+                 undefined_precision=False, per_sentence=None):
+        self.precision = precision
+        self.recall = recall
+        self.f1 = f1
+        self.correct = correct
+        self.attempted = attempted
+        self.gold = gold
+        self.undefined_precision = undefined_precision
+        self.per_sentence = {} if per_sentence is None else per_sentence
 
 
 def _match_keys(deps, labeled):
@@ -137,9 +137,9 @@ def combine_models(out_a, out_b, occurrences, scheme):
     over the occurrences (which must be pairwise disjoint); an index past
     the last occurrence maps back with the total shift of all of them.
     """
-    if scheme not in _MWE_UNIT:
+    if scheme not in SCHEME_UNITS:
         raise ValueError("unknown combination scheme %r" % scheme)
-    unit = _MWE_UNIT[scheme]
+    unit = SCHEME_UNITS[scheme]
     occurrences = check_occurrences(occurrences)
     membership_a = membership_from_occurrences(occurrences)
     n = 1 + max([-1] + [occ.indices[-1] for occ in occurrences])
@@ -179,12 +179,14 @@ def combine_models(out_a, out_b, occurrences, scheme):
 # One-tailed randomized shuffling significance test
 # ----------------------------------------------------------------------
 
-@dataclass
-class SigTestResult:
-    p_value: float
-    observed_diff: float
-    iterations: int
-    exhaustive: bool
+class SigTestResult(Record):
+    __slots__ = ("p_value", "observed_diff", "iterations", "exhaustive")
+
+    def __init__(self, p_value, observed_diff, iterations, exhaustive):
+        self.p_value = p_value
+        self.observed_diff = observed_diff
+        self.iterations = iterations
+        self.exhaustive = exhaustive
 
 
 # swap decisions drawn per block of rows by sig_test's sampler

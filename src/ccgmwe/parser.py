@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import attrgetter
 
 from .categories import (FORWARD_APPLY, FORWARD_COMPOSE, arity,
                          derivation_rule, is_modifier, parse_category, render,
                          target)
+from .records import Record
 from .treebank import DerivationTree, Dependency, Lines
 
 # Leaf expansion marker: a category "expands" to LEX when it emits a token.
@@ -65,35 +65,50 @@ def pos_for_category(cat):
     return _ATOM_POS.get(target(cat).atom, "N")
 
 
-@dataclass
-class ParserModel:
-    """Tables of the generative model; immutable once trained."""
+class ParserModel(Record):
+    """Tables of the generative model; immutable once trained.
 
-    rules: dict                 # Category -> {expansion tuple or LEX: prob}
-    lexical: dict               # Category -> {token: prob}
-    pos_backoff: dict           # tag -> {Category: prob}
-    token_pos: dict             # token -> {tag: count}
-    roots: dict                 # Category -> prob over training roots
-    smoothing: float = 0.0
-    rare_threshold: int = 2
+    rules maps a Category to {expansion tuple or LEX: prob}, lexical a
+    Category to {token: prob}, pos_backoff a tag to {Category: prob},
+    token_pos a token to {tag: count} and roots a Category to its prob
+    over training roots.
+    """
 
-    @cached_property
+    __slots__ = ("rules", "lexical", "pos_backoff", "token_pos", "roots",
+                 "smoothing", "rare_threshold", "_indexes")
+
+    def __init__(self, rules, lexical, pos_backoff, token_pos, roots,
+                 smoothing=0.0, rare_threshold=2):
+        self.rules = rules
+        self.lexical = lexical
+        self.pos_backoff = pos_backoff
+        self.token_pos = token_pos
+        self.roots = roots
+        self.smoothing = smoothing
+        self.rare_threshold = rare_threshold
+        self._indexes = None
+
+    @property
     def indexes(self):
         """The CKY tables of _build_indexes, built on first use."""
-        return _build_indexes(self)
+        if self._indexes is None:
+            self._indexes = _build_indexes(self)
+        return self._indexes
 
 
-@dataclass
-class ParseResult:
+class ParseResult(Record):
     """Best derivation for a token sequence, or a failure marker.
 
     tree/logprob are None when no sentence-rooted derivation covers the
     input; stats carries the chart's entry count under "chart_entries".
     """
 
-    tree: DerivationTree | None
-    logprob: float | None
-    stats: dict
+    __slots__ = ("tree", "logprob", "stats")
+
+    def __init__(self, tree, logprob, stats):
+        self.tree = tree
+        self.logprob = logprob
+        self.stats = stats
 
 
 def _smoothed(counter, smoothing):

@@ -13,44 +13,43 @@ pure function of the configuration and input files.  `run_pipeline`
 checks its output path first and writes its artifacts only after every
 stage has succeeded, so a failed run writes no file; it does not remove
 stale files of an earlier run.
+
+At module level this imports only treebank and recognition, which the
+configuration and split need.  Each corpus stage imports the stage module
+it calls (collapse, parser or evaluation) when it runs, so that a
+subcommand loads the modules of its own stage and no others.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
 from functools import partial
 
-from . import collapse as collapsing
-from . import evaluation, parser, recognition, treebank
+from . import recognition, treebank
+from .records import Record
+from .treebank import PipelineError
 
 
-class PipelineError(RuntimeError):
-    """A stage failure; carries the stage name and offending sentence id."""
+class ExperimentConfig(Record):
+    __slots__ = ("treebank", "lexicon", "output", "train", "dev", "test",
+                 "recognizer", "smoothing", "seed", "iterations")
 
-    def __init__(self, stage, message, sid=None):
-        detail = "[%s] %s" % (stage, message)
-        if sid is not None:
-            detail += " (sentence %s)" % sid
-        super().__init__(detail)
-        self.stage = stage
-        self.sid = sid
-
-
-@dataclass
-class ExperimentConfig:
-    treebank: str = ""
-    lexicon: str = ""
-    output: str = "out"
-    train: str = ""
-    dev: str = ""
-    test: str = ""
-    recognizer: recognition.RecognizerConfig = field(
-        default_factory=recognition.RecognizerConfig)
-    smoothing: float = 0.1
-    seed: int = 0
-    iterations: int = 10000
+    def __init__(self, treebank="", lexicon="", output="out", train="",
+                 dev="", test="", recognizer=None, smoothing=0.1, seed=0,
+                 iterations=10000):
+        self.treebank = treebank
+        self.lexicon = lexicon
+        self.output = output
+        self.train = train
+        self.dev = dev
+        self.test = test
+        self.recognizer = (recognition.RecognizerConfig() if recognizer is None
+                           else recognizer)
+        self.smoothing = smoothing
+        self.seed = seed
+        self.iterations = iterations
 
 
 def _listed(text):
@@ -58,14 +57,17 @@ def _listed(text):
 
 
 def _smoothing(text):
+    from . import parser
     return parser.check_smoothing(float(text))
 
 
 def _iterations(text):
+    from . import evaluation
     return evaluation.check_iterations(int(text))
 
 
 def _seed(text):
+    from . import evaluation
     return evaluation.check_seed(int(text))
 
 
@@ -102,12 +104,14 @@ def config_from_values(values):
     """Build the configuration from read_config's key=value strings; a
     value that does not convert raises PipelineError naming its key."""
     config = ExperimentConfig()
+    recognizer = {}             # the recognizer's fields set so far
     for key, value in values.items():
         try:
             value = CONFIG_KEYS[key](value)
             if key in ("detector", "filters", "resolver"):
-                # replace() re-validates; the fields set earlier are valid
-                config.recognizer = replace(config.recognizer, **{key: value})
+                # rebuilt to re-validate; the fields set earlier are valid
+                recognizer[key] = value
+                config.recognizer = recognition.RecognizerConfig(**recognizer)
             else:
                 setattr(config, key, value)
         except ValueError as exc:
@@ -199,18 +203,21 @@ def recognize_corpus(lexicon, tokens, config):
 
 def extract_corpus(records):
     """{sentence id: [Dependency]} of each record's tree."""
+    from . import parser
     return {r.sid: parser.extract_dependencies(r.tree) for r in records}
 
 
-@dataclass
-class Collapsed:
+class Collapsed(Record):
     """One collapsed sentence: its record, dependencies, tree-collapse
     outcome (kept and discarded MWEs) and count of two-way edges."""
 
-    record: treebank.SentenceRecord
-    deps: list
-    outcome: collapsing.CollapseOutcome
-    cycles: int
+    __slots__ = ("record", "deps", "outcome", "cycles")
+
+    def __init__(self, record, deps, outcome, cycles):
+        self.record = record
+        self.deps = deps
+        self.outcome = outcome
+        self.cycles = cycles
 
 
 def collapse_corpus(records, occurrences, deps, stage="collapse"):
@@ -222,6 +229,7 @@ def collapse_corpus(records, occurrences, deps, stage="collapse"):
     dependencies for other ids than the records', raise PipelineError.
     Returns {sentence id: Collapsed} in record order.
     """
+    from . import collapse as collapsing
     ids = {r.sid for r in records}
     with _stage(stage):
         orphans = sorted(set(occurrences) - ids)
@@ -256,6 +264,7 @@ def parse_corpus(model, tokens, stage, memo):
     across passes is parsed once per model; the outputs are shared, never
     mutated downstream.
     """
+    from . import parser
     deps = {}
     parsed = []
     for sid, words in tokens.items():
@@ -273,7 +282,8 @@ def parse_corpus(model, tokens, stage, memo):
     return deps, parsed
 
 
-def combine_corpus(out_a, out_b, occurrences, scheme, tokens, tokens_path):
+def combine_corpus(out_a, out_b, occurrences, scheme, tokens, tokens_path,
+                   out_b_path):
     """Combine each sentence of out_a, {sentence id: [Dependency]} on
     original tokens, with out_b's dependencies on collapsed tokens; returns
     {sentence id: [Dependency]} in out_a's order.
@@ -282,7 +292,12 @@ def combine_corpus(out_a, out_b, occurrences, scheme, tokens, tokens_path):
     out_a sentence in order.  Every out_a edge's words must match them, and
     the occurrences are re-bound to them.  out_b must hold exactly out_a's
     sentence ids; a sentence that failed to parse has an empty edge list.
+    Every out_b edge's words should be the tokens the occurrences collapse
+    the sentence to; a sentence where one is not, so that its combination
+    is wrong, is named in a warning on stderr with `out_b_path`.
     """
+    from . import collapse as collapsing
+    from . import evaluation
     with _stage("combine"):
         treebank.check_ids(out_b, out_a, "out_b ids differ from out_a's")
     if len(tokens) != len(out_a):
@@ -299,9 +314,26 @@ def combine_corpus(out_a, out_b, occurrences, scheme, tokens, tokens_path):
                                          % (tokens_path, lineno, word,
                                             index + 1))
             occs = recognition.rebind_tokens(occurrences.get(sid, []), line)
+            if out_b[sid]:
+                _check_collapsed(out_b[sid], collapsing.collapse_tokens(
+                    line, occs)[0], out_b_path, sid)
             combined[sid] = evaluation.combine_models(out_a[sid], out_b[sid],
                                                       occs, scheme)
     return combined
+
+
+def _check_collapsed(deps, collapsed, path, sid):
+    """Warn on stderr, naming `path` and `sid`, at the first edge of `deps`
+    with a word that is not the `collapsed` token at its index."""
+    for dep in deps:
+        for index, word in ((dep.i, dep.word_i), (dep.j, dep.word_j)):
+            if index >= len(collapsed) or collapsed[index] != word:
+                sys.stderr.write("warning [combine] %s sentence %s has %r at "
+                                 "token %d, but the occurrences collapse it "
+                                 "to: %s; its combination is wrong\n"
+                                 % (path, sid, word, index + 1,
+                                    " ".join(collapsed)))
+                return
 
 
 def _fmt(value):
@@ -314,6 +346,7 @@ def _gold_standards(records, lexicon, config, test):
     the cycle count and {artifact name: dependencies} of gold A, B and
     B-full on the test sentences; the other sentences' dependencies and
     the collapse outcomes are written nowhere, so they die on return."""
+    from . import collapse as collapsing
     gold = extract_corpus(records)
     occurrences = recognize_corpus(lexicon, {r.sid: r.tokens for r in records},
                                    config.recognizer)
@@ -332,6 +365,7 @@ def _parse_passes(model_a, model_b, test, gold_test, full_test, occurrences):
     after-parsing collapse, and the parse failures of the parse-a and
     parse-b passes.  Each model's parse memo spans its passes; the memos
     and parse trees are written nowhere, so they die on return."""
+    from . import collapse as collapsing
     memo_a, memo_b = {}, {}
     out_a, parsed_a = parse_corpus(model_a, test, "parse-a", memo_a)
     out_b, parsed_b = parse_corpus(model_b, gold_test, "parse-b", memo_b)
@@ -358,6 +392,8 @@ def run_pipeline(config):
     """Run the full experiment, then write every artifact to config.output;
     nothing is written unless every stage succeeds.  Returns the score rows,
     the stats, the significance rows and the summary text."""
+    from . import collapse as collapsing
+    from . import evaluation, parser
     existing = os.path.abspath(config.output)   # can it become a directory?
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)
@@ -394,10 +430,11 @@ def run_pipeline(config):
     tokens_path = os.path.join(config.output, "tokens_test.txt")
     for prefix, deps_b, occs in (("combined_", "out_b", kept),
                                  ("combined_full_", "out_b_full", occurrences)):
-        for scheme in evaluation.SCHEMES:
+        for scheme in recognition.SCHEMES:
             dependencies[prefix + scheme] = combine_corpus(
                 dependencies["out_a"], dependencies[deps_b], occs, scheme,
-                test.values(), tokens_path)
+                test.values(), tokens_path,
+                os.path.join(config.output, deps_b + ".deps"))
 
     # score each system: (gold, section, system, output artifact)
     systems = [
@@ -411,7 +448,7 @@ def run_pipeline(config):
     for section, prefix in (("combination", "combined_"),
                             ("combination-full", "combined_full_")):
         systems += [("A", section, "A+B " + scheme, prefix + scheme)
-                    for scheme in evaluation.SCHEMES]
+                    for scheme in recognition.SCHEMES]
     with _stage("eval"):
         keys = {"A": evaluation.gold_keys(dependencies["gold_a"]),
                 "B": evaluation.gold_keys(dependencies["gold_b"])}

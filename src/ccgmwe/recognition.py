@@ -10,11 +10,15 @@ cascade.  Resolvers turn the surviving candidate set into a conflict-free
 sequence in which no token belongs to two MWEs; RESOLVERS maps each to the
 key it orders candidates by.  An unknown name fails the same lookup
 wherever it is given.
+
+SCHEME_UNITS, the table of evaluation.combine_models, lives here with the
+other tables the command line offers as choices, so that parsing the
+command line loads no other stage module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import FrozenRecord, Record
 
 # detector -> the lexicon kind it admits (None: every kind)
 DETECTORS = {"exhaustive": None, "proper-noun": "proper-noun",
@@ -22,6 +26,11 @@ DETECTORS = {"exhaustive": None, "proper-noun": "proper-noun",
 # resolver -> the order in which it takes candidates
 RESOLVERS = {"longest": lambda c: (-len(c.indices), c.start, c.joined),
              "leftmost": lambda c: (c.start, -len(c.indices), c.joined)}
+# combination scheme -> the unit an out_b MWE endpoint expands to (None:
+# out_b edges with an MWE endpoint are dropped and out_a's mediating edges
+# kept); evaluation.combine_models dispatches on it
+SCHEME_UNITS = {"medFromA": None, "rightmostMed": -1, "leftmostMed": 0}
+SCHEMES = tuple(SCHEME_UNITS)
 
 
 def _lookup(table, what, name):
@@ -32,24 +41,22 @@ def _lookup(table, what, name):
         raise ValueError("unknown %s %r" % (what, name)) from None
 
 
-@dataclass(frozen=True)
-class MweOccurrence:
+class MweOccurrence(FrozenRecord):
     """A detected MWE: the leaf indices and tokens of its units, plus the
     '+'-joined lowercased form it collapses to."""
 
-    indices: tuple
-    tokens: tuple
-    kind: str
-    joined: str = ""
+    __slots__ = ("indices", "tokens", "kind", "joined")
 
-    def __post_init__(self):
-        if len(self.indices) < 2:
+    def __init__(self, indices, tokens, kind, joined=""):
+        if len(indices) < 2:
             raise ValueError("an MWE occurrence needs >= 2 units")
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
+        if any(b <= a for a, b in zip(indices, indices[1:])):
             raise ValueError("unit indices must be strictly increasing")
-        if not self.joined:
-            object.__setattr__(self, "joined",
-                               "+".join(t.lower() for t in self.tokens))
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "joined", joined or "+".join(
+            t.lower() for t in tokens))
 
     @property
     def start(self):
@@ -84,8 +91,7 @@ def _keep(name):
     return _lookup(_FILTERS, "filter", name)
 
 
-@dataclass
-class RecognizerConfig:
+class RecognizerConfig(Record):
     """A detector/filters/resolver combination.
 
     Filters are given as strings: "continuous", "more-frequent-as-mwe" or
@@ -93,19 +99,20 @@ class RecognizerConfig:
     missing, since every cascade works with it.
     """
 
-    detector: str = "exhaustive"
-    filters: tuple = ("continuous",)
-    resolver: str = "longest"
+    __slots__ = ("detector", "filters", "resolver")
 
-    def __post_init__(self):
-        _lookup(DETECTORS, "detector", self.detector)
-        _lookup(RESOLVERS, "resolver", self.resolver)
-        filters = tuple(self.filters)
+    def __init__(self, detector="exhaustive", filters=("continuous",),
+                 resolver="longest"):
+        _lookup(DETECTORS, "detector", detector)
+        _lookup(RESOLVERS, "resolver", resolver)
+        filters = tuple(filters)
         for name in filters:
             _keep(name)
         if "continuous" not in filters:
             filters = ("continuous",) + filters
+        self.detector = detector
         self.filters = filters
+        self.resolver = resolver
 
 
 # The five recognizer presets evaluated in the experiments.

@@ -1,0 +1,44 @@
+"""Base classes of the record classes.
+
+A record class names its fields in ``__slots__`` and sets them in its own
+``__init__``, which takes them in that order and validates them.  A slot
+whose name starts with an underscore is no field: it caches a value
+derived from the fields.  Two records are equal when they are of one class
+and their fields are equal.  A Record is mutable and unhashable; a
+FrozenRecord cannot be assigned to once built, so it hashes by its fields.
+"""
+
+
+class Record:
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__
+                     if name[0] != "_")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__
+            if name[0] != "_"))
+
+
+class FrozenRecord(Record):
+    """A record whose __init__ sets its fields with object.__setattr__;
+    assigning or deleting an attribute afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __hash__(self):
+        return hash(self._fields())

@@ -38,9 +38,9 @@ in ``system ids differ from gold's: missing [...], unknown [...]`` (eval).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 
-from .categories import Category, arity, parse_category, render
+from .categories import arity, parse_category, render
+from .records import FrozenRecord, Record
 
 LEXICON_KINDS = ("proper-noun", "stop-word", "general")
 # deepest tree parse_tree reads: every recursive tree walk fits the stack
@@ -53,6 +53,22 @@ class TreebankFormatError(ValueError):
 
 class LexiconError(ValueError):
     pass
+
+
+class PipelineError(RuntimeError):
+    """A stage failure; carries the stage name and offending sentence id.
+
+    Raised by the stages of pipeline.py; it lives here, in the module every
+    subcommand loads, so that the CLI catches it without loading them.
+    """
+
+    def __init__(self, stage, message, sid=None):
+        detail = "[%s] %s" % (stage, message)
+        if sid is not None:
+            detail += " (sentence %s)" % sid
+        super().__init__(detail)
+        self.stage = stage
+        self.sid = sid
 
 
 class Lines:
@@ -89,8 +105,7 @@ class Lines:
                              % (self.path, self.lineno, exc)) from exc
 
 
-@dataclass(slots=True)
-class DerivationTree:
+class DerivationTree(Record):
     """A derivation node: binary, unary, or a leaf carrying a token.
 
     Internal binary nodes need not be derivable by a combinatory rule.
@@ -98,45 +113,50 @@ class DerivationTree:
     subtree it did not change with its input), so no tree is ever mutated.
     """
 
-    category: Category
-    children: tuple = ()
-    token: str | None = None
+    __slots__ = ("category", "children", "token")
+
+    def __init__(self, category, children=(), token=None):
+        self.category = category
+        self.children = children
+        self.token = token
 
     def is_leaf(self):
         return self.token is not None
 
 
-@dataclass(slots=True)
-class Dependency:
+class Dependency(Record):
     """The 6-tuple <i, j, cat_j, arg_k, word_i, word_j>: word_i at leaf i
     fills the k-th argument slot of the functor word_j at leaf j."""
 
-    i: int
-    j: int
-    cat_j: Category
-    arg_k: int
-    word_i: str
-    word_j: str
+    __slots__ = ("i", "j", "cat_j", "arg_k", "word_i", "word_j")
 
-    def __post_init__(self):
-        if self.i < 0 or self.j < 0:
+    def __init__(self, i, j, cat_j, arg_k, word_i, word_j):
+        if i < 0 or j < 0:
             raise ValueError("dependency endpoints must be non-negative, "
-                             "got i=%d, j=%d" % (self.i, self.j))
-        if self.i == self.j:
-            raise ValueError("dependency endpoints must differ (i=j=%d)" % self.i)
-        if self.arg_k < 1:
-            raise ValueError("arg_k must be >= 1, got %d" % self.arg_k)
+                             "got i=%d, j=%d" % (i, j))
+        if i == j:
+            raise ValueError("dependency endpoints must differ (i=j=%d)" % i)
+        if arg_k < 1:
+            raise ValueError("arg_k must be >= 1, got %d" % arg_k)
+        self.i = i
+        self.j = j
+        self.cat_j = cat_j
+        self.arg_k = arg_k
+        self.word_i = word_i
+        self.word_j = word_j
 
     def key(self):
         return (self.i, self.j, render(self.cat_j), self.arg_k,
                 self.word_i, self.word_j)
 
 
-@dataclass
-class SentenceRecord:
-    sid: str
-    tree: DerivationTree
-    tokens: list = field(default_factory=list)
+class SentenceRecord(Record):
+    __slots__ = ("sid", "tree", "tokens")
+
+    def __init__(self, sid, tree, tokens=None):
+        self.sid = sid
+        self.tree = tree
+        self.tokens = [] if tokens is None else tokens
 
 
 def check_ids(corpus, expected, what):
@@ -357,12 +377,14 @@ def write_tokens(path, sentences):
 # MWE lexicon
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LexiconEntry:
-    units: tuple
-    kind: str
-    mwe_count: int
-    unit_counts: tuple
+class LexiconEntry(FrozenRecord):
+    __slots__ = ("units", "kind", "mwe_count", "unit_counts")
+
+    def __init__(self, units, kind, mwe_count, unit_counts):
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "mwe_count", mwe_count)
+        object.__setattr__(self, "unit_counts", unit_counts)
 
 
 class MweLexicon:

@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import statistics
+import subprocess
 
 import pytest
 
@@ -89,3 +90,38 @@ def test_claim_fails_on_eight_wins_or_a_gap_inside_the_spread(bench_pairs):
         - parent["quartiles"]["peak_rss_mb"][0] > 0.05
     assert not bench_pairs.claim_holds(parent, change, "peak_rss_mb",
                                        "lower")
+
+
+def test_a_bytecode_cache_stops_the_tool_before_the_first_run(
+        bench_pairs, tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    (parent / "src" / "pkg").mkdir(parents=True)
+    cache = change / "src" / "pkg" / "__pycache__"
+    cache.mkdir(parents=True)
+    (change / "BENCHMARK.json").write_text(
+        '{"run_seconds": 1, "end_to_end": []}')
+    assert bench_pairs.bytecode_caches(str(parent)) == []
+    assert bench_pairs.bytecode_caches(str(change)) == [str(cache)]
+
+    def run_once(*args):
+        raise AssertionError("a pair ran")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(["--parent", str(parent), "--change", str(change)])
+    assert str(stop.value) == ("bytecode cache %s: delete it, so that both "
+                               "sides start without one" % cache)
+
+
+def test_runs_write_no_bytecode(bench_pairs, monkeypatch):
+    seen = {}
+
+    def run(argv, cwd, env, **kwargs):
+        seen.update(cwd=cwd, env=env)
+        return subprocess.CompletedProcess(argv, 0, '{"failed": 0}\n', "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    assert bench_pairs.run_once("side", "stage-chain", 1, 5) == {"failed": 0}
+    assert seen["cwd"] == "side"
+    assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"

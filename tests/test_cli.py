@@ -9,7 +9,7 @@ import pytest
 
 from ccgmwe import parser, pipeline
 from ccgmwe.cli import main
-from ccgmwe.evaluation import SCHEMES
+from ccgmwe.recognition import SCHEMES
 from ccgmwe.parser import load_model, parse
 from ccgmwe.pipeline import (ExperimentConfig, PipelineError, parse_id_spec,
                              read_config, run_pipeline, split_records)
@@ -236,21 +236,39 @@ class TestSubcommands:
 
 
 class TestStageChecks:
-    def combine(self, out, tokens, result, scheme="medFromA"):
+    def combine(self, out, tokens, result, scheme="medFromA",
+                out_b="out_b_full.deps"):
         return main(["combine", "--out-a", str(out / "out_a.deps"),
-                     "--out-b", str(out / "out_b_full.deps"),
+                     "--out-b", str(out / out_b),
                      "--occurrences", str(out / "occurrences.tsv"),
                      "--tokens", str(tokens), "--scheme", scheme,
                      "--output", str(result)])
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_combine_rebuilds_full_combination(self, rec1_out, tmp_path,
-                                               scheme):
+                                               scheme, capsys):
         result = tmp_path / "combined.deps"
         assert self.combine(rec1_out, rec1_out / "tokens_test.txt", result,
                             scheme) == 0
         assert result.read_bytes() == \
             (rec1_out / ("combined_full_%s.deps" % scheme)).read_bytes()
+        assert capsys.readouterr().err == ""
+
+    def test_combine_warns_of_out_b_on_other_tokens(self, rec1_out, tmp_path,
+                                                    capsys):
+        """out_a passed as --out-b is on the original tokens, so every
+        sentence with an MWE is named on stderr; out_b_full is on the
+        tokens these occurrences collapse to, so it draws no warning."""
+        assert self.combine(rec1_out, rec1_out / "tokens_test.txt",
+                            tmp_path / "c.deps", out_b="out_a.deps") == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == (
+            "warning [combine] %s sentence 46 has 'Spoon' at token 2, but "
+            "the occurrences collapse it to: mr.+spoon is chairman of "
+            "elsevier+n.v. , the big publishing group .; its combination is "
+            "wrong" % (rec1_out / "out_a.deps"))
+        assert [line.split()[4] for line in lines] == [
+            "46", "47", "48", "49", "50", "51", "53", "55", "57"]
 
     def test_combine_short_token_file_fails(self, rec1_out, tmp_path, capsys):
         tokens = tmp_path / "short.txt"

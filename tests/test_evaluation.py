@@ -14,11 +14,11 @@ from ccgmwe import evaluation
 from ccgmwe.categories import arity, parse_category, render
 from ccgmwe.collapse import (collapse_dependencies, collapse_tokens,
                              collapse_tree)
-from ccgmwe.evaluation import (EXTERNAL, INTERNAL, MEDIATING, SCHEMES,
-                               classify_edge, combine_models, f1, gold_keys,
+from ccgmwe.evaluation import (EXTERNAL, INTERNAL, MEDIATING, classify_edge,
+                               combine_models, f1, gold_keys,
                                membership_from_occurrences, score, sig_test)
 from ccgmwe.parser import extract_dependencies
-from ccgmwe.recognition import MweOccurrence, PRESETS, recognize
+from ccgmwe.recognition import MweOccurrence, PRESETS, SCHEMES, recognize
 from ccgmwe.treebank import Dependency
 
 

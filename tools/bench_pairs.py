@@ -21,6 +21,12 @@ percentage of the parent's, next to the metric's bound, and whether a gain
 could be claimed: the change wins at least 9 in 10 pairs and its median is
 better than the parent's by more than the parent's interquartile range.
 --seconds defaults to ``run_seconds`` of the change's BENCHMARK.json.
+
+Both sides run in one bytecode regime: every run has
+``PYTHONDONTWRITEBYTECODE=1``, and a ``__pycache__`` directory under either
+checkout's ``src/`` stops the tool before the first pair.  A valid cache
+on one side only would cut its start-up by about a third, so every
+start-up figure would compare two different things.
 """
 
 from __future__ import annotations
@@ -44,11 +50,20 @@ def commit_id(checkout):
     return sha + "-dirty" if git("status", "--porcelain") else sha
 
 
+def bytecode_caches(checkout):
+    """The __pycache__ directories under the checkout's src/."""
+    return sorted(os.path.join(base, name) for base, dirs, _
+                  in os.walk(os.path.join(checkout, "src"))
+                  for name in dirs if name == "__pycache__")
+
+
 def run_once(checkout, workload, seed, seconds):
-    """The final JSON line that perfbench/run.py prints in `checkout`."""
+    """The final JSON line that perfbench/run.py prints in `checkout`,
+    which writes no bytecode cache."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     if done.returncode != 0:
         raise SystemExit("%s, seed %d: perfbench exited %d\n%s"
                          % (checkout, seed, done.returncode, done.stderr))
@@ -119,6 +134,11 @@ def main(argv=None):
     metrics = {metric["name"]: metric for metric in benchmark["end_to_end"]}
     better = {name: metric["better"] for name, metric in metrics.items()}
     sides = {"parent": args.parent, "change": args.change}
+    caches = [path for checkout in sides.values()
+              for path in bytecode_caches(checkout)]
+    if caches:
+        raise SystemExit("bytecode cache %s: delete it, so that both sides "
+                         "start without one" % caches[0])
     runs = {side: [] for side in sides}
     for index, seed in enumerate(seeds):
         order = ["parent", "change"]

@@ -33,10 +33,8 @@ def _add_split(sub):
 def _run_split(args):
     from . import pipeline, treebank
     records = treebank.read_treebank(args.treebank)
-    config = pipeline.ExperimentConfig(train=args.train, dev=args.dev,
-                                       test=args.test)
-    pipeline.write_splits(args.output_dir,
-                          pipeline.split_records(records, config))
+    pipeline.write_splits(args.output_dir, pipeline.split_records(
+        records, args.train, args.dev, args.test))
 
 
 def _add_recognize(sub):

@@ -24,10 +24,9 @@ from __future__ import annotations
 from collections import Counter
 
 from .categories import arity, render
-from .collapse import build_index_map, check_occurrences
 from .records import Record
 from .recognition import SCHEME_UNITS
-from .treebank import Dependency, check_ids
+from .treebank import Dependency, check_ids, check_iterations, check_seed
 
 INTERNAL = "internal"
 MEDIATING = "mediating"
@@ -46,7 +45,7 @@ class EvalReport(Record):
                  "undefined_precision", "per_sentence")
 
     def __init__(self, precision, recall, f1, correct, attempted, gold,
-                 undefined_precision=False, per_sentence=None):
+                 undefined_precision, per_sentence):
         self.precision = precision
         self.recall = recall
         self.f1 = f1
@@ -54,7 +53,7 @@ class EvalReport(Record):
         self.attempted = attempted
         self.gold = gold
         self.undefined_precision = undefined_precision
-        self.per_sentence = {} if per_sentence is None else per_sentence
+        self.per_sentence = per_sentence
 
 
 def _match_keys(deps, labeled):
@@ -137,6 +136,8 @@ def combine_models(out_a, out_b, occurrences, scheme):
     over the occurrences (which must be pairwise disjoint); an index past
     the last occurrence maps back with the total shift of all of them.
     """
+    # imported here, so that eval and sigtest do not load collapse
+    from .collapse import build_index_map, check_occurrences
     if scheme not in SCHEME_UNITS:
         raise ValueError("unknown combination scheme %r" % scheme)
     unit = SCHEME_UNITS[scheme]
@@ -198,20 +199,6 @@ def _pooled_f1(correct, attempted_plus_gold):
     if attempted_plus_gold == 0:
         return 0.0
     return 2.0 * correct / attempted_plus_gold
-
-
-def check_iterations(iterations):
-    """`iterations`, if it is at least 1; else ValueError."""
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1, got %d" % iterations)
-    return iterations
-
-
-def check_seed(seed):
-    """`seed`, if it is at least 0; else ValueError."""
-    if seed < 0:
-        raise ValueError("seed must be at least 0, got %d" % seed)
-    return seed
 
 
 def sig_test(counts_x, counts_y, iterations=10000, seed=0):

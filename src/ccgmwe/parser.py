@@ -28,7 +28,7 @@ from .categories import (FORWARD_APPLY, FORWARD_COMPOSE, arity,
                          derivation_rule, is_modifier, parse_category, render,
                          target)
 from .records import Record
-from .treebank import DerivationTree, Dependency, Lines
+from .treebank import DerivationTree, Dependency, Lines, check_smoothing
 
 # Leaf expansion marker: a category "expands" to LEX when it emits a token.
 LEX = ()
@@ -116,14 +116,6 @@ def _smoothed(counter, smoothing):
     denom = total + smoothing * len(counter)
     return {outcome: (count + smoothing) / denom
             for outcome, count in counter.items()}
-
-
-def check_smoothing(smoothing):
-    """`smoothing`, if it is a finite number >= 0; else ValueError."""
-    if not (math.isfinite(smoothing) and smoothing >= 0):
-        raise ValueError("smoothing must be a finite number >= 0, got %r"
-                         % smoothing)
-    return smoothing
 
 
 def train(records, smoothing=0.0):

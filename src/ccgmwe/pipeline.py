@@ -56,27 +56,14 @@ def _listed(text):
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _smoothing(text):
-    from . import parser
-    return parser.check_smoothing(float(text))
-
-
-def _iterations(text):
-    from . import evaluation
-    return evaluation.check_iterations(int(text))
-
-
-def _seed(text):
-    from . import evaluation
-    return evaluation.check_seed(int(text))
-
-
 # config key -> converter of its value; detector, filters and resolver set
 # the fields of ExperimentConfig.recognizer, the others their namesakes
 CONFIG_KEYS = {"treebank": str, "lexicon": str, "output": str, "train": str,
                "dev": str, "test": str, "detector": str, "filters": _listed,
-               "resolver": str, "smoothing": _smoothing, "seed": _seed,
-               "iterations": _iterations}
+               "resolver": str,
+               "smoothing": lambda text: treebank.check_smoothing(float(text)),
+               "seed": lambda text: treebank.check_seed(int(text)),
+               "iterations": lambda text: treebank.check_iterations(int(text))}
 
 
 def read_config(paths):
@@ -142,9 +129,9 @@ def parse_id_spec(spec):
     return ids
 
 
-def split_records(records, config):
-    """Partition records by the id ranges of the configuration."""
-    specs = {"train": config.train, "dev": config.dev, "test": config.test}
+def split_records(records, train, dev, test):
+    """Partition records by the id ranges of the three split specs."""
+    specs = {"train": train, "dev": dev, "test": test}
     id_sets = {}
     for name, spec in specs.items():
         try:
@@ -307,33 +294,33 @@ def combine_corpus(out_a, out_b, occurrences, scheme, tokens, tokens_path,
     combined = {}
     for lineno, (sid, line) in enumerate(zip(out_a, tokens), 1):
         with _stage("combine", sid):
-            for dep in out_a[sid]:
-                for index, word in ((dep.i, dep.word_i), (dep.j, dep.word_j)):
-                    if index >= len(line) or line[index] != word:
-                        raise ValueError("%s line %d has no %r at token %d"
-                                         % (tokens_path, lineno, word,
-                                            index + 1))
+            misplaced = _misplaced(out_a[sid], line)
+            if misplaced:
+                raise ValueError("%s line %d has no %r at token %d"
+                                 % (tokens_path, lineno, *misplaced))
             occs = recognition.rebind_tokens(occurrences.get(sid, []), line)
             if out_b[sid]:
-                _check_collapsed(out_b[sid], collapsing.collapse_tokens(
-                    line, occs)[0], out_b_path, sid)
+                collapsed = collapsing.collapse_tokens(line, occs)[0]
+                misplaced = _misplaced(out_b[sid], collapsed)
+                if misplaced:
+                    sys.stderr.write(
+                        "warning [combine] %s sentence %s has %r at token %d, "
+                        "but the occurrences collapse it to: %s; its "
+                        "combination is wrong\n"
+                        % (out_b_path, sid, *misplaced, " ".join(collapsed)))
             combined[sid] = evaluation.combine_models(out_a[sid], out_b[sid],
                                                       occs, scheme)
     return combined
 
 
-def _check_collapsed(deps, collapsed, path, sid):
-    """Warn on stderr, naming `path` and `sid`, at the first edge of `deps`
-    with a word that is not the `collapsed` token at its index."""
+def _misplaced(deps, tokens):
+    """(word, 1-based index) of the first endpoint of `deps` whose word is
+    not the token at its index in `tokens`; None when every one is."""
     for dep in deps:
         for index, word in ((dep.i, dep.word_i), (dep.j, dep.word_j)):
-            if index >= len(collapsed) or collapsed[index] != word:
-                sys.stderr.write("warning [combine] %s sentence %s has %r at "
-                                 "token %d, but the occurrences collapse it "
-                                 "to: %s; its combination is wrong\n"
-                                 % (path, sid, word, index + 1,
-                                    " ".join(collapsed)))
-                return
+            if index >= len(tokens) or tokens[index] != word:
+                return word, index + 1
+    return None
 
 
 def _fmt(value):
@@ -403,7 +390,7 @@ def run_pipeline(config):
     with _stage("load"):
         records = treebank.read_treebank(config.treebank)
         lexicon = treebank.read_lexicon(config.lexicon)
-    splits = split_records(records, config)
+    splits = split_records(records, config.train, config.dev, config.test)
     test = {r.sid: r.tokens for r in splits["test"]}
 
     # recognize, then collapse the whole treebank: gold standards A and B

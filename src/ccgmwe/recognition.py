@@ -47,7 +47,7 @@ class MweOccurrence(FrozenRecord):
 
     __slots__ = ("indices", "tokens", "kind", "joined")
 
-    def __init__(self, indices, tokens, kind, joined=""):
+    def __init__(self, indices, tokens, kind):
         if len(indices) < 2:
             raise ValueError("an MWE occurrence needs >= 2 units")
         if any(b <= a for a, b in zip(indices, indices[1:])):
@@ -55,8 +55,8 @@ class MweOccurrence(FrozenRecord):
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "joined", joined or "+".join(
-            t.lower() for t in tokens))
+        object.__setattr__(self, "joined",
+                           "+".join(t.lower() for t in tokens))
 
     @property
     def start(self):

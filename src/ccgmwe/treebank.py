@@ -27,6 +27,10 @@ unique within every treebank, dependency, ids and counts file:
 * Per-sentence counts: tab-separated ``sentence-id  correct  attempted
   gold``, one line per sentence sorted by id, as written by ``eval
   --per-sentence`` and ``run`` and read by ``sigtest``.
+* Config (pipeline.py): ``key = value`` lines.  The run settings are
+  checked here, wherever they are given: ``smoothing`` (also ``train``'s
+  and the model's) by check_smoothing, ``iterations`` and ``seed`` (also
+  ``sigtest``'s) by check_iterations and check_seed.
 
 Blank lines are skipped everywhere.  Every reader goes through Lines, so a
 malformed input line, a repeated id among them, raises a typed error worded
@@ -37,6 +41,7 @@ in ``system ids differ from gold's: missing [...], unknown [...]`` (eval).
 
 from __future__ import annotations
 
+import math
 import sys
 
 from .categories import arity, parse_category, render
@@ -56,7 +61,8 @@ class LexiconError(ValueError):
 
 
 class PipelineError(RuntimeError):
-    """A stage failure; carries the stage name and offending sentence id.
+    """A stage failure, worded ``[<stage>] <message>``, followed by
+    `` (sentence <sid>)`` when it names the offending sentence.
 
     Raised by the stages of pipeline.py; it lives here, in the module every
     subcommand loads, so that the CLI catches it without loading them.
@@ -67,8 +73,28 @@ class PipelineError(RuntimeError):
         if sid is not None:
             detail += " (sentence %s)" % sid
         super().__init__(detail)
-        self.stage = stage
-        self.sid = sid
+
+
+def check_smoothing(smoothing):
+    """`smoothing`, if it is a finite number >= 0; else ValueError."""
+    if not (math.isfinite(smoothing) and smoothing >= 0):
+        raise ValueError("smoothing must be a finite number >= 0, got %r"
+                         % smoothing)
+    return smoothing
+
+
+def check_iterations(iterations):
+    """`iterations`, if it is at least 1; else ValueError."""
+    if iterations < 1:
+        raise ValueError("iterations must be at least 1, got %d" % iterations)
+    return iterations
+
+
+def check_seed(seed):
+    """`seed`, if it is at least 0; else ValueError."""
+    if seed < 0:
+        raise ValueError("seed must be at least 0, got %d" % seed)
+    return seed
 
 
 class Lines:

@@ -11,8 +11,8 @@ from ccgmwe import parser, pipeline
 from ccgmwe.cli import main
 from ccgmwe.recognition import SCHEMES
 from ccgmwe.parser import load_model, parse
-from ccgmwe.pipeline import (ExperimentConfig, PipelineError, parse_id_spec,
-                             read_config, run_pipeline, split_records)
+from ccgmwe.pipeline import (PipelineError, parse_id_spec, read_config,
+                             run_pipeline, split_records)
 from ccgmwe.recognition import PRESETS
 from ccgmwe.treebank import (MAX_TREE_DEPTH, read_dependencies,
                              read_occurrences, read_tokens, read_treebank,
@@ -71,15 +71,13 @@ class TestConfig:
             read_config([str(path)])
 
     def test_overlapping_splits_rejected(self, corpus):
-        config = ExperimentConfig(train="1-40", test="40-60")
         with pytest.raises(PipelineError) as err:
-            split_records(corpus, config)
+            split_records(corpus, "1-40", "", "40-60")
         assert "split" in str(err.value)
 
     def test_empty_test_split_rejected(self, corpus):
-        config = ExperimentConfig(train="1-40", test="90-99")
         with pytest.raises(PipelineError) as err:
-            split_records(corpus, config)
+            split_records(corpus, "1-40", "", "90-99")
         assert "empty test split" in str(err.value)
 
 
@@ -269,6 +267,41 @@ class TestStageChecks:
             "wrong" % (rec1_out / "out_a.deps"))
         assert [line.split()[4] for line in lines] == [
             "46", "47", "48", "49", "50", "51", "53", "55", "57"]
+
+    @pytest.mark.parametrize("edit", ["word", "index"])
+    @pytest.mark.parametrize("side", ["out-a", "out-b"])
+    def test_combine_checks_endpoint_words(self, rec1_out, tmp_path, capsys,
+                                           side, edit):
+        """Sentence 46's first edge gets another word, or an index past the
+        sentence's last token: in --out-a that stops combine, in --out-b it
+        draws a warning."""
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("out_a.deps", "out_b_full.deps", "occurrences.tsv"):
+            (out / name).write_bytes((rec1_out / name).read_bytes())
+        deps = out / ("out_a.deps" if side == "out-a" else "out_b_full.deps")
+        header, first, rest = deps.read_text().split("\n", 2)
+        fields = first.split("\t")
+        if edit == "word":
+            fields[4] = "x"
+        else:
+            fields[0] = "99"
+        deps.write_text("\n".join([header, "\t".join(fields), rest]))
+        tokens = rec1_out / "tokens_test.txt"
+        code = self.combine(out, tokens, tmp_path / "c.deps")
+        endpoint = (fields[4], int(fields[0]))
+        if side == "out-a":
+            assert code == 1
+            assert capsys.readouterr().err == (
+                "error [combine] %s line 1 has no %r at token %d (sentence "
+                "46)\n" % (tokens, *endpoint))
+        else:
+            assert code == 0
+            assert capsys.readouterr().err == (
+                "warning [combine] %s sentence 46 has %r at token %d, but the "
+                "occurrences collapse it to: mr.+spoon is chairman of "
+                "elsevier+n.v. , the big publishing group .; its combination "
+                "is wrong\n" % (deps, *endpoint))
 
     def test_combine_short_token_file_fails(self, rec1_out, tmp_path, capsys):
         tokens = tmp_path / "short.txt"

@@ -146,7 +146,7 @@ BASE = {"ccgmwe", "ccgmwe.cli", "ccgmwe.records", "ccgmwe.recognition"}
 READ = BASE | {"ccgmwe.treebank", "ccgmwe.categories"}
 PIPELINE = READ | {"ccgmwe.pipeline"}
 PARSER = PIPELINE | {"ccgmwe.parser"}
-EVALUATION = READ | {"ccgmwe.evaluation", "ccgmwe.collapse"}
+EVALUATION = READ | {"ccgmwe.evaluation"}
 EVERY = {"ccgmwe"} | {"ccgmwe." + path.stem for path in PACKAGE
                       if path.stem != "__init__"}
 
@@ -228,4 +228,5 @@ def test_subcommands_load_only_the_modules_of_their_stage(tmp_path,
     for name in ("split", "recognize"):
         assert "ccgmwe.parser" not in loaded[name]
     for name in ("eval", "sigtest"):
-        assert not loaded[name] & {"ccgmwe.parser", "ccgmwe.pipeline"}
+        assert not loaded[name] & {"ccgmwe.parser", "ccgmwe.pipeline",
+                                   "ccgmwe.collapse"}

@@ -202,17 +202,11 @@ _RULES = {
 }
 
 
-def combine(left, right):
-    """All parent categories derivable from a (left, right) pair, as a list
-    of (rule, parent) tuples in the precedence order of _RULES."""
-    return [(rule, parent) for rule, derive in _RULES.items()
-            if (parent := derive(left, right)) is not None]
-
-
 @lru_cache(maxsize=None)
 def derivation_rule(left, right, parent):
-    """The first rule under which `parent` derives from (left, right), or None."""
-    for rule, cat in combine(left, right):
-        if cat == parent:
+    """The first rule, in the precedence order of _RULES, under which
+    `parent` derives from (left, right), or None."""
+    for rule, derive in _RULES.items():
+        if derive(left, right) is parent:
             return rule
     return None

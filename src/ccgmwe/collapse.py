@@ -16,12 +16,9 @@ from __future__ import annotations
 
 import operator
 
+from .recognition import check_occurrences
 from .records import Record
 from .treebank import DerivationTree, Dependency
-
-
-class OverlapError(ValueError):
-    """Occurrences passed to a collapser must be pairwise index-disjoint."""
 
 
 class DataInconsistencyError(ValueError):
@@ -50,24 +47,6 @@ class CollapseOutcome(Record):
         self.index_map = {} if index_map is None else index_map
         self.categories = {} if categories is None else categories
         self.tokens = tokens
-
-
-def check_occurrences(occurrences, n_tokens=None):
-    """The occurrences sorted by first unit, once they are known to be
-    pairwise index-disjoint (else OverlapError) and, given `n_tokens`,
-    inside a sentence of that many tokens (else ValueError)."""
-    occurrences = sorted(occurrences, key=lambda o: o.start)
-    seen = set()
-    for occ in occurrences:
-        overlap = seen.intersection(occ.indices)
-        if overlap:
-            raise OverlapError("occurrences overlap at indices %s"
-                               % sorted(overlap))
-        seen.update(occ.indices)
-        if n_tokens is not None and occ.indices[-1] >= n_tokens:
-            raise ValueError("occurrence %r outside sentence of %d tokens"
-                             % (occ.joined, n_tokens))
-    return occurrences
 
 
 def build_index_map(n_tokens, collapsed_occurrences):

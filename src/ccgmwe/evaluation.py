@@ -25,7 +25,7 @@ from collections import Counter
 
 from .categories import arity, render
 from .records import Record
-from .recognition import SCHEME_UNITS
+from .recognition import SCHEME_UNITS, check_occurrences
 from .treebank import Dependency, check_ids, check_iterations, check_seed
 
 INTERNAL = "internal"
@@ -43,17 +43,6 @@ def f1(precision, recall):
 class EvalReport(Record):
     __slots__ = ("precision", "recall", "f1", "correct", "attempted", "gold",
                  "undefined_precision", "per_sentence")
-
-    def __init__(self, precision, recall, f1, correct, attempted, gold,
-                 undefined_precision, per_sentence):
-        self.precision = precision
-        self.recall = recall
-        self.f1 = f1
-        self.correct = correct
-        self.attempted = attempted
-        self.gold = gold
-        self.undefined_precision = undefined_precision
-        self.per_sentence = per_sentence
 
 
 def _match_keys(deps, labeled):
@@ -137,7 +126,7 @@ def combine_models(out_a, out_b, occurrences, scheme):
     the last occurrence maps back with the total shift of all of them.
     """
     # imported here, so that eval and sigtest do not load collapse
-    from .collapse import build_index_map, check_occurrences
+    from .collapse import build_index_map
     if scheme not in SCHEME_UNITS:
         raise ValueError("unknown combination scheme %r" % scheme)
     unit = SCHEME_UNITS[scheme]
@@ -182,12 +171,6 @@ def combine_models(out_a, out_b, occurrences, scheme):
 
 class SigTestResult(Record):
     __slots__ = ("p_value", "observed_diff", "iterations", "exhaustive")
-
-    def __init__(self, p_value, observed_diff, iterations, exhaustive):
-        self.p_value = p_value
-        self.observed_diff = observed_diff
-        self.iterations = iterations
-        self.exhaustive = exhaustive
 
 
 # swap decisions drawn per block of rows by sig_test's sampler

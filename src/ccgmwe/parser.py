@@ -105,11 +105,6 @@ class ParseResult(Record):
 
     __slots__ = ("tree", "logprob", "stats")
 
-    def __init__(self, tree, logprob, stats):
-        self.tree = tree
-        self.logprob = logprob
-        self.stats = stats
-
 
 def _smoothed(counter, smoothing):
     total = sum(counter.values())
@@ -522,16 +517,20 @@ def load_model(path):
                 if condition not in _META:
                     raise ValueError("unknown meta key %r" % condition)
                 _empty(outcome, "outcome of a meta row")
-                meta[condition] = _META[condition](value)
+                dist, key, value = meta, condition, _META[condition](value)
             elif table == "root":
                 _empty(condition, "condition of a root row")
-                roots[parse_category(outcome)] = _probability(value)
+                value = _probability(value)
+                dist, key = roots, parse_category(outcome)
             elif table in _TABLES:
-                _, (_, key), (_, out), convert = _TABLES[table]
-                # checks the value first, then the condition and the outcome
-                tables[table][key(condition)][out(outcome)] = convert(value)
+                _, (_, cond), (_, out), convert = _TABLES[table]
+                value = convert(value)
+                dist, key = tables[table][cond(condition)], out(outcome)
             else:
                 raise ValueError("unknown table %r" % table)
+            if key in dist:
+                raise ValueError("repeated %s row" % table)
+            dist[key] = value
     return ParserModel(**{_TABLES[table][0]: dict(dists)
                           for table, dists in tables.items()},
                        roots=roots, **meta)

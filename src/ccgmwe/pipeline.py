@@ -39,17 +39,9 @@ class ExperimentConfig(Record):
     def __init__(self, treebank="", lexicon="", output="out", train="",
                  dev="", test="", recognizer=None, smoothing=0.1, seed=0,
                  iterations=10000):
-        self.treebank = treebank
-        self.lexicon = lexicon
-        self.output = output
-        self.train = train
-        self.dev = dev
-        self.test = test
-        self.recognizer = (recognition.RecognizerConfig() if recognizer is None
-                           else recognizer)
-        self.smoothing = smoothing
-        self.seed = seed
-        self.iterations = iterations
+        super().__init__(treebank, lexicon, output, train, dev, test,
+                         recognition.RecognizerConfig() if recognizer is None
+                         else recognizer, smoothing, seed, iterations)
 
 
 def _listed(text):
@@ -199,12 +191,6 @@ class Collapsed(Record):
     outcome (kept and discarded MWEs) and count of two-way edges."""
 
     __slots__ = ("record", "deps", "outcome", "cycles")
-
-    def __init__(self, record, deps, outcome, cycles):
-        self.record = record
-        self.deps = deps
-        self.outcome = outcome
-        self.cycles = cycles
 
 
 def collapse_corpus(records, occurrences, deps, stage="collapse"):

@@ -66,6 +66,28 @@ class MweOccurrence(FrozenRecord):
         return self.indices[-1] - self.indices[0] + 1 == len(self.indices)
 
 
+class OverlapError(ValueError):
+    """The occurrences of one sentence must be pairwise index-disjoint."""
+
+
+def check_occurrences(occurrences, n_tokens=None):
+    """The occurrences sorted by first unit, once they are known to be
+    pairwise index-disjoint (else OverlapError) and, given `n_tokens`,
+    inside a sentence of that many tokens (else ValueError)."""
+    occurrences = sorted(occurrences, key=lambda o: o.start)
+    seen = set()
+    for occ in occurrences:
+        overlap = seen.intersection(occ.indices)
+        if overlap:
+            raise OverlapError("occurrences overlap at indices %s"
+                               % sorted(overlap))
+        seen.update(occ.indices)
+        if n_tokens is not None and occ.indices[-1] >= n_tokens:
+            raise ValueError("occurrence %r outside sentence of %d tokens"
+                             % (occ.joined, n_tokens))
+    return occurrences
+
+
 def _more_frequent_as_mwe(occurrence, lexicon):
     """Keep an occurrence iff the MWE count beats every unit's standalone count."""
     entry = lexicon.entries.get(tuple(t.lower() for t in occurrence.tokens))
@@ -110,9 +132,7 @@ class RecognizerConfig(Record):
             _keep(name)
         if "continuous" not in filters:
             filters = ("continuous",) + filters
-        self.detector = detector
-        self.filters = filters
-        self.resolver = resolver
+        super().__init__(detector, filters, resolver)
 
 
 # The five recognizer presets evaluated in the experiments.
@@ -186,12 +206,10 @@ def recognize(lexicon, tokens, config):
 
 def rebind_tokens(occurrences, tokens):
     """Re-attach verbatim sentence tokens to occurrences loaded from a file
-    (the file stores only the lowercased joined form, which must match)."""
+    (the file stores only the lowercased joined form, which must match),
+    once check_occurrences has passed them; sorted by first unit."""
     out = []
-    for occ in occurrences:
-        if occ.indices[-1] >= len(tokens):
-            raise ValueError("occurrence %r outside sentence of %d tokens"
-                             % (occ.joined, len(tokens)))
+    for occ in check_occurrences(occurrences, len(tokens)):
         out.append(MweOccurrence(occ.indices,
                                  tuple(tokens[i] for i in occ.indices),
                                  occ.kind))

@@ -1,17 +1,27 @@
 """Base classes of the record classes.
 
-A record class names its fields in ``__slots__`` and sets them in its own
-``__init__``, which takes them in that order and validates them.  A slot
-whose name starts with an underscore is no field: it caches a value
-derived from the fields.  Two records are equal when they are of one class
-and their fields are equal.  A Record is mutable and unhashable; a
-FrozenRecord cannot be assigned to once built, so it hashes by its fields.
+A record class names its fields in ``__slots__``; Record's constructor
+takes them positionally, in that order.  A record that validates,
+defaults or takes keywords has its own ``__init__``, which ends in
+``super().__init__(...)`` or, if hot, assigns the fields itself.  A slot
+whose name starts with an underscore is no field: its record's own
+``__init__`` sets it to a cache of a value derived from the fields.  Two
+records are equal when they are of one class and their fields are equal.
+A Record is mutable and unhashable; a FrozenRecord cannot be assigned to
+once built, so it hashes by its fields.
 """
 
 
 class Record:
     __slots__ = ()
     __hash__ = None
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError("%s takes %d fields, got %d" % (
+                self.__class__.__name__, len(self.__slots__), len(fields)))
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     def _fields(self):
         return tuple(getattr(self, name) for name in self.__slots__
@@ -29,7 +39,7 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """A record whose __init__ sets its fields with object.__setattr__;
+    """A record whose constructor sets its fields with object.__setattr__;
     assigning or deleting an attribute afterwards raises AttributeError."""
 
     __slots__ = ()

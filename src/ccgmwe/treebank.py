@@ -406,12 +406,6 @@ def write_tokens(path, sentences):
 class LexiconEntry(FrozenRecord):
     __slots__ = ("units", "kind", "mwe_count", "unit_counts")
 
-    def __init__(self, units, kind, mwe_count, unit_counts):
-        object.__setattr__(self, "units", units)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "mwe_count", mwe_count)
-        object.__setattr__(self, "unit_counts", unit_counts)
-
 
 class MweLexicon:
     """An index of known MWEs keyed by their lowercased unit sequence."""

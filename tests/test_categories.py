@@ -7,8 +7,8 @@ import sys
 import pytest
 
 from ccgmwe.categories import (BACKWARD, FORWARD, Category, CategoryParseError,
-                               apply, arity, combine, compose, is_modifier,
-                               parse_category, render)
+                               apply, arity, compose, derivation_rule,
+                               is_modifier, parse_category, render)
 
 C = parse_category
 
@@ -82,8 +82,7 @@ class TestCombination:
         assert compose(C("(S\\NP)\\(S\\NP)"), C("PP/NP"), FORWARD) is None
 
     def test_combine_lists_rules_in_order(self):
-        results = combine(C("(S\\NP)/NP"), C("NP"))
-        assert ("fa", C("S\\NP")) in results
+        assert derivation_rule(C("(S\\NP)/NP"), C("NP"), C("S\\NP")) == "fa"
 
 
 class TestSlots:

@@ -6,13 +6,14 @@ import pytest
 
 from ccgmwe.categories import parse_category, render
 from ccgmwe.collapse import (CollapseOutcome, DataInconsistencyError,
-                             OverlapError, build_index_map, check_occurrences,
-                             collapse_all_dependencies, collapse_dependencies,
-                             collapse_tokens, collapse_tree, detect_cycles)
+                             build_index_map, collapse_all_dependencies,
+                             collapse_dependencies, collapse_tokens,
+                             collapse_tree, detect_cycles)
 from ccgmwe.evaluation import (EXTERNAL, INTERNAL, MEDIATING, classify_edge,
                                membership_from_occurrences)
 from ccgmwe.parser import extract_dependencies
-from ccgmwe.recognition import PRESETS, MweOccurrence, recognize
+from ccgmwe.recognition import (PRESETS, MweOccurrence, OverlapError,
+                                check_occurrences, recognize)
 from ccgmwe.treebank import (Dependency, DerivationTree, leaf_nodes, leaves,
                              read_dependencies, read_treebank, render_tree)
 

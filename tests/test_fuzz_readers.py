@@ -102,3 +102,20 @@ def test_model_rejects_a_field_save_model_leaves_empty(tmp_path, row, reason):
     with pytest.raises(TreebankFormatError) as err:
         load_model(str(path))
     assert str(err.value) == "%s line 2: %s" % (path, reason)
+
+
+@pytest.mark.parametrize("table,first,again", [
+    ("meta", "meta\tsmoothing\t\t0.1", "meta\tsmoothing\t\t0.7"),
+    # the same outcome category, written with redundant parentheses
+    ("rule", "rule\tS\tNP S\\NP\t0.5", "rule\tS\tNP (S\\NP)\t0.25"),
+    ("root", "root\t\tS\t1.0", "root\t\tS\t0.5")],
+    ids=["meta", "rule", "root"])
+def test_model_rejects_a_repeated_row(tmp_path, table, first, again):
+    """A repeated meta key, root category or (table, condition, outcome)
+    would override the earlier row; save_model never writes one."""
+    path = tmp_path / "model.tsv"
+    path.write_text(first + "\nlex\tN\tdog\t1.0\n" + again + "\n",
+                    encoding="utf-8")
+    with pytest.raises(TreebankFormatError) as err:
+        load_model(str(path))
+    assert str(err.value) == "%s line 3: repeated %s row" % (path, table)

@@ -1,6 +1,6 @@
-"""Golden gate: every artifact of `run` for rec1-rec5 and of the README
-subcommand chain matches the sha256 digests recorded in
-perfbench/reference.json.  The workloads' own step lists are reused, run
+"""Golden gate: every artifact of `run` for rec1-rec5, of the seed-1
+scaled run and of the README subcommand chain matches the sha256 digests
+recorded in perfbench/reference.json.  The workloads' own step lists are reused, run
 in-process through ccgmwe.cli.main."""
 
 import importlib.util
@@ -59,4 +59,17 @@ def test_stage_chain_artifacts_match_reference(tmp_path, monkeypatch):
                 in REFERENCE[bench.StageChain.name]["op"].items()
                 if not name.startswith("stdout_")}
     assert len(expected) == 20
+    assert bench.compare(found, expected) == []
+
+
+def test_scaled_experiment_artifacts_match_reference(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.syspath_prepend(PERFBENCH)  # the workload imports corpus
+    workload = bench.ScaledExperiment(bench.DEFAULT_SEED, str(tmp_path), False)
+    found = _run_steps(workload, "op", str(tmp_path / "op"))
+    reference = REFERENCE[bench.ScaledExperiment.name]
+    assert reference["seed"] == bench.DEFAULT_SEED
+    expected = {name: digest for name, digest in reference["ops"]["op"].items()
+                if not name.startswith("stdout_")}
+    assert len(expected) == 35
     assert bench.compare(found, expected) == []

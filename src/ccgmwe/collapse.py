@@ -18,7 +18,7 @@ import operator
 
 from .recognition import check_occurrences
 from .records import Record
-from .treebank import DerivationTree, Dependency
+from .treebank import DerivationTree
 
 
 class DataInconsistencyError(ValueError):
@@ -140,7 +140,9 @@ def collapse_dependencies(deps, outcome):
     replaced by the joined token (and, on the functor side, the MWE's
     category); external edges pass through.  All indices are re-mapped to
     the collapsed tokenization.  Edge multiplicity is preserved, so
-    len(result) == len(deps) - number of internal edges.
+    len(result) == len(deps) - number of internal edges.  An edge whose
+    indices, words and category stay as they were is the input object
+    itself, so the two graphs share it.
     """
     unit_occ = {i: occ for occ in outcome.kept for i in occ.indices}
     out = []
@@ -159,9 +161,8 @@ def collapse_dependencies(deps, outcome):
         if occ_j is not None:
             word_j = occ_j.joined
             cat_j = outcome.categories.get(occ_j, cat_j)
-        out.append(Dependency(outcome.index_map[dep.i],
-                              outcome.index_map[dep.j],
-                              cat_j, dep.arg_k, word_i, word_j))
+        out.append(dep.moved(outcome.index_map[dep.i],
+                             outcome.index_map[dep.j], cat_j, word_i, word_j))
     return out
 
 

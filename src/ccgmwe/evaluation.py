@@ -125,11 +125,21 @@ def combine_models(out_a, out_b, occurrences, scheme):
     over the occurrences (which must be pairwise disjoint); an index past
     the last occurrence maps back with the total shift of all of them.
     """
+    return combine_schemes(out_a, out_b, occurrences, (scheme,))[0]
+
+
+def combine_schemes(out_a, out_b, occurrences, schemes):
+    """combine_models under each scheme of `schemes`, as a list in their
+    order, made in one pass: the occurrences are checked, out_a's edges
+    classified and each out_b edge decollapsed once for all the schemes.
+    An out_b edge without an MWE endpoint is one object in every scheme's
+    combination, and is the out_b object itself where neither index moves.
+    """
     # imported here, so that eval and sigtest do not load collapse
     from .collapse import build_index_map
-    if scheme not in SCHEME_UNITS:
-        raise ValueError("unknown combination scheme %r" % scheme)
-    unit = SCHEME_UNITS[scheme]
+    for scheme in schemes:
+        if scheme not in SCHEME_UNITS:
+            raise ValueError("unknown combination scheme %r" % scheme)
     occurrences = check_occurrences(occurrences)
     membership_a = membership_from_occurrences(occurrences)
     n = 1 + max([-1] + [occ.indices[-1] for occ in occurrences])
@@ -138,31 +148,49 @@ def combine_models(out_a, out_b, occurrences, scheme):
     shift = n - len(original)
     positions = {index_map[occ.start]: occ for occ in occurrences}
 
-    def endpoint(index, word):
+    def endpoint(index, word, unit):
         """The original-tokenization (index, word) of an out_b endpoint."""
         occ = positions.get(index)
         if occ is None:
             return original.get(index, index + shift), word
         return occ.indices[unit], occ.tokens[unit]
 
-    from_a = (INTERNAL,) if unit is not None else (INTERNAL, MEDIATING)
-    combined = [dep for dep in out_a
-                if classify_edge(dep, membership_a) in from_a]
-
     a_cats = {dep.j: dep.cat_j for dep in reversed(out_a)}  # first one wins
 
-    for dep in out_b:
-        if unit is None and (dep.i in positions or dep.j in positions):
-            continue                    # a mediating edge, taken from out_a
-        i, word_i = endpoint(dep.i, dep.word_i)
-        j, word_j = endpoint(dep.j, dep.word_j)
+    def expand(dep, unit):
+        """An out_b edge with an MWE endpoint, decollapsed to `unit`."""
+        i, word_i = endpoint(dep.i, dep.word_i, unit)
+        j, word_j = endpoint(dep.j, dep.word_j, unit)
         cat_j = dep.cat_j
         # an expanded functor takes out_a's category if the slot fits it
         if dep.j in positions and dep.arg_k <= arity(a_cats.get(j, cat_j)):
             cat_j = a_cats.get(j, cat_j)
-        combined.append(Dependency(i, j, cat_j, dep.arg_k, word_i, word_j))
-    combined.sort(key=lambda d: d.key())
-    return combined
+        return dep.moved(i, j, cat_j, word_i, word_j)
+
+    classes = [classify_edge(dep, membership_a) for dep in out_a]
+    external, mediating = [], []        # out_b edges without, with an MWE
+    for dep in out_b:
+        if dep.i in positions or dep.j in positions:
+            mediating.append(dep)
+        else:
+            external.append(dep.moved(
+                original.get(dep.i, dep.i + shift),
+                original.get(dep.j, dep.j + shift),
+                dep.cat_j, dep.word_i, dep.word_j))
+    out = []
+    for scheme in schemes:
+        unit = SCHEME_UNITS[scheme]
+        # medFromA takes the mediating edges from out_a, the others expand
+        # out_b's
+        from_a = (INTERNAL,) if unit is not None else (INTERNAL, MEDIATING)
+        combined = [dep for dep, edge_class in zip(out_a, classes)
+                    if edge_class in from_a]
+        combined += external
+        if unit is not None:
+            combined += [expand(dep, unit) for dep in mediating]
+        combined.sort(key=Dependency.key)
+        out.append(combined)
+    return out
 
 
 # ----------------------------------------------------------------------

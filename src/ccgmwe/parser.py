@@ -125,9 +125,14 @@ def train(records, smoothing=0.0):
     records = list(records)
     if not records:
         raise ValueError("cannot train on an empty treebank")
-    leaves = []                 # (category, token) of every leaf
-    nodes = []                  # (category, child categories) of the rest
+    rule_counts = defaultdict(Counter)
+    lex_counts = defaultdict(Counter)
+    backoff_counts = defaultdict(Counter)
+    token_pos = defaultdict(Counter)
+    leaf_counts = Counter()     # (category, token) -> count of such leaves
+    node_counts = Counter()     # (category, child categories) -> count
     for record in records:
+        leaves, nodes = [], []  # of this tree, counted in one update each
         stack = [record.tree]
         while stack:
             node = stack.pop()
@@ -138,13 +143,11 @@ def train(records, smoothing=0.0):
                 nodes.append((node.category,
                               tuple(map(_CATEGORY_OF, children))))
                 stack.extend(children)
-    rule_counts = defaultdict(Counter)
-    lex_counts = defaultdict(Counter)
-    backoff_counts = defaultdict(Counter)
-    token_pos = defaultdict(Counter)
-    for (cat, expansion), count in Counter(nodes).items():
+        leaf_counts.update(leaves)
+        node_counts.update(nodes)
+    for (cat, expansion), count in node_counts.items():
         rule_counts[cat][expansion] += count
-    for (cat, token), count in Counter(leaves).items():
+    for (cat, token), count in leaf_counts.items():
         rule_counts[cat][LEX] += count
         lex_counts[cat][token] += count
         tag = pos_for_category(cat)

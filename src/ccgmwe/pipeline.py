@@ -14,6 +14,24 @@ checks its output path first and writes its artifacts only after every
 stage has succeeded, so a failed run writes no file; it does not remove
 stale files of an earlier run.
 
+`run` holds each edge and tree once, and only while a stage needs it:
+
+* load and gold phase: the treebank's trees.  One sentence at a time it
+  is recognized, its dependencies extracted and collapsed; it keeps the
+  occurrences, the collapsed record (sharing every unchanged subtree)
+  and the kept MWEs of each sentence, and dependencies for the test
+  sentences only.
+* training: models A and B read the split and collapsed trees.  Then
+  the treebank files are rendered to their text and every tree is let
+  go.
+* parse passes: each model's parse memo and trees live for the passes
+  alone; the dependency corpora are kept for scoring and writing.
+* combination, scoring and significance tests: dependencies, per-sentence
+  counts, tokens, occurrences, the models and the file text.  An edge
+  that collapsing or combining leaves in place is the object it came
+  from, and the combination makes one pass per occurrence set for all
+  three schemes.
+
 At module level this imports only treebank and recognition, which the
 configuration and split need.  Each corpus stage imports the stage module
 it calls (collapse, parser or evaluation) when it runs, so that a
@@ -202,7 +220,6 @@ def collapse_corpus(records, occurrences, deps, stage="collapse"):
     dependencies for other ids than the records', raise PipelineError.
     Returns {sentence id: Collapsed} in record order.
     """
-    from . import collapse as collapsing
     ids = {r.sid for r in records}
     with _stage(stage):
         orphans = sorted(set(occurrences) - ids)
@@ -211,19 +228,22 @@ def collapse_corpus(records, occurrences, deps, stage="collapse"):
                              "treebank: %s" % ", ".join(orphans))
         treebank.check_ids(deps, ids,
                            "dependency ids differ from the treebank's")
-    out = {}
-    for record in records:
-        with _stage(stage, record.sid):
-            occs = recognition.rebind_tokens(occurrences.get(record.sid, []),
-                                             record.tokens)
-            outcome = collapsing.collapse_tree(record.tree, occs)
-            collapsed = collapsing.collapse_dependencies(deps[record.sid],
-                                                         outcome)
-        tokens = record.tokens if outcome.tokens is None else outcome.tokens
-        out[record.sid] = Collapsed(
-            treebank.SentenceRecord(record.sid, outcome.tree, tokens),
-            collapsed, outcome, collapsing.detect_cycles(collapsed))
-    return out
+    return {r.sid: collapse_record(r, occurrences.get(r.sid, []), deps[r.sid],
+                                   stage) for r in records}
+
+
+def collapse_record(record, occurrences, deps, stage):
+    """The Collapsed of one record, whose occurrences are re-bound to its
+    tokens: the step collapse_corpus and the gold phase of run_pipeline
+    take for each sentence."""
+    from . import collapse as collapsing
+    with _stage(stage, record.sid):
+        occs = recognition.rebind_tokens(occurrences, record.tokens)
+        outcome = collapsing.collapse_tree(record.tree, occs)
+        collapsed = collapsing.collapse_dependencies(deps, outcome)
+    tokens = record.tokens if outcome.tokens is None else outcome.tokens
+    return Collapsed(treebank.SentenceRecord(record.sid, outcome.tree, tokens),
+                     collapsed, outcome, collapsing.detect_cycles(collapsed))
 
 
 def parse_corpus(model, tokens, stage, memo):
@@ -255,11 +275,13 @@ def parse_corpus(model, tokens, stage, memo):
     return deps, parsed
 
 
-def combine_corpus(out_a, out_b, occurrences, scheme, tokens, tokens_path,
+def combine_corpus(out_a, out_b, occurrences, schemes, tokens, tokens_path,
                    out_b_path):
     """Combine each sentence of out_a, {sentence id: [Dependency]} on
-    original tokens, with out_b's dependencies on collapsed tokens; returns
-    {sentence id: [Dependency]} in out_a's order.
+    original tokens, with out_b's dependencies on collapsed tokens under
+    each scheme of `schemes`; returns {scheme: {sentence id: [Dependency]}},
+    each in out_a's order.  A sentence is checked and combined once for
+    all the schemes (evaluation.combine_schemes).
 
     `tokens`, read from `tokens_path`, holds the original tokens of each
     out_a sentence in order.  Every out_a edge's words must match them, and
@@ -277,7 +299,7 @@ def combine_corpus(out_a, out_b, occurrences, scheme, tokens, tokens_path,
         raise PipelineError("combine", "%s has %d token lines for %d "
                             "sentences of out_a"
                             % (tokens_path, len(tokens), len(out_a)))
-    combined = {}
+    combined = {scheme: {} for scheme in schemes}
     for lineno, (sid, line) in enumerate(zip(out_a, tokens), 1):
         with _stage("combine", sid):
             misplaced = _misplaced(out_a[sid], line)
@@ -294,8 +316,9 @@ def combine_corpus(out_a, out_b, occurrences, scheme, tokens, tokens_path,
                         "but the occurrences collapse it to: %s; its "
                         "combination is wrong\n"
                         % (out_b_path, sid, *misplaced, " ".join(collapsed)))
-            combined[sid] = evaluation.combine_models(out_a[sid], out_b[sid],
-                                                      occs, scheme)
+            for scheme, deps in zip(schemes, evaluation.combine_schemes(
+                    out_a[sid], out_b[sid], occs, schemes)):
+                combined[scheme][sid] = deps
     return combined
 
 
@@ -314,23 +337,33 @@ def _fmt(value):
 
 
 def _gold_standards(records, lexicon, config, test):
-    """Recognize and collapse the whole treebank.  Returns the occurrences,
-    the collapsed treebank {sentence id: SentenceRecord}, the kept MWEs,
-    the cycle count and {artifact name: dependencies} of gold A, B and
-    B-full on the test sentences; the other sentences' dependencies and
-    the collapse outcomes are written nowhere, so they die on return."""
+    """Recognize, extract and collapse the treebank one sentence at a
+    time, as recognize_corpus, extract_corpus and collapse_corpus would.
+    Returns the occurrences, the collapsed treebank {sentence id:
+    SentenceRecord}, the kept MWEs, the cycle count and {artifact name:
+    dependencies} of gold A, B and B-full on the test sentences; a
+    sentence's collapse outcome, and its dependencies unless it is a test
+    sentence, die before the next sentence is read."""
     from . import collapse as collapsing
-    gold = extract_corpus(records)
-    occurrences = recognize_corpus(lexicon, {r.sid: r.tokens for r in records},
-                                   config.recognizer)
-    collapsed = collapse_corpus(records, occurrences, gold)
-    golds = {"gold_a": {sid: gold[sid] for sid in test},
-             "gold_b": {sid: collapsed[sid].deps for sid in test},
-             "gold_b_full": {sid: collapsing.collapse_all_dependencies(
-                 gold[sid], occurrences[sid]) for sid in test}}
-    return (occurrences, {sid: c.record for sid, c in collapsed.items()},
-            {sid: c.outcome.kept for sid, c in collapsed.items()},
-            sum(c.cycles for c in collapsed.values()), golds)
+    from . import parser
+    occurrences, treebank_b, kept = {}, {}, {}
+    cycles = 0
+    golds = {"gold_a": {}, "gold_b": {}, "gold_b_full": {}}
+    for record in records:
+        sid = record.sid
+        occs = occurrences[sid] = recognition.recognize(
+            lexicon, record.tokens, config.recognizer)
+        gold = parser.extract_dependencies(record.tree)
+        collapsed = collapse_record(record, occs, gold, "collapse")
+        treebank_b[sid] = collapsed.record
+        kept[sid] = collapsed.outcome.kept
+        cycles += collapsed.cycles
+        if sid in test:
+            golds["gold_a"][sid] = gold
+            golds["gold_b"][sid] = collapsed.deps
+            golds["gold_b_full"][sid] = \
+                collapsing.collapse_all_dependencies(gold, occs)
+    return occurrences, treebank_b, kept, cycles, golds
 
 
 def _parse_passes(model_a, model_b, test, gold_test, full_test, occurrences):
@@ -379,9 +412,10 @@ def run_pipeline(config):
     splits = split_records(records, config.train, config.dev, config.test)
     test = {r.sid: r.tokens for r in splits["test"]}
 
-    # recognize, then collapse the whole treebank: gold standards A and B
+    # recognize and collapse the treebank: gold standards A and B
     occurrences, treebank_b, kept, cycles, dependencies = _gold_standards(
         records, lexicon, config, test)
+    del records, lexicon
 
     # test tokens: original, gold-collapsed, and fully collapsed (every
     # recognized MWE treated as a sibling)
@@ -395,6 +429,11 @@ def run_pipeline(config):
     with _stage("train-b"):
         model_b = parser.train([treebank_b[r.sid] for r in splits["train"]],
                                config.smoothing)
+    # no stage reads a tree again: keep the treebank files' text instead
+    texts = {"treebank_%s.txt" % name: treebank.render_treebank(split)
+             for name, split in splits.items() if split}
+    texts["treebank_b.txt"] = treebank.render_treebank(treebank_b.values())
+    del splits, treebank_b
     outputs, failures_a, failures_b = _parse_passes(
         model_a, model_b, test, gold_test, full_test, occurrences)
     dependencies.update(outputs)        # artifact name -> dependencies
@@ -403,11 +442,12 @@ def run_pipeline(config):
     tokens_path = os.path.join(config.output, "tokens_test.txt")
     for prefix, deps_b, occs in (("combined_", "out_b", kept),
                                  ("combined_full_", "out_b_full", occurrences)):
+        combined = combine_corpus(
+            dependencies["out_a"], dependencies[deps_b], occs,
+            recognition.SCHEMES, test.values(), tokens_path,
+            os.path.join(config.output, deps_b + ".deps"))
         for scheme in recognition.SCHEMES:
-            dependencies[prefix + scheme] = combine_corpus(
-                dependencies["out_a"], dependencies[deps_b], occs, scheme,
-                test.values(), tokens_path,
-                os.path.join(config.output, deps_b + ".deps"))
+            dependencies[prefix + scheme] = combined[scheme]
 
     # score each system: (gold, section, system, output artifact)
     systems = [
@@ -459,9 +499,9 @@ def run_pipeline(config):
     summary = _summary(config, rows, stats, sig_rows)
 
     # every stage succeeded: write the artifacts
-    artifacts = [
+    artifacts = [(_write_text, name, text) for name, text in texts.items()]
+    artifacts += [
         (treebank.write_occurrences, "occurrences.tsv", occurrences),
-        (treebank.write_treebank, "treebank_b.txt", treebank_b.values()),
         (treebank.write_tokens, "tokens_test.txt", test.values()),
         (treebank.write_tokens, "tokens_test_collapsed.txt",
          gold_test.values()),
@@ -476,7 +516,7 @@ def run_pipeline(config):
                   for name, x, y in pairs for side, row in (("x", x), ("y", y))]
     artifacts += [(_write_text, "report.tsv", _report(rows, stats, sig_rows)),
                   (_write_text, "summary.txt", summary)]
-    write_splits(config.output, splits)
+    os.makedirs(config.output, exist_ok=True)
     for write, name, value in artifacts:
         write(os.path.join(config.output, name), value)
     return {"rows": rows, "stats": stats, "significance": sig_rows,

@@ -175,6 +175,15 @@ class Dependency(Record):
         return (self.i, self.j, render(self.cat_j), self.arg_k,
                 self.word_i, self.word_j)
 
+    def moved(self, i, j, cat_j, word_i, word_j):
+        """This edge with the given endpoints, functor category and words:
+        the edge itself when they are its own, so that an edge a stage
+        leaves in place stays one object in every corpus that holds it."""
+        if (cat_j is self.cat_j and i == self.i and j == self.j
+                and word_i == self.word_i and word_j == self.word_j):
+            return self
+        return Dependency(i, j, cat_j, self.arg_k, word_i, word_j)
+
 
 class SentenceRecord(Record):
     __slots__ = ("sid", "tree", "tokens")
@@ -315,11 +324,18 @@ def read_treebank(path):
     return list(records.values())
 
 
+def render_treebank(records):
+    """The treebank file text of `records`: per record its ``ID`` line and
+    its rendered tree.  A caller that must write trees after it has let
+    them go, as run_pipeline does, keeps this text in their place."""
+    return "".join(["ID %s\n%s\n" % (record.sid, render_tree(record.tree))
+                    for record in records])
+
+
 def write_treebank(path, records):
+    """Write render_treebank(records) to `path`."""
     with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write("ID %s\n" % record.sid)
-            handle.write(render_tree(record.tree) + "\n")
+        handle.write(render_treebank(records))
 
 
 # ----------------------------------------------------------------------

@@ -92,6 +92,21 @@ def test_claim_fails_on_eight_wins_or_a_gap_inside_the_spread(bench_pairs):
                                        "lower")
 
 
+def test_claim_fails_below_ten_pairs(bench_pairs):
+    # every pair won, far beyond the parent's spread, but too few pairs
+    spread = [74.17, 74.18, 74.19] * 3
+    for pairs in (3, 9):
+        parent, change = _records(bench_pairs, spread[:pairs],
+                                  [61.0] * pairs)
+        assert change["wins"]["peak_rss_mb"] == pairs
+        assert not bench_pairs.claim_holds(parent, change, "peak_rss_mb",
+                                           "lower")
+    parent, change = _records(bench_pairs, [74.17, 74.18] * 5, [61.0] * 10)
+    assert bench_pairs.claim_holds(parent, change, "peak_rss_mb", "lower")
+    assert bench_pairs.SEEDS.split(",") == [str(seed)
+                                            for seed in range(61, 71)]
+
+
 def test_a_bytecode_cache_stops_the_tool_before_the_first_run(
         bench_pairs, tmp_path, monkeypatch):
     parent, change = tmp_path / "parent", tmp_path / "change"

@@ -175,6 +175,41 @@ class TestCollapseDependencies:
                                   index_map={i: i for i in range(4)})
         assert collapse_dependencies(self.deps, outcome) == self.deps
 
+    def test_edges_left_in_place_are_the_input_objects(self):
+        # "a b c+d e f": only the edges before the MWE keep their indices
+        occ = MweOccurrence((2, 3), ("c", "d"), "general")
+        outcome = CollapseOutcome(tree=None, kept=[occ],
+                                  index_map=build_index_map(6, [occ]),
+                                  categories={occ: parse_category("N")})
+        before = dep(1, 0, "N/N", 1, "b", "a")
+        after = dep(5, 4, "N/N", 1, "f", "e")
+        mediating = dep(4, 3, "N/N", 1, "e", "d")
+        out = collapse_dependencies(
+            [before, after, dep(3, 2, "N/N", 1, "d", "c"), mediating],
+            outcome)
+        assert out[0] is before
+        assert out[1] is not after and out[1].key() == dep(
+            4, 3, "N/N", 1, "f", "e").key()
+        assert out[2] is not mediating and out[2].key() == dep(
+            3, 2, "N", 1, "e", "c+d").key()
+
+    def test_returns_the_input_edge_exactly_when_it_is_unchanged(self):
+        rng = random.Random(99)
+        shared = moved = 0
+        for _ in range(300):
+            deps, occurrences = random_graph(rng)
+            out = collapse_all_dependencies(deps, occurrences)
+            membership = membership_from_occurrences(occurrences)
+            # the edges that survive, in input order
+            survivors = [d for d in deps
+                         if classify_edge(d, membership) != INTERNAL]
+            assert len(out) == len(survivors)
+            for new, old in zip(out, survivors):
+                assert (new is old) == (new.key() == old.key())
+                shared += new is old
+                moved += new is not old
+        assert min(shared, moved) >= 100, (shared, moved)
+
     def test_out_of_range_index_raises(self):
         with pytest.raises(DataInconsistencyError):
             collapse_dependencies([dep(9, 2, "N/N", 1, "x", "y")], self.outcome)

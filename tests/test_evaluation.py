@@ -211,6 +211,24 @@ class TestCombine:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             combine_models([], [], [], "median")
+        with pytest.raises(ValueError, match="'median'"):
+            evaluation.combine_schemes([], [], [], ("medFromA", "median"))
+
+    def test_all_schemes_share_the_edges_they_leave_alike(self):
+        # "a b c+d e" on collapsed tokens: b->a keeps its indices, e->a
+        # moves from 3 to 4, and c+d->b expands differently per scheme
+        occ = MweOccurrence((2, 3), ("c", "d"), "general")
+        before = dep(1, 0, "N/N", 1, "b", "a")
+        after = dep(3, 0, "N/N", 1, "e", "a")
+        out_b = [before, after, dep(2, 1, "N/N", 1, "c+d", "b")]
+        together = evaluation.combine_schemes([], out_b, [occ], SCHEMES)
+        for combined in together:
+            assert any(d is before for d in combined)
+            assert all(d is not after for d in combined)
+        moved = [next(d for d in combined if d.word_i == "e")
+                 for combined in together]
+        assert moved[0] is moved[1] is moved[2]
+        assert (moved[0].i, moved[0].j) == (4, 0)
 
     def test_round_trip_identity_on_corpus(self, corpus, lexicon):
         for record in corpus:
@@ -392,6 +410,11 @@ class TestCombineOracle:
             expected = reference_combine_models(out_a, out_b, occurrences,
                                                 scheme)
             assert [d.key() for d in out] == [d.key() for d in expected]
+            # the all-schemes pass gives each scheme's combination
+            together = evaluation.combine_schemes(out_a, out_b, occurrences,
+                                                  SCHEMES)
+            assert [d.key() for d in together[SCHEMES.index(scheme)]] \
+                == [d.key() for d in out]
             compared["discontinuous"] += not all(
                 occ.is_continuous() for occ in occurrences)
             compared["past_end"] += max(used, default=0) >= len(collapsed)

@@ -4,8 +4,9 @@ import inspect
 import json
 import os
 
-from ccgmwe import parser
+from ccgmwe import evaluation, parser
 from ccgmwe.pipeline import read_config, run_pipeline
+from ccgmwe.treebank import DerivationTree
 
 # records the artifact digests of each shipped-preset run under out/<name>
 REFERENCE = os.path.join(os.path.dirname(os.path.dirname(
@@ -75,6 +76,33 @@ def test_run_leaves_no_cyclic_garbage(tmp_path, data_dir, configs_dir):
         gc.set_debug(flags)
         gc.garbage.clear()
     assert ours == []
+
+
+def test_no_tree_of_the_run_is_alive_when_sig_test_runs(
+        tmp_path, data_dir, configs_dir, monkeypatch):
+    # run keeps the text of its treebank files, not their trees, once
+    # model B is trained; the parse trees die with their passes
+    def trees():
+        return sum(type(obj) is DerivationTree for obj in gc.get_objects())
+
+    seen = []
+    real_sig_test = evaluation.sig_test
+
+    def sig_test(*args, **kwargs):
+        if not seen:
+            seen.append(trees())
+        return real_sig_test(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "sig_test", sig_test)
+    config = read_config([os.path.join(configs_dir, "base.cfg"),
+                          os.path.join(configs_dir, "rec1.cfg")])
+    config.treebank = os.path.join(data_dir, "treebank.txt")
+    config.lexicon = os.path.join(data_dir, "lexicon.tsv")
+    config.output = str(tmp_path)
+    gc.collect()
+    before = trees()
+    run_pipeline(config)
+    assert seen == [before]
 
 
 def test_empty_dev_split_writes_every_artifact_but_its_treebank(

@@ -2,9 +2,10 @@
 """Benchmark two checkouts in alternating pairs and record both sides.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR \\
-        [--workload scaled-experiment] [--seeds 2,3,4] [--seconds S] \\
+        [--workload scaled-experiment] [--seeds 61,62,...,70] [--seconds S] \\
         [--output-dir .]
 
+The seeds default to 61-70, ten pairs, the fewest a gain claim needs.
 For each seed it runs ``perfbench/run.py --workload W --seed N --trace 0``
 once in each checkout, one process at a time.  The side that goes first
 alternates from seed to seed, so a drift in host speed falls on both sides
@@ -18,8 +19,9 @@ for neither), by the direction BENCHMARK.json gives it.  Every metric is
 printed per seed, and each metric's medians, quartiles and wins at the end.
 For each end-to-end metric it then prints the change's median as a signed
 percentage of the parent's, next to the metric's bound, and whether a gain
-could be claimed: the change wins at least 9 in 10 pairs and its median is
-better than the parent's by more than the parent's interquartile range.
+could be claimed: over at least ten pairs, the change wins at least 9 in
+10 of them and its median is better than the parent's by more than the
+parent's interquartile range.
 --seconds defaults to ``run_seconds`` of the change's BENCHMARK.json.
 
 Both sides run in one bytecode regime: every run has
@@ -39,6 +41,8 @@ import subprocess
 import sys
 
 SIGN = {"lower": -1, "higher": 1}     # direction -> sign of a gain
+CLAIM_PAIRS = 10                      # the fewest pairs a claim rests on
+SEEDS = ",".join(str(seed) for seed in range(61, 61 + CLAIM_PAIRS))
 
 
 def commit_id(checkout):
@@ -105,12 +109,13 @@ def summary(sha, workload, seconds, runs, rivals, better):
 
 def claim_holds(parent, change, name, better):
     """Whether the change's gain on metric `name` may be claimed from the
-    two summary() records: it wins at least 9 in 10 of the pairs, and its
-    median is better than the parent's by more than the distance between
-    the parent's quartiles."""
+    two summary() records: they hold at least CLAIM_PAIRS pairs, the change
+    wins at least 9 in 10 of them, and its median is better than the
+    parent's by more than the distance between the parent's quartiles."""
     first, third = parent["quartiles"][name]
     gap = SIGN[better] * (change["median"][name] - parent["median"][name])
-    return (10 * change["wins"][name] >= 9 * len(change["runs"])
+    pairs = len(change["runs"])
+    return (pairs >= CLAIM_PAIRS and 10 * change["wins"][name] >= 9 * pairs
             and gap > third - first)
 
 
@@ -119,7 +124,7 @@ def main(argv=None):
     cli.add_argument("--parent", required=True, help="parent checkout")
     cli.add_argument("--change", required=True, help="changed checkout")
     cli.add_argument("--workload", default="scaled-experiment")
-    cli.add_argument("--seeds", default="2,3,4",
+    cli.add_argument("--seeds", default=SEEDS,
                      help="comma-separated benchmark seeds, one pair each")
     cli.add_argument("--seconds", type=float)
     cli.add_argument("--output-dir", default=".")

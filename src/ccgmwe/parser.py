@@ -125,10 +125,6 @@ def train(records, smoothing=0.0):
     records = list(records)
     if not records:
         raise ValueError("cannot train on an empty treebank")
-    rule_counts = defaultdict(Counter)
-    lex_counts = defaultdict(Counter)
-    backoff_counts = defaultdict(Counter)
-    token_pos = defaultdict(Counter)
     leaf_counts = Counter()     # (category, token) -> count of such leaves
     node_counts = Counter()     # (category, child categories) -> count
     for record in records:
@@ -145,6 +141,10 @@ def train(records, smoothing=0.0):
                 stack.extend(children)
         leaf_counts.update(leaves)
         node_counts.update(nodes)
+    rule_counts = defaultdict(Counter)
+    lex_counts = defaultdict(Counter)
+    backoff_counts = defaultdict(Counter)
+    token_pos = defaultdict(Counter)
     for (cat, expansion), count in node_counts.items():
         rule_counts[cat][expansion] += count
     for (cat, token), count in leaf_counts.items():

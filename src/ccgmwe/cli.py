@@ -72,8 +72,9 @@ def _run_recognize(args):
     else:
         tokens = _numbered(treebank.read_tokens(args.tokens))
     lexicon = treebank.read_lexicon(args.lexicon)
-    treebank.write_occurrences(args.output, pipeline.recognize_corpus(
-        lexicon, tokens, config))
+    treebank.write_occurrences(args.output, {
+        sid: recognition.recognize(lexicon, words, config)
+        for sid, words in tokens.items()})
 
 
 def _add_collapse(sub):

@@ -39,15 +39,6 @@ class CollapseOutcome(Record):
     __slots__ = ("tree", "kept", "discarded", "index_map", "categories",
                  "tokens")
 
-    def __init__(self, tree, kept=None, discarded=None, index_map=None,
-                 categories=None, tokens=None):
-        self.tree = tree
-        self.kept = [] if kept is None else kept
-        self.discarded = [] if discarded is None else discarded
-        self.index_map = {} if index_map is None else index_map
-        self.categories = {} if categories is None else categories
-        self.tokens = tokens
-
 
 def build_index_map(n_tokens, collapsed_occurrences):
     """Map original index -> collapsed index when the given (disjoint)
@@ -124,7 +115,7 @@ def collapse_tree(tree, occurrences):
     discarded = [occ for occ in occurrences if occ not in found]
     index_map = build_index_map(n_tokens, kept)
     if not kept:
-        return CollapseOutcome(tree, kept, discarded, index_map)
+        return CollapseOutcome(tree, kept, discarded, index_map, {}, None)
     tokens = []
     collapsed = _build(tree, {id(node): occ for occ, node in found.items()},
                        tokens)
@@ -169,9 +160,9 @@ def collapse_dependencies(deps, outcome):
 def collapse_tokens(tokens, occurrences):
     """Collapse occurrences in a raw token sequence.
 
-    Returns (collapsed tokens, index map).  Pass the kept occurrences of a
-    tree collapse for gold-sibling test data, or every recognized
-    occurrence for fully-collapsed test data.
+    Returns the collapsed tokens.  Pass the kept occurrences of a tree
+    collapse for gold-sibling test data, or every recognized occurrence
+    for fully-collapsed test data.
     """
     occurrences = check_occurrences(occurrences, len(tokens))
     index_map = build_index_map(len(tokens), occurrences)
@@ -180,7 +171,7 @@ def collapse_tokens(tokens, occurrences):
         out.setdefault(index_map[i], token)
     for occ in occurrences:
         out[index_map[occ.start]] = occ.joined
-    return list(out.values()), index_map
+    return list(out.values())
 
 
 def collapse_all_dependencies(deps, occurrences):
@@ -194,7 +185,7 @@ def collapse_all_dependencies(deps, occurrences):
     n = 1 + max([-1] + [index for dep in deps for index in (dep.i, dep.j)]
                 + [occ.indices[-1] for occ in occurrences])
     return collapse_dependencies(deps, CollapseOutcome(
-        None, occurrences, index_map=build_index_map(n, occurrences)))
+        None, occurrences, [], build_index_map(n, occurrences), {}, None))
 
 
 def detect_cycles(deps):

@@ -111,9 +111,11 @@ def classify_edge(dep, membership):
 # Model combination (decollapsing out_B with help from out_A)
 # ----------------------------------------------------------------------
 
-def combine_models(out_a, out_b, occurrences, scheme):
+def combine_models(out_a, out_b, occurrences, schemes):
     """Combine baseline dependencies (original tokens) with collapsed-model
-    dependencies (collapsed tokens) into original-tokenization output.
+    dependencies (collapsed tokens) into original-tokenization output under
+    each scheme of `schemes`; returns one edge list per scheme, in their
+    order.
 
     External edges come from out_b, internal edges from out_a.  Mediating
     edges come from out_a under medFromA; under rightmostMed/leftmostMed
@@ -124,15 +126,10 @@ def combine_models(out_a, out_b, occurrences, scheme):
     out_b indices are decollapsed by inverting collapse.build_index_map
     over the occurrences (which must be pairwise disjoint); an index past
     the last occurrence maps back with the total shift of all of them.
-    """
-    return combine_schemes(out_a, out_b, occurrences, (scheme,))[0]
 
-
-def combine_schemes(out_a, out_b, occurrences, schemes):
-    """combine_models under each scheme of `schemes`, as a list in their
-    order, made in one pass: the occurrences are checked, out_a's edges
-    classified and each out_b edge decollapsed once for all the schemes.
-    An out_b edge without an MWE endpoint is one object in every scheme's
+    All the schemes are made in one pass: the occurrences are checked,
+    out_a's edges classified and each out_b edge decollapsed once.  An
+    out_b edge without an MWE endpoint is one object in every scheme's
     combination, and is the out_b object itself where neither index moves.
     """
     # imported here, so that eval and sigtest do not load collapse

@@ -192,12 +192,6 @@ def _stage(stage, sid=None):
         raise PipelineError(stage, str(exc), sid) from exc
 
 
-def recognize_corpus(lexicon, tokens, config):
-    """{sentence id: [MweOccurrence]} for {sentence id: [token]}."""
-    return {sid: recognition.recognize(lexicon, words, config)
-            for sid, words in tokens.items()}
-
-
 def extract_corpus(records):
     """{sentence id: [Dependency]} of each record's tree."""
     from . import parser
@@ -211,7 +205,7 @@ class Collapsed(Record):
     __slots__ = ("record", "deps", "outcome", "cycles")
 
 
-def collapse_corpus(records, occurrences, deps, stage="collapse"):
+def collapse_corpus(records, occurrences, deps):
     """Collapse the sibling MWEs in each record's tree and dependencies.
 
     `occurrences` maps sentence ids to occurrences, which are re-bound to
@@ -221,7 +215,7 @@ def collapse_corpus(records, occurrences, deps, stage="collapse"):
     Returns {sentence id: Collapsed} in record order.
     """
     ids = {r.sid for r in records}
-    with _stage(stage):
+    with _stage("collapse"):
         orphans = sorted(set(occurrences) - ids)
         if orphans:
             raise ValueError("occurrences for sentence ids not in the "
@@ -229,13 +223,13 @@ def collapse_corpus(records, occurrences, deps, stage="collapse"):
         treebank.check_ids(deps, ids,
                            "dependency ids differ from the treebank's")
     return {r.sid: collapse_record(r, occurrences.get(r.sid, []), deps[r.sid],
-                                   stage) for r in records}
+                                   "collapse") for r in records}
 
 
 def collapse_record(record, occurrences, deps, stage):
     """The Collapsed of one record, whose occurrences are re-bound to its
-    tokens: the step collapse_corpus and the gold phase of run_pipeline
-    take for each sentence."""
+    tokens: the step collapse_corpus, and the gold phase and after-parsing
+    collapse of run_pipeline, take for each sentence."""
     from . import collapse as collapsing
     with _stage(stage, record.sid):
         occs = recognition.rebind_tokens(occurrences, record.tokens)
@@ -281,7 +275,7 @@ def combine_corpus(out_a, out_b, occurrences, schemes, tokens, tokens_path,
     original tokens, with out_b's dependencies on collapsed tokens under
     each scheme of `schemes`; returns {scheme: {sentence id: [Dependency]}},
     each in out_a's order.  A sentence is checked and combined once for
-    all the schemes (evaluation.combine_schemes).
+    all the schemes (evaluation.combine_models).
 
     `tokens`, read from `tokens_path`, holds the original tokens of each
     out_a sentence in order.  Every out_a edge's words must match them, and
@@ -308,7 +302,7 @@ def combine_corpus(out_a, out_b, occurrences, schemes, tokens, tokens_path,
                                  % (tokens_path, lineno, *misplaced))
             occs = recognition.rebind_tokens(occurrences.get(sid, []), line)
             if out_b[sid]:
-                collapsed = collapsing.collapse_tokens(line, occs)[0]
+                collapsed = collapsing.collapse_tokens(line, occs)
                 misplaced = _misplaced(out_b[sid], collapsed)
                 if misplaced:
                     sys.stderr.write(
@@ -316,7 +310,7 @@ def combine_corpus(out_a, out_b, occurrences, schemes, tokens, tokens_path,
                         "but the occurrences collapse it to: %s; its "
                         "combination is wrong\n"
                         % (out_b_path, sid, *misplaced, " ".join(collapsed)))
-            for scheme, deps in zip(schemes, evaluation.combine_schemes(
+            for scheme, deps in zip(schemes, evaluation.combine_models(
                     out_a[sid], out_b[sid], occs, schemes)):
                 combined[scheme][sid] = deps
     return combined
@@ -338,7 +332,7 @@ def _fmt(value):
 
 def _gold_standards(records, lexicon, config, test):
     """Recognize, extract and collapse the treebank one sentence at a
-    time, as recognize_corpus, extract_corpus and collapse_corpus would.
+    time, as the recognize, extract-deps and collapse subcommands would.
     Returns the occurrences, the collapsed treebank {sentence id:
     SentenceRecord}, the kept MWEs, the cycle count and {artifact name:
     dependencies} of gold A, B and B-full on the test sentences; a
@@ -378,9 +372,8 @@ def _parse_passes(model_a, model_b, test, gold_test, full_test, occurrences):
     # before/after parsing routes against gold B
     out_a_before = parse_corpus(model_a, gold_test, "parse-a-before",
                                 memo_a)[0]
-    after = {sid: c.deps for sid, c in collapse_corpus(
-        parsed_a, {r.sid: occurrences[r.sid] for r in parsed_a},
-        {r.sid: out_a[r.sid] for r in parsed_a}, "collapse-out-a").items()}
+    after = {r.sid: collapse_record(r, occurrences[r.sid], out_a[r.sid],
+                                    "collapse-out-a").deps for r in parsed_a}
     outputs = {
         "out_a": out_a, "out_b": out_b, "out_a_before": out_a_before,
         "out_a_after": {sid: after.get(sid, []) for sid in test},
@@ -420,7 +413,7 @@ def run_pipeline(config):
     # test tokens: original, gold-collapsed, and fully collapsed (every
     # recognized MWE treated as a sibling)
     gold_test = {sid: treebank_b[sid].tokens for sid in test}
-    full_test = {sid: collapsing.collapse_tokens(tokens, occurrences[sid])[0]
+    full_test = {sid: collapsing.collapse_tokens(tokens, occurrences[sid])
                  for sid, tokens in test.items()}
 
     # model A on original tokens, model B on the collapsed treebank

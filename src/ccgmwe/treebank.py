@@ -449,9 +449,6 @@ class MweLexicon:
         self.entries[key] = entry
         self.by_first_unit.setdefault(key[0], []).append(entry)
 
-    def __len__(self):
-        return len(self.entries)
-
 
 def read_lexicon(path):
     lexicon = MweLexicon()

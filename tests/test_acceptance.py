@@ -117,7 +117,7 @@ def test_criterion_6_combination_round_trip(corpus, lexicon):
         occurrences = recognize(lexicon, record.tokens, PRESETS["rec1"])
         outcome = collapse_tree(record.tree, occurrences)
         collapsed = collapse_dependencies(deps, outcome)
-        back = combine_models(deps, collapsed, outcome.kept, "medFromA")
+        back = combine_models(deps, collapsed, outcome.kept, ("medFromA",))[0]
         assert sorted(d.key() for d in back) == sorted(d.key() for d in deps), \
             record.sid
     report("6", "medFromA(out_A, collapse(out_A)) == out_A on all %d sentences"

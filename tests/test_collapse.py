@@ -150,9 +150,8 @@ class TestCollapseDependencies:
         ]
         self.occ = MweOccurrence((0, 1), ("mr.", "vinken"), "proper-noun")
         self.outcome = CollapseOutcome(
-            tree=None, kept=[self.occ],
-            index_map=build_index_map(4, [self.occ]),
-            categories={self.occ: parse_category("N")})
+            None, [self.occ], [], build_index_map(4, [self.occ]),
+            {self.occ: parse_category("N")}, None)
 
     def test_internal_deleted_mediating_redirected(self):
         out = collapse_dependencies(self.deps, self.outcome)
@@ -171,16 +170,15 @@ class TestCollapseDependencies:
         assert (out[0].i, out[0].j) == (1, 0)
 
     def test_empty_kept_reindexes_identically(self):
-        outcome = CollapseOutcome(tree=None, kept=[],
-                                  index_map={i: i for i in range(4)})
+        outcome = CollapseOutcome(None, [], [], {i: i for i in range(4)},
+                                  {}, None)
         assert collapse_dependencies(self.deps, outcome) == self.deps
 
     def test_edges_left_in_place_are_the_input_objects(self):
         # "a b c+d e f": only the edges before the MWE keep their indices
         occ = MweOccurrence((2, 3), ("c", "d"), "general")
-        outcome = CollapseOutcome(tree=None, kept=[occ],
-                                  index_map=build_index_map(6, [occ]),
-                                  categories={occ: parse_category("N")})
+        outcome = CollapseOutcome(None, [occ], [], build_index_map(6, [occ]),
+                                  {occ: parse_category("N")}, None)
         before = dep(1, 0, "N/N", 1, "b", "a")
         after = dep(5, 4, "N/N", 1, "f", "e")
         mediating = dep(4, 3, "N/N", 1, "e", "d")
@@ -334,7 +332,8 @@ def reference_collapse_tree(tree, occurrences):
 
     collapsed = rebuild(tree)
     index_map = build_index_map(n_tokens, kept)
-    return CollapseOutcome(collapsed, kept, discarded, index_map, categories)
+    return CollapseOutcome(collapsed, kept, discarded, index_map, categories,
+                           None)
 
 
 def assert_matches_reference(tree, occurrences):
@@ -389,20 +388,18 @@ class TestMatchesReference:
 class TestCollapseTokens:
     def test_four_token_example(self):
         occ = MweOccurrence((0, 1), ("Mr.", "Vinken"), "proper-noun")
-        tokens, index_map = collapse_tokens(["Mr.", "Vinken", "is", "chairman"],
-                                            [occ])
+        tokens = collapse_tokens(["Mr.", "Vinken", "is", "chairman"], [occ])
         assert tokens == ["mr.+vinken", "is", "chairman"]
-        assert index_map == {0: 0, 1: 0, 2: 1, 3: 2}
+        assert build_index_map(4, [occ]) == {0: 0, 1: 0, 2: 1, 3: 2}
 
     def test_identity_without_occurrences(self):
-        tokens, index_map = collapse_tokens(["a", "b"], [])
-        assert tokens == ["a", "b"]
-        assert index_map == {0: 0, 1: 1}
+        assert collapse_tokens(["a", "b"], []) == ["a", "b"]
+        assert build_index_map(2, []) == {0: 0, 1: 1}
 
     def test_worked_example_shrinks_by_five(self, lexicon, worked_example_tokens):
         from ccgmwe.recognition import PRESETS, recognize
         occs = recognize(lexicon, worked_example_tokens, PRESETS["rec1"])
-        tokens, _ = collapse_tokens(worked_example_tokens, occs)
+        tokens = collapse_tokens(worked_example_tokens, occs)
         assert len(tokens) == len(worked_example_tokens) - 5
         assert "publishers+information+bureau" in tokens
 

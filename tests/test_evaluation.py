@@ -178,7 +178,7 @@ class TestCombine:
 
     def test_rightmost_expands_to_last_unit(self):
         out = combine_models(self.OUT_A, self.OUT_B, [self.MR_VINKEN],
-                             "rightmostMed")
+                             ("rightmostMed",))[0]
         pairs = {(d.i, d.j, d.word_i, d.word_j) for d in out}
         assert (1, 2, "vinken", "is") in pairs       # mediating via rightmost
         assert (3, 2, "chairman", "is") in pairs     # external re-indexed
@@ -186,33 +186,33 @@ class TestCombine:
 
     def test_leftmost_expands_to_first_unit(self):
         out = combine_models(self.OUT_A, self.OUT_B, [self.MR_VINKEN],
-                             "leftmostMed")
+                             ("leftmostMed",))[0]
         pairs = {(d.i, d.j, d.word_i) for d in out}
         assert (0, 2, "mr.") in pairs
 
     def test_med_from_a_takes_mediating_from_baseline(self):
         out = combine_models(self.OUT_A, self.OUT_B, [self.MR_VINKEN],
-                             "medFromA")
+                             ("medFromA",))[0]
         assert sorted(d.key() for d in out) == sorted(d.key() for d in self.OUT_A)
 
     def test_no_mwes_returns_out_b(self):
         out_b = [dep(0, 1, "N/N", 1, "a", "b")]
-        out = combine_models([], out_b, [], "rightmostMed")
+        out = combine_models([], out_b, [], ("rightmostMed",))[0]
         assert [d.key() for d in out] == [d.key() for d in out_b]
 
     def test_expanded_functor_restores_category_from_out_a(self):
         occ = MweOccurrence((1, 2), ("according", "to"), "general")
         out_a = [dep(3, 2, "PP/NP", 1, "bureau", "to")]
         out_b = [dep(2, 1, "NP/N", 1, "bureau", "according+to")]
-        out = combine_models(out_a, out_b, [occ], "rightmostMed")
+        out = combine_models(out_a, out_b, [occ], ("rightmostMed",))[0]
         mediating = [d for d in out if d.word_j == "to"]
         assert render(mediating[0].cat_j) == "PP/NP"
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
-            combine_models([], [], [], "median")
+            combine_models([], [], [], ("median",))
         with pytest.raises(ValueError, match="'median'"):
-            evaluation.combine_schemes([], [], [], ("medFromA", "median"))
+            combine_models([], [], [], ("medFromA", "median"))
 
     def test_all_schemes_share_the_edges_they_leave_alike(self):
         # "a b c+d e" on collapsed tokens: b->a keeps its indices, e->a
@@ -221,7 +221,7 @@ class TestCombine:
         before = dep(1, 0, "N/N", 1, "b", "a")
         after = dep(3, 0, "N/N", 1, "e", "a")
         out_b = [before, after, dep(2, 1, "N/N", 1, "c+d", "b")]
-        together = evaluation.combine_schemes([], out_b, [occ], SCHEMES)
+        together = combine_models([], out_b, [occ], SCHEMES)
         for combined in together:
             assert any(d is before for d in combined)
             assert all(d is not after for d in combined)
@@ -236,7 +236,7 @@ class TestCombine:
             occs = recognize(lexicon, record.tokens, PRESETS["rec1"])
             outcome = collapse_tree(record.tree, occs)
             out_b = collapse_dependencies(deps, outcome)
-            back = combine_models(deps, out_b, outcome.kept, "medFromA")
+            back = combine_models(deps, out_b, outcome.kept, ("medFromA",))[0]
             assert sorted(d.key() for d in back) == \
                 sorted(d.key() for d in deps), record.sid
 
@@ -359,7 +359,7 @@ def random_combination(rng):
         free = [i for i in free if i not in indices]
         occurrences.append(MweOccurrence(
             tuple(indices), tuple(tokens[i] for i in indices), "general"))
-    collapsed, _ = collapse_tokens(tokens, occurrences)
+    collapsed = collapse_tokens(tokens, occurrences)
     out_a = random_edges(rng, tokens, n)
     out_b = random_edges(rng, collapsed, len(collapsed) + 3)
     return tokens, occurrences, out_a, out_b, collapsed
@@ -394,7 +394,7 @@ class TestCombineOracle:
         for _ in range(600):
             tokens, occurrences, out_a, out_b, collapsed = \
                 random_combination(rng)
-            out = combine_models(out_a, out_b, occurrences, scheme)
+            out = combine_models(out_a, out_b, occurrences, (scheme,))[0]
             # every edge lands on the original token carrying its word
             for d in out:
                 for index, word in ((d.i, d.word_i), (d.j, d.word_j)):
@@ -411,8 +411,7 @@ class TestCombineOracle:
                                                 scheme)
             assert [d.key() for d in out] == [d.key() for d in expected]
             # the all-schemes pass gives each scheme's combination
-            together = evaluation.combine_schemes(out_a, out_b, occurrences,
-                                                  SCHEMES)
+            together = combine_models(out_a, out_b, occurrences, SCHEMES)
             assert [d.key() for d in together[SCHEMES.index(scheme)]] \
                 == [d.key() for d in out]
             compared["discontinuous"] += not all(
@@ -422,10 +421,10 @@ class TestCombineOracle:
 
     def test_gap_token_maps_to_itself(self):
         occ = MweOccurrence((0, 2), ("a", "c"), "general")
-        collapsed, _ = collapse_tokens(["a", "b", "c", "d"], [occ])
+        collapsed = collapse_tokens(["a", "b", "c", "d"], [occ])
         assert collapsed == ["a+c", "b", "d"]
         out_b = [dep(1, 2, "N/N", 1, "b", "d")]
-        out = combine_models([], out_b, [occ], "rightmostMed")
+        out = combine_models([], out_b, [occ], ("rightmostMed",))[0]
         assert [(d.i, d.j) for d in out] == [(1, 3)]
         # the reference sent b to c's index
         assert reference_to_original_index(1, [occ]) == 2

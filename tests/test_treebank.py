@@ -345,7 +345,7 @@ class TestLexicon:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("")
-        assert len(read_lexicon(str(path))) == 0
+        assert read_lexicon(str(path)).entries == {}
 
     def test_single_unit_rejected(self, tmp_path):
         path = tmp_path / "lex.tsv"

@@ -187,9 +187,9 @@ def _run_combine(args):
     combined = pipeline.combine_corpus(
         treebank.read_dependencies(args.out_a),
         treebank.read_dependencies(args.out_b),
-        treebank.read_occurrences(args.occurrences), (args.scheme,),
+        treebank.read_occurrences(args.occurrences), args.scheme,
         treebank.read_tokens(args.tokens), args.tokens, args.out_b)
-    treebank.write_dependencies(args.output, combined[args.scheme])
+    treebank.write_dependencies(args.output, combined)
 
 
 def _add_eval(sub):

@@ -10,13 +10,17 @@ mediating edges to the joined token (substituting the MWE's category when
 the functor endpoint is swallowed) and re-indexes everything through the
 collapsed tokenization.  A token-level variant treats every recognized MWE
 as collapsible, which is how fully-collapsed test data is produced.
+
+Every function here takes the occurrences of one sentence in the form
+recognition.recognize and rebind_tokens return them: sorted by first
+unit, pairwise index-disjoint and inside the sentence.  None checks them
+again; rebind_tokens checks the ones a file supplies.
 """
 
 from __future__ import annotations
 
 import operator
 
-from .recognition import check_occurrences
 from .records import Record
 from .treebank import DerivationTree
 
@@ -32,12 +36,10 @@ class CollapseOutcome(Record):
     single leaves), discarded the rest.  index_map sends every original
     leaf index to its collapsed index; all units of a kept occurrence map
     to the same collapsed position.  categories records the category each
-    kept occurrence inherited from its dominating node.  tokens holds the
-    collapsed tree's leaf tokens, or None when the tree is unchanged.
+    kept occurrence inherited from its dominating node.
     """
 
-    __slots__ = ("tree", "kept", "discarded", "index_map", "categories",
-                 "tokens")
+    __slots__ = ("tree", "kept", "discarded", "index_map", "categories")
 
 
 def build_index_map(n_tokens, collapsed_occurrences):
@@ -76,19 +78,16 @@ def _match(node, start, wanted, found):
     return end
 
 
-def _build(node, replacements, tokens):
+def _build(node, replacements):
     """`node` with each node whose id is a key of `replacements` made a
     leaf of its occurrence's joined token.  Only the nodes above a
-    replacement are new; every other subtree is shared with the input.
-    Each leaf appends its token to `tokens`."""
+    replacement are new; every other subtree is shared with the input."""
     occ = replacements.get(id(node))
     if occ is not None:
-        tokens.append(occ.joined)
         return DerivationTree(node.category, (), occ.joined)
     if node.token is not None:
-        tokens.append(node.token)
         return node
-    children = tuple([_build(child, replacements, tokens)
+    children = tuple([_build(child, replacements)
                       for child in node.children])
     if all(map(operator.is_, children, node.children)):
         return node
@@ -101,27 +100,23 @@ def collapse_tree(tree, occurrences):
     Each continuous occurrence whose units some node spans exactly is
     replaced by a single leaf labelled with the lowest such node's
     category; the rest are discarded.  The input tree is never mutated:
-    with nothing kept it is returned as is and outcome.tokens is None,
-    otherwise outcome.tree shares every subtree it did not change with the
-    input (only each kept MWE's leaf and the nodes above it are new) and
-    outcome.tokens is its leaf tokens.
+    with nothing kept it is returned as is, otherwise outcome.tree shares
+    every subtree it did not change with the input (only each kept MWE's
+    leaf and the nodes above it are new).  collapse_tokens(leaf tokens,
+    outcome.kept) gives the collapsed tree's leaf tokens.
     """
     wanted = {(occ.start, occ.indices[-1]): occ
               for occ in occurrences if occ.is_continuous()}
     found = {}
     n_tokens = _match(tree, 0, wanted, found)
-    occurrences = check_occurrences(occurrences, n_tokens)
     kept = [occ for occ in occurrences if occ in found]
     discarded = [occ for occ in occurrences if occ not in found]
     index_map = build_index_map(n_tokens, kept)
     if not kept:
-        return CollapseOutcome(tree, kept, discarded, index_map, {}, None)
-    tokens = []
-    collapsed = _build(tree, {id(node): occ for occ, node in found.items()},
-                       tokens)
+        return CollapseOutcome(tree, kept, discarded, index_map, {})
+    collapsed = _build(tree, {id(node): occ for occ, node in found.items()})
     categories = {occ: node.category for occ, node in found.items()}
-    return CollapseOutcome(collapsed, kept, discarded, index_map, categories,
-                           tokens)
+    return CollapseOutcome(collapsed, kept, discarded, index_map, categories)
 
 
 def collapse_dependencies(deps, outcome):
@@ -164,7 +159,6 @@ def collapse_tokens(tokens, occurrences):
     collapse for gold-sibling test data, or every recognized occurrence
     for fully-collapsed test data.
     """
-    occurrences = check_occurrences(occurrences, len(tokens))
     index_map = build_index_map(len(tokens), occurrences)
     out = {}
     for i, token in enumerate(tokens):
@@ -181,11 +175,10 @@ def collapse_all_dependencies(deps, occurrences):
     No collapsed tree exists here, so cat_j of a swallowed functor is kept
     from the original dependency.
     """
-    occurrences = check_occurrences(occurrences)
     n = 1 + max([-1] + [index for dep in deps for index in (dep.i, dep.j)]
                 + [occ.indices[-1] for occ in occurrences])
     return collapse_dependencies(deps, CollapseOutcome(
-        None, occurrences, [], build_index_map(n, occurrences), {}, None))
+        None, occurrences, [], build_index_map(n, occurrences), {}))
 
 
 def detect_cycles(deps):

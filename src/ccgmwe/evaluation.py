@@ -25,7 +25,7 @@ from collections import Counter
 
 from .categories import arity, render
 from .records import Record
-from .recognition import SCHEME_UNITS, check_occurrences
+from .recognition import SCHEME_UNITS
 from .treebank import Dependency, check_ids, check_iterations, check_seed
 
 INTERNAL = "internal"
@@ -123,21 +123,23 @@ def combine_models(out_a, out_b, occurrences, schemes):
     or leftmost unit.  cat_j of an expanded functor endpoint is restored
     from out_a when that leaf heads some out_a dependency, else retained.
 
-    out_b indices are decollapsed by inverting collapse.build_index_map
-    over the occurrences (which must be pairwise disjoint); an index past
-    the last occurrence maps back with the total shift of all of them.
+    The occurrences are in the form recognition.recognize and
+    rebind_tokens return them: sorted by first unit, pairwise disjoint and
+    inside the sentence; they are not checked again here.  out_b indices
+    are decollapsed by inverting collapse.build_index_map over them; an
+    index past the last occurrence maps back with the total shift of all
+    of them.
 
-    All the schemes are made in one pass: the occurrences are checked,
-    out_a's edges classified and each out_b edge decollapsed once.  An
-    out_b edge without an MWE endpoint is one object in every scheme's
-    combination, and is the out_b object itself where neither index moves.
+    All the schemes are made in one pass: out_a's edges are classified and
+    each out_b edge decollapsed once.  An out_b edge without an MWE
+    endpoint is one object in every scheme's combination, and is the out_b
+    object itself where neither index moves.
     """
     # imported here, so that eval and sigtest do not load collapse
     from .collapse import build_index_map
     for scheme in schemes:
         if scheme not in SCHEME_UNITS:
             raise ValueError("unknown combination scheme %r" % scheme)
-    occurrences = check_occurrences(occurrences)
     membership_a = membership_from_occurrences(occurrences)
     n = 1 + max([-1] + [occ.indices[-1] for occ in occurrences])
     index_map = build_index_map(n, occurrences)

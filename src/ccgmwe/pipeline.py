@@ -208,11 +208,12 @@ class Collapsed(Record):
 def collapse_corpus(records, occurrences, deps):
     """Collapse the sibling MWEs in each record's tree and dependencies.
 
-    `occurrences` maps sentence ids to occurrences, which are re-bound to
-    the record's tokens; `deps` maps every record's id to its
-    dependencies.  Occurrences for an id that names no record, or
-    dependencies for other ids than the records', raise PipelineError.
-    Returns {sentence id: Collapsed} in record order.
+    `occurrences` maps sentence ids to occurrences read from a file, which
+    recognition.rebind_tokens checks and re-binds to the record's tokens;
+    `deps` maps every record's id to its dependencies.  Occurrences for an
+    id that names no record, dependencies for other ids than the records',
+    and a sentence that fails its checks raise PipelineError.  Returns
+    {sentence id: Collapsed} in record order.
     """
     ids = {r.sid for r in records}
     with _stage("collapse"):
@@ -222,20 +223,24 @@ def collapse_corpus(records, occurrences, deps):
                              "treebank: %s" % ", ".join(orphans))
         treebank.check_ids(deps, ids,
                            "dependency ids differ from the treebank's")
-    return {r.sid: collapse_record(r, occurrences.get(r.sid, []), deps[r.sid],
-                                   "collapse") for r in records}
+    collapsed = {}
+    for r in records:
+        with _stage("collapse", r.sid):
+            collapsed[r.sid] = collapse_record(r, recognition.rebind_tokens(
+                occurrences.get(r.sid, []), r.tokens), deps[r.sid])
+    return collapsed
 
 
-def collapse_record(record, occurrences, deps, stage):
-    """The Collapsed of one record, whose occurrences are re-bound to its
-    tokens: the step collapse_corpus, and the gold phase and after-parsing
-    collapse of run_pipeline, take for each sentence."""
+def collapse_record(record, occurrences, deps):
+    """The Collapsed of one record, given its occurrences as
+    recognition.recognize returns them: the step collapse_corpus, and the
+    gold phase and after-parsing collapse of run_pipeline, take for each
+    sentence.  The record's token list is shared when nothing is kept."""
     from . import collapse as collapsing
-    with _stage(stage, record.sid):
-        occs = recognition.rebind_tokens(occurrences, record.tokens)
-        outcome = collapsing.collapse_tree(record.tree, occs)
-        collapsed = collapsing.collapse_dependencies(deps, outcome)
-    tokens = record.tokens if outcome.tokens is None else outcome.tokens
+    outcome = collapsing.collapse_tree(record.tree, occurrences)
+    collapsed = collapsing.collapse_dependencies(deps, outcome)
+    tokens = (collapsing.collapse_tokens(record.tokens, outcome.kept)
+              if outcome.kept else record.tokens)
     return Collapsed(treebank.SentenceRecord(record.sid, outcome.tree, tokens),
                      collapsed, outcome, collapsing.detect_cycles(collapsed))
 
@@ -269,21 +274,21 @@ def parse_corpus(model, tokens, stage, memo):
     return deps, parsed
 
 
-def combine_corpus(out_a, out_b, occurrences, schemes, tokens, tokens_path,
+def combine_corpus(out_a, out_b, occurrences, scheme, tokens, tokens_path,
                    out_b_path):
     """Combine each sentence of out_a, {sentence id: [Dependency]} on
     original tokens, with out_b's dependencies on collapsed tokens under
-    each scheme of `schemes`; returns {scheme: {sentence id: [Dependency]}},
-    each in out_a's order.  A sentence is checked and combined once for
-    all the schemes (evaluation.combine_models).
+    `scheme`, as the combine subcommand reads them from files; returns
+    {sentence id: [Dependency]} in out_a's order.
 
     `tokens`, read from `tokens_path`, holds the original tokens of each
     out_a sentence in order.  Every out_a edge's words must match them, and
-    the occurrences are re-bound to them.  out_b must hold exactly out_a's
-    sentence ids; a sentence that failed to parse has an empty edge list.
-    Every out_b edge's words should be the tokens the occurrences collapse
-    the sentence to; a sentence where one is not, so that its combination
-    is wrong, is named in a warning on stderr with `out_b_path`.
+    recognition.rebind_tokens checks and re-binds the occurrences to them.
+    out_b must hold exactly out_a's sentence ids; a sentence that failed to
+    parse has an empty edge list.  Every out_b edge's words should be the
+    tokens the occurrences collapse the sentence to; a sentence where one
+    is not, so that its combination is wrong, is named in a warning on
+    stderr with `out_b_path`.
     """
     from . import collapse as collapsing
     from . import evaluation
@@ -293,7 +298,7 @@ def combine_corpus(out_a, out_b, occurrences, schemes, tokens, tokens_path,
         raise PipelineError("combine", "%s has %d token lines for %d "
                             "sentences of out_a"
                             % (tokens_path, len(tokens), len(out_a)))
-    combined = {scheme: {} for scheme in schemes}
+    combined = {}
     for lineno, (sid, line) in enumerate(zip(out_a, tokens), 1):
         with _stage("combine", sid):
             misplaced = _misplaced(out_a[sid], line)
@@ -310,9 +315,8 @@ def combine_corpus(out_a, out_b, occurrences, schemes, tokens, tokens_path,
                         "but the occurrences collapse it to: %s; its "
                         "combination is wrong\n"
                         % (out_b_path, sid, *misplaced, " ".join(collapsed)))
-            for scheme, deps in zip(schemes, evaluation.combine_models(
-                    out_a[sid], out_b[sid], occs, schemes)):
-                combined[scheme][sid] = deps
+            combined[sid], = evaluation.combine_models(
+                out_a[sid], out_b[sid], occs, (scheme,))
     return combined
 
 
@@ -348,7 +352,7 @@ def _gold_standards(records, lexicon, config, test):
         occs = occurrences[sid] = recognition.recognize(
             lexicon, record.tokens, config.recognizer)
         gold = parser.extract_dependencies(record.tree)
-        collapsed = collapse_record(record, occs, gold, "collapse")
+        collapsed = collapse_record(record, occs, gold)
         treebank_b[sid] = collapsed.record
         kept[sid] = collapsed.outcome.kept
         cycles += collapsed.cycles
@@ -372,8 +376,8 @@ def _parse_passes(model_a, model_b, test, gold_test, full_test, occurrences):
     # before/after parsing routes against gold B
     out_a_before = parse_corpus(model_a, gold_test, "parse-a-before",
                                 memo_a)[0]
-    after = {r.sid: collapse_record(r, occurrences[r.sid], out_a[r.sid],
-                                    "collapse-out-a").deps for r in parsed_a}
+    after = {r.sid: collapse_record(r, occurrences[r.sid], out_a[r.sid]).deps
+             for r in parsed_a}
     outputs = {
         "out_a": out_a, "out_b": out_b, "out_a_before": out_a_before,
         "out_a_after": {sid: after.get(sid, []) for sid in test},
@@ -431,16 +435,17 @@ def run_pipeline(config):
         model_a, model_b, test, gold_test, full_test, occurrences)
     dependencies.update(outputs)        # artifact name -> dependencies
 
-    # model combination against gold A, as `combine` computes it from files
-    tokens_path = os.path.join(config.output, "tokens_test.txt")
+    # model combination against gold A, as `combine` computes it, in one
+    # pass per sentence for all the schemes
+    out_a = dependencies["out_a"]
     for prefix, deps_b, occs in (("combined_", "out_b", kept),
                                  ("combined_full_", "out_b_full", occurrences)):
-        combined = combine_corpus(
-            dependencies["out_a"], dependencies[deps_b], occs,
-            recognition.SCHEMES, test.values(), tokens_path,
-            os.path.join(config.output, deps_b + ".deps"))
-        for scheme in recognition.SCHEMES:
-            dependencies[prefix + scheme] = combined[scheme]
+        combined = {sid: evaluation.combine_models(
+            out_a[sid], dependencies[deps_b][sid], occs[sid],
+            recognition.SCHEMES) for sid in out_a}
+        for n, scheme in enumerate(recognition.SCHEMES):
+            dependencies[prefix + scheme] = {
+                sid: schemes[n] for sid, schemes in combined.items()}
 
     # score each system: (gold, section, system, output artifact)
     systems = [

@@ -70,24 +70,6 @@ class OverlapError(ValueError):
     """The occurrences of one sentence must be pairwise index-disjoint."""
 
 
-def check_occurrences(occurrences, n_tokens=None):
-    """The occurrences sorted by first unit, once they are known to be
-    pairwise index-disjoint (else OverlapError) and, given `n_tokens`,
-    inside a sentence of that many tokens (else ValueError)."""
-    occurrences = sorted(occurrences, key=lambda o: o.start)
-    seen = set()
-    for occ in occurrences:
-        overlap = seen.intersection(occ.indices)
-        if overlap:
-            raise OverlapError("occurrences overlap at indices %s"
-                               % sorted(overlap))
-        seen.update(occ.indices)
-        if n_tokens is not None and occ.indices[-1] >= n_tokens:
-            raise ValueError("occurrence %r outside sentence of %d tokens"
-                             % (occ.joined, n_tokens))
-    return occurrences
-
-
 def _more_frequent_as_mwe(occurrence, lexicon):
     """Keep an occurrence iff the MWE count beats every unit's standalone count."""
     entry = lexicon.entries.get(tuple(t.lower() for t in occurrence.tokens))
@@ -205,11 +187,23 @@ def recognize(lexicon, tokens, config):
 
 
 def rebind_tokens(occurrences, tokens):
-    """Re-attach verbatim sentence tokens to occurrences loaded from a file
-    (the file stores only the lowercased joined form, which must match),
-    once check_occurrences has passed them; sorted by first unit."""
+    """Check occurrences loaded from a file against their sentence and
+    re-attach its verbatim tokens (the file stores only the lowercased
+    joined form, which must match); returns them sorted by first unit, in
+    the form recognize returns them.  Two that share an index raise
+    OverlapError; one past the sentence's end, or whose joined form is not
+    its units', raises ValueError."""
     out = []
-    for occ in check_occurrences(occurrences, len(tokens)):
+    seen = set()
+    for occ in sorted(occurrences, key=lambda o: o.start):
+        overlap = seen.intersection(occ.indices)
+        if overlap:
+            raise OverlapError("occurrences overlap at indices %s"
+                               % sorted(overlap))
+        seen.update(occ.indices)
+        if occ.indices[-1] >= len(tokens):
+            raise ValueError("occurrence %r outside sentence of %d tokens"
+                             % (occ.joined, len(tokens)))
         out.append(MweOccurrence(occ.indices,
                                  tuple(tokens[i] for i in occ.indices),
                                  occ.kind))

@@ -375,6 +375,31 @@ class TestStageChecks:
             "error [collapse] occurrence 'foo+bar' at 0,1 does not match the "
             "sentence's units 'mr.+vinken' (sentence 1)\n")
 
+    def test_collapse_rejects_overlapping_occurrences(self, tmp_path,
+                                                      data_dir, capsys):
+        occ = tmp_path / "occ.tsv"
+        occ.write_text("1\t0,1\tmr.+vinken\tproper-noun\n"
+                       "1\t1,2\tvinken+is\tgeneral\n")
+        assert main(["collapse", "--treebank",
+                     os.path.join(data_dir, "treebank.txt"),
+                     "--occurrences", str(occ),
+                     "--output-dir", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err == (
+            "error [collapse] occurrences overlap at indices [1] "
+            "(sentence 1)\n")
+
+    def test_collapse_rejects_occurrence_outside_its_sentence(
+            self, tmp_path, data_dir, capsys):
+        occ = tmp_path / "occ.tsv"
+        occ.write_text("1\t12,13\tx+y\tgeneral\n")     # sentence 1 has 13
+        assert main(["collapse", "--treebank",
+                     os.path.join(data_dir, "treebank.txt"),
+                     "--occurrences", str(occ),
+                     "--output-dir", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err == (
+            "error [collapse] occurrence 'x+y' outside sentence of 13 tokens "
+            "(sentence 1)\n")
+
     def test_combine_rejects_occurrence_of_other_units(self, rec1_out,
                                                         tmp_path, capsys):
         occurrences = tmp_path / "occ.tsv"

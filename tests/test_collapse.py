@@ -12,8 +12,7 @@ from ccgmwe.collapse import (CollapseOutcome, DataInconsistencyError,
 from ccgmwe.evaluation import (EXTERNAL, INTERNAL, MEDIATING, classify_edge,
                                membership_from_occurrences)
 from ccgmwe.parser import extract_dependencies
-from ccgmwe.recognition import (PRESETS, MweOccurrence, OverlapError,
-                                check_occurrences, recognize)
+from ccgmwe.recognition import PRESETS, MweOccurrence, recognize
 from ccgmwe.treebank import (Dependency, DerivationTree, leaf_nodes, leaves,
                              read_dependencies, read_treebank, render_tree)
 
@@ -55,19 +54,6 @@ class TestCollapseTree:
         n = len(record.tokens)
         assert outcome.index_map == {i: i for i in range(n)}
 
-    def test_overlap_rejected(self, fixtures_dir):
-        tree = read_treebank(os.path.join(fixtures_dir,
-                                          "fig_original_subtree.tb"))[0].tree
-        other = MweOccurrence((1, 2), ("Information", "Bureau"), "proper-noun")
-        with pytest.raises(OverlapError):
-            collapse_tree(tree, [PIB, other])
-
-    def test_occurrence_outside_tree_rejected(self, fixtures_dir):
-        tree = read_treebank(os.path.join(fixtures_dir,
-                                          "fig_original_subtree.tb"))[0].tree
-        with pytest.raises(ValueError):
-            collapse_tree(tree, [MweOccurrence((2, 3), ("Bureau", "x"), "general")])
-
     def test_index_map_is_monotone_and_merges_units(self, fixtures_dir):
         record = read_treebank(os.path.join(fixtures_dir,
                                             "fig_dep1_sentence.tb"))[0]
@@ -98,7 +84,7 @@ class TestCollapseTree:
         for occurrences in ([], [ACCORDING_TO]):
             outcome = collapse_tree(tree, occurrences)
             assert outcome.tree is tree
-            assert outcome.tokens is None
+            assert outcome.kept == []
 
     def test_kept_collapse_shares_unchanged_subtrees(self, fixtures_dir):
         record = read_treebank(os.path.join(fixtures_dir,
@@ -126,8 +112,9 @@ class TestCollapseTree:
         assert collapsed.isdisjoint(gone)
         assert shared <= collapsed
         assert len(collapsed) == len(shared) + len(path)
-        assert outcome.tokens == (["mr.+vinken"] + record.tokens[2:5]
-                                  + ["elsevier+n.v."] + record.tokens[7:])
+        assert [token for _, token in leaves(outcome.tree)] == (
+            ["mr.+vinken"] + record.tokens[2:5] + ["elsevier+n.v."]
+            + record.tokens[7:])
 
     def test_order_independence(self, fixtures_dir):
         record = read_treebank(os.path.join(fixtures_dir,
@@ -151,7 +138,7 @@ class TestCollapseDependencies:
         self.occ = MweOccurrence((0, 1), ("mr.", "vinken"), "proper-noun")
         self.outcome = CollapseOutcome(
             None, [self.occ], [], build_index_map(4, [self.occ]),
-            {self.occ: parse_category("N")}, None)
+            {self.occ: parse_category("N")})
 
     def test_internal_deleted_mediating_redirected(self):
         out = collapse_dependencies(self.deps, self.outcome)
@@ -170,15 +157,14 @@ class TestCollapseDependencies:
         assert (out[0].i, out[0].j) == (1, 0)
 
     def test_empty_kept_reindexes_identically(self):
-        outcome = CollapseOutcome(None, [], [], {i: i for i in range(4)},
-                                  {}, None)
+        outcome = CollapseOutcome(None, [], [], {i: i for i in range(4)}, {})
         assert collapse_dependencies(self.deps, outcome) == self.deps
 
     def test_edges_left_in_place_are_the_input_objects(self):
         # "a b c+d e f": only the edges before the MWE keep their indices
         occ = MweOccurrence((2, 3), ("c", "d"), "general")
         outcome = CollapseOutcome(None, [occ], [], build_index_map(6, [occ]),
-                                  {occ: parse_category("N")}, None)
+                                  {occ: parse_category("N")})
         before = dep(1, 0, "N/N", 1, "b", "a")
         after = dep(5, 4, "N/N", 1, "f", "e")
         mediating = dep(4, 3, "N/N", 1, "e", "d")
@@ -302,7 +288,6 @@ def reference_collapse_tree(tree, occurrences):
     category; the rest are discarded.  The input tree is never mutated.
     """
     occurrences = sorted(occurrences, key=lambda o: o.start)
-    check_occurrences(occurrences)
     n_tokens = len(leaf_nodes(tree))
     for occ in occurrences:
         if occ.indices[-1] >= n_tokens:
@@ -332,13 +317,14 @@ def reference_collapse_tree(tree, occurrences):
 
     collapsed = rebuild(tree)
     index_map = build_index_map(n_tokens, kept)
-    return CollapseOutcome(collapsed, kept, discarded, index_map, categories,
-                           None)
+    return CollapseOutcome(collapsed, kept, discarded, index_map, categories)
 
 
 def assert_matches_reference(tree, occurrences):
-    """collapse_tree and the reference agree on every outcome field, the
-    collapsed tree's text and tokens; returns the outcome."""
+    """collapse_tree and the reference agree on every outcome field and
+    the collapsed tree's text, collapse_tokens of the kept occurrences
+    gives its leaf tokens, and a tree with nothing kept is returned as is;
+    returns the outcome."""
     expected = reference_collapse_tree(tree, occurrences)
     outcome = collapse_tree(tree, occurrences)
     assert render_tree(outcome.tree) == render_tree(expected.tree)
@@ -346,12 +332,11 @@ def assert_matches_reference(tree, occurrences):
     assert outcome.discarded == expected.discarded
     assert outcome.index_map == expected.index_map
     assert outcome.categories == expected.categories
-    tokens = [token for _, token in leaves(expected.tree)]
-    if outcome.tokens is None:
+    original = [token for _, token in leaves(tree)]
+    assert collapse_tokens(original, outcome.kept) == [
+        token for _, token in leaves(expected.tree)]
+    if not outcome.kept:
         assert outcome.tree is tree
-        assert [token for _, token in leaves(tree)] == tokens
-    else:
-        assert outcome.tokens == tokens
     return outcome
 
 
@@ -402,12 +387,6 @@ class TestCollapseTokens:
         tokens = collapse_tokens(worked_example_tokens, occs)
         assert len(tokens) == len(worked_example_tokens) - 5
         assert "publishers+information+bureau" in tokens
-
-    def test_overlap_rejected(self):
-        a = MweOccurrence((0, 1), ("a", "b"), "general")
-        b = MweOccurrence((1, 2), ("b", "c"), "general")
-        with pytest.raises(OverlapError):
-            collapse_tokens(["a", "b", "c"], [a, b])
 
 
 class TestCollapseAllDependencies:

@@ -5,8 +5,9 @@ import json
 import os
 
 from ccgmwe import evaluation, parser
-from ccgmwe.pipeline import read_config, run_pipeline
-from ccgmwe.treebank import DerivationTree
+from ccgmwe.pipeline import collapse_record, read_config, run_pipeline
+from ccgmwe.recognition import PRESETS, recognize
+from ccgmwe.treebank import DerivationTree, leaves
 
 # records the artifact digests of each shipped-preset run under out/<name>
 REFERENCE = os.path.join(os.path.dirname(os.path.dirname(
@@ -50,6 +51,25 @@ def test_parse_memo_parses_each_distinct_input_once(tmp_path, data_dir,
     digests = _rec1_digests()
     assert _sha256(tmp_path / "report.tsv") == digests["out/report.tsv"]
     assert _sha256(tmp_path / "summary.txt") == digests["out/summary.txt"]
+
+
+def test_collapse_record_shares_tokens_only_when_nothing_is_kept(corpus,
+                                                                 lexicon):
+    shared = built = 0
+    for record in corpus:
+        occurrences = recognize(lexicon, record.tokens, PRESETS["rec1"])
+        collapsed = collapse_record(record, occurrences,
+                                    parser.extract_dependencies(record.tree))
+        tokens = collapsed.record.tokens
+        if collapsed.outcome.kept:
+            assert tokens is not record.tokens
+            assert tokens == [token for _, token
+                              in leaves(collapsed.record.tree)]
+            built += 1
+        else:
+            assert tokens is record.tokens
+            shared += 1
+    assert shared > 0 and built > 0
 
 
 def _from_ccgmwe(obj):

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from ccgmwe.recognition import (MweOccurrence, PRESETS, RecognizerConfig,
-                                apply_filters, detect, rebind_tokens,
-                                recognize, resolve)
+from ccgmwe.recognition import (MweOccurrence, OverlapError, PRESETS,
+                                RecognizerConfig, apply_filters, detect,
+                                rebind_tokens, recognize, resolve)
 from ccgmwe.treebank import LexiconEntry, MweLexicon
 
 
@@ -118,6 +118,7 @@ class TestResolve:
                 candidates.append(occ(tuple(range(start, start + length))))
             resolver = rng.choice(["longest", "leftmost"])
             chosen = resolve(candidates, resolver)
+            assert chosen == sorted(chosen, key=lambda c: c.start)
             taken = set()
             for one in chosen:
                 assert taken.isdisjoint(one.indices)
@@ -216,3 +217,20 @@ class TestOccurrenceInvariants:
             rebind_tokens([loaded], ["Mr.", "Vinken", "left"])
         assert str(err.value) == ("occurrence 'foo+bar' at 0,1 does not match "
                                   "the sentence's units 'mr.+vinken'")
+
+    def test_rebind_rejects_overlap(self):
+        with pytest.raises(OverlapError) as err:
+            rebind_tokens([occ((1, 2)), occ((0, 1))], ["w0", "w1", "w2"])
+        assert str(err.value) == "occurrences overlap at indices [1]"
+
+    def test_rebind_rejects_index_past_the_sentence(self):
+        with pytest.raises(ValueError) as err:
+            rebind_tokens([occ((1, 2))], ["w0", "w1"])
+        assert str(err.value) == ("occurrence 'w1+w2' outside sentence of 2 "
+                                  "tokens")
+
+    def test_rebind_sorts_by_first_unit(self):
+        tokens = ["w%d" % i for i in range(6)]
+        rebound = rebind_tokens([occ((4, 5)), occ((0, 1)), occ((2, 3))],
+                                tokens)
+        assert [one.indices for one in rebound] == [(0, 1), (2, 3), (4, 5)]

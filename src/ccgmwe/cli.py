@@ -66,15 +66,15 @@ def _run_recognize(args):
                          % next(iter(flags)))
     config = (recognition.PRESETS[args.preset] if args.preset
               else pipeline.config_from_values(flags).recognizer)
-    if args.treebank is not None:
-        tokens = {r.sid: r.tokens
-                  for r in treebank.read_treebank(args.treebank)}
-    else:
-        tokens = _numbered(treebank.read_tokens(args.tokens))
     lexicon = treebank.read_lexicon(args.lexicon)
+    if args.treebank is not None:
+        sentences = ((r.sid, r.tokens)
+                     for r in treebank.iter_treebank(args.treebank))
+    else:
+        sentences = _numbered(treebank.read_tokens(args.tokens)).items()
     treebank.write_occurrences(args.output, {
         sid: recognition.recognize(lexicon, words, config)
-        for sid, words in tokens.items()})
+        for sid, words in sentences})
 
 
 def _add_collapse(sub):
@@ -123,8 +123,7 @@ def _add_train(sub):
 
 def _run_train(args):
     from . import parser, treebank
-    records = treebank.read_treebank(args.treebank)
-    model = parser.train(records, args.smoothing)
+    model = parser.train(treebank.iter_treebank(args.treebank), args.smoothing)
     parser.save_model(args.output, model)
 
 
@@ -151,10 +150,14 @@ def _run_parse(args):
                 "parse", "%s has %d ids for %d sentences in %s"
                 % (args.ids, len(ids), len(sentences), args.tokens))
         corpus = dict(zip(ids, sentences))
-    deps, parsed = pipeline.parse_corpus(model, corpus, "parse", {})
+    trees = {}          # token tuple -> the tree of its parse
+    deps = pipeline.parse_corpus(model, corpus, "parse", {},
+                                 built=trees.setdefault)[0]
     treebank.write_dependencies(args.output, deps)
     if args.trees:
-        treebank.write_treebank(args.trees, parsed)
+        treebank.write_treebank(args.trees, [
+            treebank.SentenceRecord(sid, trees[tuple(words)], words)
+            for sid, words in corpus.items() if tuple(words) in trees])
 
 
 def _add_extract(sub):
@@ -167,7 +170,7 @@ def _add_extract(sub):
 def _run_extract(args):
     from . import pipeline, treebank
     treebank.write_dependencies(args.output, pipeline.extract_corpus(
-        treebank.read_treebank(args.treebank)))
+        treebank.iter_treebank(args.treebank)))
 
 
 def _add_combine(sub):

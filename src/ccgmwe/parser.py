@@ -113,23 +113,18 @@ def _smoothed(counter, smoothing):
             for outcome, count in counter.items()}
 
 
-def train(records, smoothing=0.0):
-    """Estimate a ParserModel from derivation trees.
+class Training:
+    """Counts of training trees, which add() takes one tree at a time and
+    keeps none of; model() estimates a ParserModel from them."""
 
-    Relative frequencies with add-`smoothing` over each condition's
-    observed outcome inventory, so every conditional distribution sums to
-    one.  The POS back-off collects (tag of token, lexical category) pairs
-    over all training leaves.
-    """
-    check_smoothing(smoothing)
-    records = list(records)
-    if not records:
-        raise ValueError("cannot train on an empty treebank")
-    leaf_counts = Counter()     # (category, token) -> count of such leaves
-    node_counts = Counter()     # (category, child categories) -> count
-    for record in records:
+    def __init__(self):
+        self.leaf_counts = Counter()    # (category, token) -> count of leaves
+        self.node_counts = Counter()    # (category, child categories) -> count
+        self.root_counts = Counter()    # root category -> count of trees
+
+    def add(self, tree):
         leaves, nodes = [], []  # of this tree, counted in one update each
-        stack = [record.tree]
+        stack = [tree]
         while stack:
             node = stack.pop()
             if node.token is not None:
@@ -139,28 +134,46 @@ def train(records, smoothing=0.0):
                 nodes.append((node.category,
                               tuple(map(_CATEGORY_OF, children))))
                 stack.extend(children)
-        leaf_counts.update(leaves)
-        node_counts.update(nodes)
-    rule_counts = defaultdict(Counter)
-    lex_counts = defaultdict(Counter)
-    backoff_counts = defaultdict(Counter)
-    token_pos = defaultdict(Counter)
-    for (cat, expansion), count in node_counts.items():
-        rule_counts[cat][expansion] += count
-    for (cat, token), count in leaf_counts.items():
-        rule_counts[cat][LEX] += count
-        lex_counts[cat][token] += count
-        tag = pos_for_category(cat)
-        backoff_counts[tag][cat] += count
-        token_pos[token][tag] += count
-    return ParserModel(
-        rules={c: _smoothed(v, smoothing) for c, v in rule_counts.items()},
-        lexical={c: _smoothed(v, smoothing) for c, v in lex_counts.items()},
-        pos_backoff={t: _smoothed(v, smoothing) for t, v in backoff_counts.items()},
-        token_pos={t: dict(v) for t, v in token_pos.items()},
-        roots=_smoothed(Counter(r.tree.category for r in records), 0.0),
-        smoothing=smoothing,
-    )
+        self.leaf_counts.update(leaves)
+        self.node_counts.update(nodes)
+        self.root_counts[tree.category] += 1
+
+    def model(self, smoothing=0.0):
+        """Relative frequencies with add-`smoothing` over each condition's
+        observed outcome inventory, so every conditional distribution sums
+        to one.  The POS back-off collects (tag of token, lexical category)
+        pairs over all training leaves."""
+        check_smoothing(smoothing)
+        if not self.root_counts:
+            raise ValueError("cannot train on an empty treebank")
+        rule_counts = defaultdict(Counter)
+        lex_counts = defaultdict(Counter)
+        backoff_counts = defaultdict(Counter)
+        token_pos = defaultdict(Counter)
+        for (cat, expansion), count in self.node_counts.items():
+            rule_counts[cat][expansion] += count
+        for (cat, token), count in self.leaf_counts.items():
+            rule_counts[cat][LEX] += count
+            lex_counts[cat][token] += count
+            tag = pos_for_category(cat)
+            backoff_counts[tag][cat] += count
+            token_pos[token][tag] += count
+        return ParserModel(
+            rules={c: _smoothed(v, smoothing) for c, v in rule_counts.items()},
+            lexical={c: _smoothed(v, smoothing) for c, v in lex_counts.items()},
+            pos_backoff={t: _smoothed(v, smoothing) for t, v in backoff_counts.items()},
+            token_pos={t: dict(v) for t, v in token_pos.items()},
+            roots=_smoothed(self.root_counts, 0.0),
+            smoothing=smoothing,
+        )
+
+
+def train(records, smoothing=0.0):
+    """The ParserModel of the trees of `records`, read once (see Training)."""
+    training = Training()
+    for record in records:
+        training.add(record.tree)
+    return training.model(smoothing)
 
 
 def _best_tag(dist):

@@ -14,18 +14,16 @@ checks its output path first and writes its artifacts only after every
 stage has succeeded, so a failed run writes no file; it does not remove
 stale files of an earlier run.
 
-`run` holds each edge and tree once, and only while a stage needs it:
+`run` holds each edge once, and no derivation tree outlives its sentence:
 
-* load and gold phase: the treebank's trees.  One sentence at a time it
-  is recognized, its dependencies extracted and collapsed; it keeps the
-  occurrences, the collapsed record (sharing every unchanged subtree)
-  and the kept MWEs of each sentence, and dependencies for the test
-  sentences only.
-* training: models A and B read the split and collapsed trees.  Then
-  the treebank files are rendered to their text and every tree is let
-  go.
-* parse passes: each model's parse memo and trees live for the passes
-  alone; the dependency corpora are kept for scoring and writing.
+* one pass over the treebank: each sentence is split, recognized, its
+  gold dependencies extracted and collapsed, as the subcommands would,
+  and its trees counted for models A and B and rendered to the treebank
+  files' text.  It leaves its occurrences and kept MWEs, and a test
+  sentence its tokens and gold dependencies.
+* parse passes: each model's memo keeps a token sequence's dependencies
+  or failure, not its tree.  Parse-a collapses each tree as it is built,
+  and a parsed edge equal to one of its pass's gold is that gold object.
 * combination, scoring and significance tests: dependencies, per-sentence
   counts, tokens, occurrences, the models and the file text.  An edge
   that collapsing or combining leaves in place is the object it came
@@ -139,8 +137,10 @@ def parse_id_spec(spec):
     return ids
 
 
-def split_records(records, train, dev, test):
-    """Partition records by the id ranges of the three split specs."""
+def _assign_splits(records, train, dev, test):
+    """Yield (name of its split or None, record) for each record under the
+    id ranges of the three split specs.  A malformed or overlapping spec, a
+    non-numeric id or an empty training or test split raises PipelineError."""
     specs = {"train": train, "dev": dev, "test": test}
     id_sets = {}
     for name, spec in specs.items():
@@ -152,20 +152,27 @@ def split_records(records, train, dev, test):
         if id_sets[first] & id_sets[second]:
             raise PipelineError("split", "%s and %s splits overlap"
                                 % (first, second))
-    splits = {name: [] for name in specs}
+    found = set()
     for record in records:
         try:
             number = int(record.sid)
         except ValueError:
             raise PipelineError("split", "sentence id %r is not numeric"
                                 % record.sid) from None
-        for name in specs:
-            if number in id_sets[name]:
-                splits[name].append(record)
-    if not splits["train"]:
-        raise PipelineError("split", "empty training split")
-    if not splits["test"]:
-        raise PipelineError("split", "empty test split")
+        name = next((n for n in specs if number in id_sets[n]), None)
+        found.add(name)
+        yield name, record
+    for name, split in (("train", "training"), ("test", "test")):
+        if name not in found:
+            raise PipelineError("split", "empty %s split" % split)
+
+
+def split_records(records, train, dev, test):
+    """Partition records by the id ranges of the three split specs."""
+    splits = {"train": [], "dev": [], "test": []}
+    for name, record in _assign_splits(records, train, dev, test):
+        if name is not None:
+            splits[name].append(record)
     return splits
 
 
@@ -234,7 +241,7 @@ def collapse_corpus(records, occurrences, deps):
 def collapse_record(record, occurrences, deps):
     """The Collapsed of one record, given its occurrences as
     recognition.recognize returns them: the step collapse_corpus, and the
-    gold phase and after-parsing collapse of run_pipeline, take for each
+    single pass and after-parsing collapse of run_pipeline, take for each
     sentence.  The record's token list is shared when nothing is kept."""
     from . import collapse as collapsing
     outcome = collapsing.collapse_tree(record.tree, occurrences)
@@ -245,33 +252,36 @@ def collapse_record(record, occurrences, deps):
                      collapsed, outcome, collapsing.detect_cycles(collapsed))
 
 
-def parse_corpus(model, tokens, stage, memo):
+def parse_corpus(model, tokens, stage, memo, golds=None, built=None):
     """Parse each sentence of {sentence id: [token]}; data errors abort
-    with the sentence id.
-
-    Returns (deps, parsed): deps is {sentence id: [Dependency]} for every
-    sentence, empty where parsing failed, and parsed a SentenceRecord with
-    the derivation of each sentence that parsed.  `memo` maps a token
-    tuple to its (tree, dependencies) under `model`, so a sentence repeated
-    across passes is parsed once per model; the outputs are shared, never
-    mutated downstream.
+    with the sentence id.  Returns ({sentence id: [Dependency]}, empty where
+    parsing failed, and the number of failed sentences).  `memo` maps a
+    token tuple to its parse's dependencies under `model`, None where it
+    failed, so a sentence repeated in or across passes is parsed once per
+    model; edge lists are shared, never mutated.  A parsed edge equal in
+    all six fields to one of golds[sentence id], if given, is that gold
+    object.  Each new tree goes to built(token tuple, tree), if given, and
+    is let go before the next parse.
     """
     from . import parser
     deps = {}
-    parsed = []
+    failures = 0
     for sid, words in tokens.items():
         key = tuple(words)
-        outcome = memo.get(key)
-        if outcome is None:
+        if key not in memo:
             with _stage(stage, sid):
-                result = parser.parse(model, words)
-            outcome = memo[key] = (
-                result.tree, [] if result.tree is None
-                else parser.extract_dependencies(result.tree))
-        deps[sid] = outcome[1]
-        if outcome[0] is not None:
-            parsed.append(treebank.SentenceRecord(sid, outcome[0], words))
-    return deps, parsed
+                tree = parser.parse(model, words).tree
+            edges = None if tree is None else parser.extract_dependencies(tree)
+            if edges and golds is not None:
+                same = {dep.key(): dep for dep in golds[sid]}
+                edges = [same.get(dep.key(), dep) for dep in edges]
+            memo[key] = edges
+            if edges is not None and built is not None:
+                built(key, tree)
+            del tree
+        failures += memo[key] is None
+        deps[sid] = memo[key] or []
+    return deps, failures
 
 
 def combine_corpus(out_a, out_b, occurrences, scheme, tokens, tokens_path,
@@ -334,61 +344,44 @@ def _fmt(value):
     return "%.4f" % value
 
 
-def _gold_standards(records, lexicon, config, test):
-    """Recognize, extract and collapse the treebank one sentence at a
-    time, as the recognize, extract-deps and collapse subcommands would.
-    Returns the occurrences, the collapsed treebank {sentence id:
-    SentenceRecord}, the kept MWEs, the cycle count and {artifact name:
-    dependencies} of gold A, B and B-full on the test sentences; a
-    sentence's collapse outcome, and its dependencies unless it is a test
-    sentence, die before the next sentence is read."""
-    from . import collapse as collapsing
-    from . import parser
-    occurrences, treebank_b, kept = {}, {}, {}
-    cycles = 0
-    golds = {"gold_a": {}, "gold_b": {}, "gold_b_full": {}}
-    for record in records:
-        sid = record.sid
-        occs = occurrences[sid] = recognition.recognize(
-            lexicon, record.tokens, config.recognizer)
-        gold = parser.extract_dependencies(record.tree)
-        collapsed = collapse_record(record, occs, gold)
-        treebank_b[sid] = collapsed.record
-        kept[sid] = collapsed.outcome.kept
-        cycles += collapsed.cycles
-        if sid in test:
-            golds["gold_a"][sid] = gold
-            golds["gold_b"][sid] = collapsed.deps
-            golds["gold_b_full"][sid] = \
-                collapsing.collapse_all_dependencies(gold, occs)
-    return occurrences, treebank_b, kept, cycles, golds
+def _loading(records):
+    """`records`, a reading error raised as PipelineError of stage load."""
+    with _stage("load"):
+        yield from records
 
 
-def _parse_passes(model_a, model_b, test, gold_test, full_test, occurrences):
+def _parse_passes(model_a, model_b, test, gold_test, full_test, occurrences,
+                  golds):
     """{artifact name: dependencies} of the five parse passes and of the
-    after-parsing collapse, and the parse failures of the parse-a and
-    parse-b passes.  Each model's parse memo spans its passes; the memos
-    and parse trees are written nowhere, so they die on return."""
+    after-parsing collapse, and the parse failures of parse-a and parse-b.
+    Parse-a collapses each new tree (equal tokens, equal occurrences)."""
     from . import collapse as collapsing
     memo_a, memo_b = {}, {}
-    out_a, parsed_a = parse_corpus(model_a, test, "parse-a", memo_a)
-    out_b, parsed_b = parse_corpus(model_b, gold_test, "parse-b", memo_b)
-    # before/after parsing routes against gold B
-    out_a_before = parse_corpus(model_a, gold_test, "parse-a-before",
-                                memo_a)[0]
-    after = {r.sid: collapse_record(r, occurrences[r.sid], out_a[r.sid]).deps
-             for r in parsed_a}
+    sid_of = {tuple(words): sid for sid, words in test.items()}
+    after = {}      # test tokens -> the after-parsing collapse of their parse
+
+    def collapse_after(key, tree):
+        sid = sid_of[key]
+        after[key] = collapse_record(treebank.SentenceRecord(
+            sid, tree, test[sid]), occurrences[sid], memo_a[key]).deps
+
+    out_a, failures_a = parse_corpus(model_a, test, "parse-a", memo_a,
+                                     golds["gold_a"], collapse_after)
+    out_b, failures_b = parse_corpus(model_b, gold_test, "parse-b", memo_b,
+                                     golds["gold_b"])
     outputs = {
-        "out_a": out_a, "out_b": out_b, "out_a_before": out_a_before,
-        "out_a_after": {sid: after.get(sid, []) for sid in test},
+        "out_a": out_a, "out_b": out_b,
+        "out_a_before": parse_corpus(model_a, gold_test, "parse-a-before",
+                                     memo_a, golds["gold_b"])[0],
+        "out_a_after": {sid: after.get(tuple(words), [])
+                        for sid, words in test.items()},
         "out_a_full_before": parse_corpus(model_a, full_test, "parse-a-full",
-                                          memo_a)[0],
+                                          memo_a, golds["gold_b_full"])[0],
         "out_a_full_after": {sid: collapsing.collapse_all_dependencies(
             out_a[sid], occurrences[sid]) for sid in test},
         "out_b_full": parse_corpus(model_b, full_test, "parse-b-full",
-                                   memo_b)[0]}
-    return (outputs, len(test) - len(parsed_a),
-            len(gold_test) - len(parsed_b))
+                                   memo_b, golds["gold_b_full"])[0]}
+    return outputs, failures_a, failures_b
 
 
 def run_pipeline(config):
@@ -404,35 +397,49 @@ def run_pipeline(config):
         raise PipelineError("run", "output %s: %s is not a directory"
                             % (config.output, existing))
     with _stage("load"):
-        records = treebank.read_treebank(config.treebank)
         lexicon = treebank.read_lexicon(config.lexicon)
-    splits = split_records(records, config.train, config.dev, config.test)
-    test = {r.sid: r.tokens for r in splits["test"]}
+    training_a, training_b = parser.Training(), parser.Training()
 
-    # recognize and collapse the treebank: gold standards A and B
-    occurrences, treebank_b, kept, cycles, dependencies = _gold_standards(
-        records, lexicon, config, test)
-    del records, lexicon
-
-    # test tokens: original, gold-collapsed, and fully collapsed (every
-    # recognized MWE treated as a sibling)
-    gold_test = {sid: treebank_b[sid].tokens for sid in test}
-    full_test = {sid: collapsing.collapse_tokens(tokens, occurrences[sid])
-                 for sid, tokens in test.items()}
+    # one pass over the treebank (see the module docstring)
+    occurrences, kept, texts = {}, {}, {"treebank_b.txt": []}
+    test, gold_test, full_test = {}, {}, {}     # original, gold B, full
+    dependencies = {"gold_a": {}, "gold_b": {}, "gold_b_full": {}}
+    cycles = 0
+    for split, record in _assign_splits(
+            _loading(treebank.iter_treebank(config.treebank)),
+            config.train, config.dev, config.test):
+        sid = record.sid
+        occs = occurrences[sid] = recognition.recognize(
+            lexicon, record.tokens, config.recognizer)
+        gold = parser.extract_dependencies(record.tree)
+        collapsed = collapse_record(record, occs, gold)
+        kept[sid] = collapsed.outcome.kept
+        cycles += collapsed.cycles
+        texts["treebank_b.txt"].append(
+            treebank.render_treebank([collapsed.record]))
+        if split is not None:
+            texts.setdefault("treebank_%s.txt" % split, []).append(
+                treebank.render_treebank([record]))
+        if split == "train":
+            training_a.add(record.tree)
+            training_b.add(collapsed.record.tree)
+        elif split == "test":
+            test[sid], gold_test[sid] = record.tokens, collapsed.record.tokens
+            full_test[sid] = collapsing.collapse_tokens(record.tokens, occs)
+            dependencies["gold_a"][sid] = gold
+            dependencies["gold_b"][sid] = collapsed.deps
+            dependencies["gold_b_full"][sid] = \
+                collapsing.collapse_all_dependencies(gold, occs)
+    del lexicon, record, collapsed      # the last sentence's trees
 
     # model A on original tokens, model B on the collapsed treebank
     with _stage("train-a"):
-        model_a = parser.train(splits["train"], config.smoothing)
+        model_a = training_a.model(config.smoothing)
     with _stage("train-b"):
-        model_b = parser.train([treebank_b[r.sid] for r in splits["train"]],
-                               config.smoothing)
-    # no stage reads a tree again: keep the treebank files' text instead
-    texts = {"treebank_%s.txt" % name: treebank.render_treebank(split)
-             for name, split in splits.items() if split}
-    texts["treebank_b.txt"] = treebank.render_treebank(treebank_b.values())
-    del splits, treebank_b
+        model_b = training_b.model(config.smoothing)
     outputs, failures_a, failures_b = _parse_passes(
-        model_a, model_b, test, gold_test, full_test, occurrences)
+        model_a, model_b, test, gold_test, full_test, occurrences,
+        dependencies)
     dependencies.update(outputs)        # artifact name -> dependencies
 
     # model combination against gold A, as `combine` computes it, in one
@@ -512,8 +519,8 @@ def run_pipeline(config):
     artifacts += [(treebank.write_counts, "counts_%s_%s.tsv" % (name, side),
                    reports[row].per_sentence)
                   for name, x, y in pairs for side, row in (("x", x), ("y", y))]
-    artifacts += [(_write_text, "report.tsv", _report(rows, stats, sig_rows)),
-                  (_write_text, "summary.txt", summary)]
+    artifacts += [(_write_text, "report.tsv", [_report(rows, stats, sig_rows)]),
+                  (_write_text, "summary.txt", [summary])]
     os.makedirs(config.output, exist_ok=True)
     for write, name, value in artifacts:
         write(os.path.join(config.output, name), value)
@@ -521,9 +528,9 @@ def run_pipeline(config):
             "summary": summary}
 
 
-def _write_text(path, text):
+def _write_text(path, pieces):
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        handle.writelines(pieces)
 
 
 def _report(rows, stats, sig_rows):

@@ -301,33 +301,40 @@ def render_tree(tree):
                         " ".join(render_tree(c) for c in tree.children))
 
 
-def read_treebank(path):
-    """Read a treebank into SentenceRecords; tokens come from the tree
-    leaves."""
-    records = {}
+def iter_treebank(path):
+    """Yield a treebank's SentenceRecords one at a time; tokens come from
+    the tree leaves.  A malformed line raises TreebankFormatError once
+    every record before it has been yielded."""
+    seen = set()
     sid = None
     with Lines(path) as lines:
         for line in lines:
             if line.startswith("ID "):
                 if sid is not None:
                     raise ValueError("sentence %s has no tree" % sid)
-                sid = _new_id(line[3:].strip(), records)
+                sid = _new_id(line[3:].strip(), seen)
+                seen.add(sid)
             elif sid is None:
                 raise ValueError("tree without an ID header")
             else:
                 tree = parse_tree(line)
-                tokens = [token for _, token in leaves(tree)]
-                records[sid] = SentenceRecord(sid, tree, tokens)
+                yield SentenceRecord(sid, tree,
+                                     [token for _, token in leaves(tree)])
                 sid = None
         if sid is not None:
             raise ValueError("sentence %s has no tree" % sid)
-    return list(records.values())
+
+
+def read_treebank(path):
+    """The list of iter_treebank(path)'s records."""
+    return list(iter_treebank(path))
 
 
 def render_treebank(records):
     """The treebank file text of `records`: per record its ``ID`` line and
-    its rendered tree.  A caller that must write trees after it has let
-    them go, as run_pipeline does, keeps this text in their place."""
+    its rendered tree.  run_pipeline renders each sentence as it reads it
+    and keeps the text of its treebank files, so that no tree outlives
+    its sentence."""
     return "".join(["ID %s\n%s\n" % (record.sid, render_tree(record.tree))
                     for record in records])
 

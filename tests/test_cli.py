@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ccgmwe import parser, pipeline
+from ccgmwe import parser, pipeline, recognition
 from ccgmwe.cli import main
 from ccgmwe.recognition import SCHEMES
 from ccgmwe.parser import load_model, parse
@@ -197,6 +197,33 @@ class TestSubcommands:
         assert set(found) <= set(numbered)
         assert {numbered[n]: occs for n, occs in found.items()} == \
             read_occurrences(str(by_tree))
+
+    def test_parse_repeated_line_is_parsed_once_and_written_per_id(
+            self, rec1_out, tmp_path, monkeypatch):
+        first = (rec1_out / "tokens_test.txt").read_text().splitlines()[0]
+        tokens, ids = tmp_path / "tokens.txt", tmp_path / "ids.txt"
+        tokens.write_text("%s\n%s\n" % (first, first))
+        ids.write_text("46\n99\n")
+        calls = []
+        real_parse = parser.parse
+
+        def counting_parse(model, words):
+            calls.append(tuple(words))
+            return real_parse(model, words)
+
+        monkeypatch.setattr(parser, "parse", counting_parse)
+        output, trees = tmp_path / "p.deps", tmp_path / "p.tb"
+        assert main(["parse", "--model", str(rec1_out / "model_a.tsv"),
+                     "--tokens", str(tokens), "--ids", str(ids),
+                     "--output", str(output), "--trees", str(trees)]) == 0
+        assert calls == [tuple(first.split())]
+        records = read_treebank(str(trees))
+        assert [r.sid for r in records] == ["46", "99"]
+        assert records[0].tree == records[1].tree
+        assert records[0].tokens == records[1].tokens == first.split()
+        blocks = read_dependencies(str(output))
+        assert list(blocks) == ["46", "99"]
+        assert blocks["46"] == blocks["99"] != []
 
     def test_parse_trees_give_the_output_dependencies(self, rec1_out,
                                                       tmp_path):
@@ -569,6 +596,31 @@ class TestStageChecks:
             "error [%s] %s line %d: duplicate sentence id 46\n"
             % ("load" if command == "run" else command, treebank, line))
         assert not out.exists()
+
+    def test_run_with_malformed_last_tree_fails(self, tmp_path, data_dir,
+                                                capsys, monkeypatch):
+        lines = Path(data_dir, "treebank.txt").read_text().splitlines()
+        lines[-1] = lines[-1][:-1]          # the last tree lacks its ")"
+        treebank = tmp_path / "treebank.txt"
+        treebank.write_text("\n".join(lines) + "\n")
+        (tmp_path / "lexicon.tsv").write_bytes(
+            Path(data_dir, "lexicon.tsv").read_bytes())
+        recognized = []
+        real_recognize = recognition.recognize
+
+        def recognize(lexicon, tokens, config):
+            recognized.append(tokens)
+            return real_recognize(lexicon, tokens, config)
+
+        monkeypatch.setattr(recognition, "recognize", recognize)
+        assert main(["run", "--config", base_config(tmp_path,
+                                                    str(tmp_path))]) == 1
+        assert capsys.readouterr().err == (
+            "error [load] %s line %d: unbalanced bracket at column %d\n"
+            % (treebank, len(lines), len(lines[-1])))
+        assert not (tmp_path / "out").exists()
+        # the run streams: every earlier sentence went through recognition
+        assert len(recognized) == 59
 
     def test_parse_rejects_repeated_id(self, rec1_out, tmp_path, capsys):
         tokens = tmp_path / "tokens.txt"

@@ -4,8 +4,9 @@ import inspect
 import json
 import os
 
-from ccgmwe import evaluation, parser
-from ccgmwe.pipeline import collapse_record, read_config, run_pipeline
+from ccgmwe import evaluation, parser, recognition
+from ccgmwe.pipeline import (collapse_record, parse_corpus, read_config,
+                             run_pipeline)
 from ccgmwe.recognition import PRESETS, recognize
 from ccgmwe.treebank import DerivationTree, leaves
 
@@ -165,3 +166,59 @@ def test_longest_and_leftmost_resolvers_differ_end_to_end(tmp_path, data_dir,
                 for preset, lines in occurrences.items()}
     assert sentence["rec1"] == ["48\t2,3,4\tmarket+fell+slightly\tgeneral"]
     assert sentence["rec2"] == ["48\t1,2\tstock+market\tgeneral"]
+
+
+def test_no_derivation_tree_outlives_its_sentence(tmp_path, data_dir,
+                                                  configs_dir, monkeypatch,
+                                                  corpus):
+    # run reads, recognizes and collapses one sentence at a time, and a
+    # parse tree dies before the next parse: at every recognize and parse
+    # call the run holds at most two sentences' trees
+    def nodes(tree):
+        return 1 + sum(map(nodes, tree.children))
+
+    def trees():
+        return sum(type(obj) is DerivationTree for obj in gc.get_objects())
+
+    limit = 2 * max(nodes(record.tree) for record in corpus)
+    alive = []
+
+    def counted(function):
+        def call(*args):
+            alive.append(trees() - before)
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(recognition, "recognize",
+                        counted(recognition.recognize))
+    monkeypatch.setattr(parser, "parse", counted(parser.parse))
+    config = read_config([os.path.join(configs_dir, "base.cfg"),
+                          os.path.join(configs_dir, "rec1.cfg")])
+    config.treebank = os.path.join(data_dir, "treebank.txt")
+    config.lexicon = os.path.join(data_dir, "lexicon.tsv")
+    config.output = str(tmp_path)
+    gc.collect()
+    before = trees()
+    run_pipeline(config)
+    assert len(alive) == 60 + 41
+    assert max(alive) <= limit
+
+
+def test_parsed_edges_equal_to_gold_ones_are_the_gold_objects(corpus):
+    model = parser.train(corpus[:40], 0.1)
+    test = {record.sid: record.tokens for record in corpus[45:]}
+    golds = {record.sid: parser.extract_dependencies(record.tree)
+             for record in corpus[45:]}
+    deps, failures = parse_corpus(model, test, "parse", {}, golds)
+    assert (deps, failures) == parse_corpus(model, test, "parse", {})
+    shared = fresh = 0
+    for sid, edges in deps.items():
+        gold = {dep.key(): dep for dep in golds[sid]}
+        for edge in edges:
+            if edge.key() in gold:
+                assert edge is gold[edge.key()]
+                shared += 1
+            else:
+                assert all(edge is not dep for dep in golds[sid])
+                fresh += 1
+    assert shared > 0 and fresh > 0

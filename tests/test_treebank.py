@@ -9,7 +9,7 @@ from ccgmwe.collapse import collapse_tree
 from ccgmwe.recognition import MweOccurrence
 from ccgmwe.treebank import (MAX_TREE_DEPTH, Dependency, DerivationTree,
                              LexiconError, TreebankFormatError, check_ids,
-                             leaves, parse_tree, read_counts,
+                             iter_treebank, leaves, parse_tree, read_counts,
                              read_dependencies, read_ids, read_lexicon,
                              read_occurrences, read_tokens, read_treebank,
                              render_tree, write_counts, write_dependencies,
@@ -86,6 +86,14 @@ class TestTreeParsing:
         with pytest.raises(TreebankFormatError) as err:
             read_treebank(str(path))
         assert "line 2" in str(err.value)
+
+    def test_reader_yields_each_record_before_a_later_fault(self, tmp_path):
+        path = tmp_path / "bad.tb"
+        path.write_text("ID 1\n(N a)\nID 2\n(N (N/N b)\n")
+        records = iter_treebank(str(path))
+        assert next(records).tokens == ["a"]
+        with pytest.raises(TreebankFormatError, match="line 4: unbalanced"):
+            next(records)
 
     def test_missing_id_header(self, tmp_path):
         path = tmp_path / "bad.tb"

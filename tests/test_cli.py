@@ -771,10 +771,10 @@ class TestRun:
     def test_output_that_cannot_be_a_directory_fails_first(
             self, tmp_path, data_dir, capsys, monkeypatch, below):
         """The output path is checked before the first stage runs."""
-        def train(*args):
-            pytest.fail("trained before checking the output path")
+        def read_lexicon(*args):
+            pytest.fail("read the lexicon before checking the output path")
 
-        monkeypatch.setattr("ccgmwe.parser.train", train)
+        monkeypatch.setattr("ccgmwe.treebank.read_lexicon", read_lexicon)
         blocker = tmp_path / "blocker"
         blocker.write_text("kept\n")
         output = blocker.joinpath(*below)

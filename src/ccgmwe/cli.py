@@ -32,9 +32,17 @@ def _add_split(sub):
 
 def _run_split(args):
     from . import pipeline, treebank
-    records = treebank.read_treebank(args.treebank)
-    pipeline.write_splits(args.output_dir, pipeline.split_records(
-        records, args.train, args.dev, args.test))
+    texts = {}          # split name -> the rendered text of its sentences
+    for name, record in pipeline.split_records(
+            treebank.iter_treebank(args.treebank), args.train, args.dev,
+            args.test):
+        if name is not None:
+            texts.setdefault(name, []).append(
+                treebank.render_treebank([record]))
+    os.makedirs(args.output_dir, exist_ok=True)
+    for name, pieces in texts.items():
+        treebank.write_text(os.path.join(args.output_dir,
+                                         "treebank_%s.txt" % name), pieces)
 
 
 def _add_recognize(sub):
@@ -89,28 +97,26 @@ def _add_collapse(sub):
 
 def _run_collapse(args):
     from . import pipeline, treebank
-    records = treebank.read_treebank(args.treebank)
     occurrences = treebank.read_occurrences(args.occurrences)
-    deps = (treebank.read_dependencies(args.dependencies) if args.dependencies
-            else pipeline.extract_corpus(records))
-    collapsed = pipeline.collapse_corpus(records, occurrences, deps)
+    deps = (treebank.read_dependencies(args.dependencies)
+            if args.dependencies else None)
+    trees, deps_b, tokens = [], {}, []
+    stats = ["# id\tkept\tdiscarded\tcycles\n"]
+    for c in pipeline.collapse_corpus(treebank.iter_treebank(args.treebank),
+                                      occurrences, deps):
+        trees.append(treebank.render_treebank([c.record]))
+        deps_b[c.record.sid] = c.deps
+        tokens.append(c.record.tokens)
+        stats.append("%s\t%d\t%d\t%d\n"
+                     % (c.record.sid, len(c.outcome.kept),
+                        len(c.outcome.discarded), c.cycles))
     os.makedirs(args.output_dir, exist_ok=True)
-
-    def at(name):
-        return os.path.join(args.output_dir, name)
-
-    treebank.write_treebank(at("treebank_b.txt"),
-                            [c.record for c in collapsed.values()])
-    treebank.write_dependencies(at("deps_b.deps"), {
-        sid: c.deps for sid, c in collapsed.items()})
-    treebank.write_tokens(at("tokens_b.txt"),
-                          [c.record.tokens for c in collapsed.values()])
-    with open(at("collapse_stats.tsv"), "w", encoding="utf-8") as handle:
-        handle.write("# id\tkept\tdiscarded\tcycles\n")
-        handle.writelines("%s\t%d\t%d\t%d\n"
-                          % (sid, len(c.outcome.kept),
-                             len(c.outcome.discarded), c.cycles)
-                          for sid, c in collapsed.items())
+    for write, name, value in (
+            (treebank.write_text, "treebank_b.txt", trees),
+            (treebank.write_dependencies, "deps_b.deps", deps_b),
+            (treebank.write_tokens, "tokens_b.txt", tokens),
+            (treebank.write_text, "collapse_stats.tsv", stats)):
+        write(os.path.join(args.output_dir, name), value)
 
 
 def _add_train(sub):
@@ -150,13 +156,17 @@ def _run_parse(args):
                 "parse", "%s has %d ids for %d sentences in %s"
                 % (args.ids, len(ids), len(sentences), args.tokens))
         corpus = dict(zip(ids, sentences))
-    trees = {}          # token tuple -> the tree of its parse
+    trees = {}          # token tuple -> the rendered tree of its parse
+
+    def keep(key, tree):
+        trees[key] = treebank.render_tree(tree)
+
     deps = pipeline.parse_corpus(model, corpus, "parse", {},
-                                 built=trees.setdefault)[0]
+                                 built=keep if args.trees else None)[0]
     treebank.write_dependencies(args.output, deps)
     if args.trees:
-        treebank.write_treebank(args.trees, [
-            treebank.SentenceRecord(sid, trees[tuple(words)], words)
+        treebank.write_text(args.trees, [
+            "ID %s\n%s\n" % (sid, trees[tuple(words)])
             for sid, words in corpus.items() if tuple(words) in trees])
 
 

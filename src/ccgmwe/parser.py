@@ -180,14 +180,9 @@ def _best_tag(dist):
     return sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
 
 
-def pos_tag(model, tokens):
-    """Unigram tagging: the most frequent training tag of each token, the
-    tag of its lowercased form for unseen tokens, and the globally most
-    frequent tag as a last resort.  Ties pick the smallest tag."""
-    return [_tag(model.indexes, token) for token in tokens]
-
-
 def _tag(indexes, token):
+    """Unigram tagging: the most frequent training tag of `token`, else of
+    its lowercased form, else of all tokens.  Ties pick the smallest tag."""
     best = indexes["best_tag"]
     if token in best:
         return best[token]

@@ -14,7 +14,9 @@ checks its output path first and writes its artifacts only after every
 stage has succeeded, so a failed run writes no file; it does not remove
 stale files of an earlier run.
 
-`run` holds each edge once, and no derivation tree outlives its sentence:
+No derivation tree outlives its sentence: `split` and `collapse` iterate
+split_records and collapse_corpus, which yield per sentence, and keep each
+sentence's rendered text, as `run` does.  `run` holds each edge once:
 
 * one pass over the treebank: each sentence is split, recognized, its
   gold dependencies extracted and collapsed, as the subcommands would,
@@ -137,10 +139,11 @@ def parse_id_spec(spec):
     return ids
 
 
-def _assign_splits(records, train, dev, test):
+def split_records(records, train, dev, test):
     """Yield (name of its split or None, record) for each record under the
-    id ranges of the three split specs.  A malformed or overlapping spec, a
-    non-numeric id or an empty training or test split raises PipelineError."""
+    id ranges of the three split specs, as it reads `records`.  A malformed
+    or overlapping spec, a non-numeric id or an empty training or test split
+    raises PipelineError."""
     specs = {"train": train, "dev": dev, "test": test}
     id_sets = {}
     for name, spec in specs.items():
@@ -167,27 +170,10 @@ def _assign_splits(records, train, dev, test):
             raise PipelineError("split", "empty %s split" % split)
 
 
-def split_records(records, train, dev, test):
-    """Partition records by the id ranges of the three split specs."""
-    splits = {"train": [], "dev": [], "test": []}
-    for name, record in _assign_splits(records, train, dev, test):
-        if name is not None:
-            splits[name].append(record)
-    return splits
-
-
-def write_splits(directory, splits):
-    """Write each non-empty split to <directory>/treebank_<name>.txt."""
-    os.makedirs(directory, exist_ok=True)
-    for name in ("train", "dev", "test"):
-        if splits[name]:
-            treebank.write_treebank(
-                os.path.join(directory, "treebank_%s.txt" % name), splits[name])
-
-
 # ----------------------------------------------------------------------
 # Corpus stages, shared by run_pipeline and the subcommands.  A corpus is a
-# {sentence id: value} dict in corpus order, a treebank a SentenceRecord list.
+# {sentence id: value} dict in corpus order; a treebank is read one
+# SentenceRecord at a time, and a stage that takes one yields per sentence.
 # ----------------------------------------------------------------------
 
 @contextmanager
@@ -212,30 +198,37 @@ class Collapsed(Record):
     __slots__ = ("record", "deps", "outcome", "cycles")
 
 
-def collapse_corpus(records, occurrences, deps):
-    """Collapse the sibling MWEs in each record's tree and dependencies.
+def collapse_corpus(records, occurrences, deps=None):
+    """Yield the Collapsed of each record as it reads `records`: the
+    sibling MWEs collapsed in its tree and dependencies.
 
     `occurrences` maps sentence ids to occurrences read from a file, which
-    recognition.rebind_tokens checks and re-binds to the record's tokens;
-    `deps` maps every record's id to its dependencies.  Occurrences for an
-    id that names no record, dependencies for other ids than the records',
-    and a sentence that fails its checks raise PipelineError.  Returns
-    {sentence id: Collapsed} in record order.
+    recognition.rebind_tokens checks and re-binds to the record's tokens.
+    `deps` maps every record's id to its dependencies; when it is None,
+    each tree's are extracted.  A sentence that fails its checks raises
+    PipelineError; so do, once every record is read, occurrences for an id
+    that names no record and dependencies for other ids than the records'.
     """
-    ids = {r.sid for r in records}
+    if deps is None:
+        from . import parser
+    ids = set()
+    for r in records:
+        ids.add(r.sid)
+        if deps is not None and r.sid not in deps:
+            continue                    # reported below
+        with _stage("collapse", r.sid):
+            yield collapse_record(r, recognition.rebind_tokens(
+                occurrences.get(r.sid, []), r.tokens),
+                parser.extract_dependencies(r.tree) if deps is None
+                else deps[r.sid])
     with _stage("collapse"):
         orphans = sorted(set(occurrences) - ids)
         if orphans:
             raise ValueError("occurrences for sentence ids not in the "
                              "treebank: %s" % ", ".join(orphans))
-        treebank.check_ids(deps, ids,
-                           "dependency ids differ from the treebank's")
-    collapsed = {}
-    for r in records:
-        with _stage("collapse", r.sid):
-            collapsed[r.sid] = collapse_record(r, recognition.rebind_tokens(
-                occurrences.get(r.sid, []), r.tokens), deps[r.sid])
-    return collapsed
+        if deps is not None:
+            treebank.check_ids(deps, ids,
+                               "dependency ids differ from the treebank's")
 
 
 def collapse_record(record, occurrences, deps):
@@ -405,7 +398,7 @@ def run_pipeline(config):
     test, gold_test, full_test = {}, {}, {}     # original, gold B, full
     dependencies = {"gold_a": {}, "gold_b": {}, "gold_b_full": {}}
     cycles = 0
-    for split, record in _assign_splits(
+    for split, record in split_records(
             _loading(treebank.iter_treebank(config.treebank)),
             config.train, config.dev, config.test):
         sid = record.sid
@@ -504,7 +497,8 @@ def run_pipeline(config):
     summary = _summary(config, rows, stats, sig_rows)
 
     # every stage succeeded: write the artifacts
-    artifacts = [(_write_text, name, text) for name, text in texts.items()]
+    artifacts = [(treebank.write_text, name, text)
+                 for name, text in texts.items()]
     artifacts += [
         (treebank.write_occurrences, "occurrences.tsv", occurrences),
         (treebank.write_tokens, "tokens_test.txt", test.values()),
@@ -519,18 +513,14 @@ def run_pipeline(config):
     artifacts += [(treebank.write_counts, "counts_%s_%s.tsv" % (name, side),
                    reports[row].per_sentence)
                   for name, x, y in pairs for side, row in (("x", x), ("y", y))]
-    artifacts += [(_write_text, "report.tsv", [_report(rows, stats, sig_rows)]),
-                  (_write_text, "summary.txt", [summary])]
+    artifacts += [(treebank.write_text, "report.tsv",
+                   [_report(rows, stats, sig_rows)]),
+                  (treebank.write_text, "summary.txt", [summary])]
     os.makedirs(config.output, exist_ok=True)
     for write, name, value in artifacts:
         write(os.path.join(config.output, name), value)
     return {"rows": rows, "stats": stats, "significance": sig_rows,
             "summary": summary}
-
-
-def _write_text(path, pieces):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(pieces)
 
 
 def _report(rows, stats, sig_rows):

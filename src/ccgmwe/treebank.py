@@ -332,17 +332,21 @@ def read_treebank(path):
 
 def render_treebank(records):
     """The treebank file text of `records`: per record its ``ID`` line and
-    its rendered tree.  run_pipeline renders each sentence as it reads it
-    and keeps the text of its treebank files, so that no tree outlives
-    its sentence."""
+    its rendered tree."""
     return "".join(["ID %s\n%s\n" % (record.sid, render_tree(record.tree))
                     for record in records])
 
 
+def write_text(path, pieces):
+    """Write the strings of `pieces`, such as the text of each sentence that
+    a command has rendered as it went, to `path` in order."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(pieces)
+
+
 def write_treebank(path, records):
     """Write render_treebank(records) to `path`."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_treebank(records))
+    write_text(path, [render_treebank(records)])
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ccgmwe import parser, pipeline, recognition
+from ccgmwe import treebank as treebank_module
 from ccgmwe.cli import main
 from ccgmwe.recognition import SCHEMES
 from ccgmwe.parser import load_model, parse
@@ -72,12 +73,12 @@ class TestConfig:
 
     def test_overlapping_splits_rejected(self, corpus):
         with pytest.raises(PipelineError) as err:
-            split_records(corpus, "1-40", "", "40-60")
+            list(split_records(corpus, "1-40", "", "40-60"))
         assert "split" in str(err.value)
 
     def test_empty_test_split_rejected(self, corpus):
         with pytest.raises(PipelineError) as err:
-            split_records(corpus, "1-40", "", "90-99")
+            list(split_records(corpus, "1-40", "", "90-99"))
         assert "empty test split" in str(err.value)
 
 
@@ -597,30 +598,47 @@ class TestStageChecks:
             % ("load" if command == "run" else command, treebank, line))
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "split", "collapse"])
     def test_run_with_malformed_last_tree_fails(self, tmp_path, data_dir,
-                                                capsys, monkeypatch):
+                                                capsys, monkeypatch, command):
         lines = Path(data_dir, "treebank.txt").read_text().splitlines()
         lines[-1] = lines[-1][:-1]          # the last tree lacks its ")"
         treebank = tmp_path / "treebank.txt"
         treebank.write_text("\n".join(lines) + "\n")
         (tmp_path / "lexicon.tsv").write_bytes(
             Path(data_dir, "lexicon.tsv").read_bytes())
-        recognized = []
-        real_recognize = recognition.recognize
+        occ = tmp_path / "occ.tsv"
+        occ.write_text("")
+        out = tmp_path / "out"
+        # each command's per-sentence step, and the stage its error names
+        module, step, stage, argv = {
+            "run": (recognition, "recognize", "load",
+                    ["run", "--config", base_config(tmp_path,
+                                                    str(tmp_path))]),
+            "split": (treebank_module, "render_treebank", "split",
+                      ["split", "--treebank", str(treebank), "--train",
+                       "1-40", "--dev", "41-45", "--test", "46-60",
+                       "--output-dir", str(out)]),
+            "collapse": (recognition, "rebind_tokens", "collapse",
+                         ["collapse", "--treebank", str(treebank),
+                          "--occurrences", str(occ), "--output-dir",
+                          str(out)]),
+        }[command]
+        stepped = []
+        real_step = getattr(module, step)
 
-        def recognize(lexicon, tokens, config):
-            recognized.append(tokens)
-            return real_recognize(lexicon, tokens, config)
+        def counted(*args):
+            stepped.append(args)
+            return real_step(*args)
 
-        monkeypatch.setattr(recognition, "recognize", recognize)
-        assert main(["run", "--config", base_config(tmp_path,
-                                                    str(tmp_path))]) == 1
+        monkeypatch.setattr(module, step, counted)
+        assert main(argv) == 1
         assert capsys.readouterr().err == (
-            "error [load] %s line %d: unbalanced bracket at column %d\n"
-            % (treebank, len(lines), len(lines[-1])))
-        assert not (tmp_path / "out").exists()
-        # the run streams: every earlier sentence went through recognition
-        assert len(recognized) == 59
+            "error [%s] %s line %d: unbalanced bracket at column %d\n"
+            % (stage, treebank, len(lines), len(lines[-1])))
+        assert not out.exists()
+        # the command streams: every earlier sentence went through its step
+        assert len(stepped) == 59
 
     def test_parse_rejects_repeated_id(self, rec1_out, tmp_path, capsys):
         tokens = tmp_path / "tokens.txt"

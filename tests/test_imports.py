@@ -8,8 +8,11 @@ top-level import that binds a name the module never uses fails, unless
 the import's lines carry ``# noqa``.  In src/ccgmwe/, a top-level
 function, class or assignment whose name starts with one underscore fails
 unless another top-level statement of the same module refers to it, so a
-refactor cannot leave a dead helper or table.  No module of the package
-imports ``dataclasses``.
+refactor cannot leave a dead helper or table.  A public one fails unless
+another top-level statement of the package, tools/ or perfbench/ refers
+to it by a name, an attribute, an import alias or an exact string (the
+tracer wraps functions named in a table); the tests do not count.  No
+module of the package imports ``dataclasses``.
 
 The chain of the README runs one subcommand per fresh interpreter, so
 each of them, ``run`` and ``--help`` is started as a subprocess on a small
@@ -32,6 +35,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "ccgmwe").glob("*.py"))
 MODULES = sorted(PACKAGE + list((ROOT / "tests").glob("*.py"))
                  + list((ROOT / "tools").glob("*.py")))
+# the modules whose references keep a public name of the package alive
+USERS = sorted(PACKAGE + list((ROOT / "tools").glob("*.py"))
+               + list((ROOT / "perfbench").glob("*.py")))
 
 
 def unused_imports(source):
@@ -56,6 +62,18 @@ def unused_imports(source):
     return unused
 
 
+def defined_names(statement):
+    """The names a top-level function, class or assignment defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        return [node.id for target in statement.targets
+                for node in ast.walk(target) if isinstance(node, ast.Name)]
+    if isinstance(statement, ast.AnnAssign):
+        return [statement.target.id]
+    return []
+
+
 def unused_private_names(source):
     """The top-level names of `source` that start with one underscore and
     that no other top-level statement loads, as "line N: name"."""
@@ -65,20 +83,45 @@ def unused_private_names(source):
              for statement in tree.body]
     unused = []
     for index, statement in enumerate(tree.body):
-        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
-            names = [statement.name]
-        elif isinstance(statement, ast.Assign):
-            names = [node.id for target in statement.targets
-                     for node in ast.walk(target)
-                     if isinstance(node, ast.Name)]
-        elif isinstance(statement, ast.AnnAssign):
-            names = [statement.target.id]
-        else:
-            continue
         elsewhere = set().union(*loads[:index], *loads[index + 1:])
-        unused += ["line %d: %s" % (statement.lineno, name) for name in names
+        unused += ["line %d: %s" % (statement.lineno, name)
+                   for name in defined_names(statement)
                    if name.startswith("_") and not name.startswith("__")
                    and name not in elsewhere]
+    return unused
+
+
+def references(statement):
+    """The names `statement` loads, the attributes it reads, the names it
+    imports and its string constants."""
+    found = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def unused_public_names(sources):
+    """The public top-level names of the package modules among `sources`,
+    {module path: source text}, that no other top-level statement of any
+    of them refers to, as "<module stem>.<name>"."""
+    statements = [(path, statement) for path, source in sources.items()
+                  for statement in ast.parse(source).body]
+    counted = [references(statement) for _, statement in statements]
+    unused = []
+    for index, (path, statement) in enumerate(statements):
+        if path not in PACKAGE:
+            continue
+        elsewhere = set().union(*counted[:index], *counted[index + 1:])
+        unused += ["%s.%s" % (path.stem, name)
+                   for name in defined_names(statement)
+                   if not name.startswith("_") and name not in elsewhere]
     return unused
 
 
@@ -110,6 +153,24 @@ def test_finds_unused_private_names():
                          ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_private_name(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_finds_unused_public_names():
+    sources = {
+        PACKAGE[0]: ("TABLE = {}\nDEAD = {}\ndef walk(node):\n"
+                     "    return walk(node)\n"
+                     "def used():\n    return TABLE\n"
+                     "class Gone:\n    pass\n"),
+        ROOT / "tools" / "user.py": ("from x import used\n"
+                                    "NAMES = ('Gone',)\n"),
+        ROOT / "perfbench" / "other.py": "DEAD = 1\n"}
+    assert unused_public_names(sources) == [
+        PACKAGE[0].stem + ".DEAD", PACKAGE[0].stem + ".walk"]
+
+
+def test_no_unused_public_name():
+    assert unused_public_names({path: path.read_text(encoding="utf-8")
+                                for path in USERS}) == []
 
 
 def test_no_module_imports_dataclasses():

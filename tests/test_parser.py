@@ -6,9 +6,10 @@ from collections import Counter, defaultdict
 
 import pytest
 
+from ccgmwe import parser
 from ccgmwe.categories import parse_category, render
 from ccgmwe.parser import (LEX, extract_dependencies, load_model, parse,
-                           pos_for_category, pos_tag, save_model, train)
+                           pos_for_category, save_model, train)
 from ccgmwe.pipeline import read_config, run_pipeline
 from ccgmwe.treebank import (DerivationTree, SentenceRecord, leaf_nodes,
                              leaves, parse_tree, read_dependencies,
@@ -22,6 +23,11 @@ C = parse_category
 def record(sid, text):
     tree = parse_tree(text)
     return SentenceRecord(sid, tree, [t for _, t in leaves(tree)])
+
+
+def pos_tag(model, tokens):
+    """The tags the parser gives `tokens` under `model`."""
+    return [parser._tag(model.indexes, token) for token in tokens]
 
 
 def score_tree(model, tree):

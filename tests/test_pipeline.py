@@ -4,7 +4,10 @@ import inspect
 import json
 import os
 
-from ccgmwe import evaluation, parser, recognition
+import pytest
+
+from ccgmwe import evaluation, parser, recognition, treebank
+from ccgmwe.cli import main
 from ccgmwe.pipeline import (collapse_record, parse_corpus, read_config,
                              run_pipeline)
 from ccgmwe.recognition import PRESETS, recognize
@@ -168,18 +171,47 @@ def test_longest_and_leftmost_resolvers_differ_end_to_end(tmp_path, data_dir,
     assert sentence["rec2"] == ["48\t1,2\tstock+market\tgeneral"]
 
 
-def test_no_derivation_tree_outlives_its_sentence(tmp_path, data_dir,
-                                                  configs_dir, monkeypatch,
-                                                  corpus):
-    # run reads, recognizes and collapses one sentence at a time, and a
-    # parse tree dies before the next parse: at every recognize and parse
-    # call the run holds at most two sentences' trees
+@pytest.mark.parametrize("command", ["run", "split", "collapse", "parse"])
+def test_no_derivation_tree_outlives_its_sentence(command, tmp_path,
+                                                  data_dir, configs_dir,
+                                                  monkeypatch, corpus):
+    # each command reads, splits, recognizes, collapses or parses one
+    # sentence at a time, and a parse tree dies before the next parse: at
+    # every per-sentence step it holds at most two sentences' trees
     def nodes(tree):
         return 1 + sum(map(nodes, tree.children))
 
     def trees():
         return sum(type(obj) is DerivationTree for obj in gc.get_objects())
 
+    path = os.path.join(data_dir, "treebank.txt")
+    out = str(tmp_path / "out")
+    if command == "run":
+        config = read_config([os.path.join(configs_dir, "base.cfg"),
+                              os.path.join(configs_dir, "rec1.cfg")])
+        config.treebank = path
+        config.lexicon = os.path.join(data_dir, "lexicon.tsv")
+        config.output = out
+        steps, calls = [(recognition, "recognize"), (parser, "parse")], 60 + 41
+    elif command == "split":
+        argv = ["split", "--treebank", path, "--train", "1-40", "--dev",
+                "41-45", "--test", "46-60", "--output-dir", out]
+        steps, calls = [(treebank, "render_treebank")], 60
+    elif command == "collapse":
+        occurrences = str(tmp_path / "occ.tsv")
+        assert main(["recognize", "--treebank", path, "--lexicon",
+                     os.path.join(data_dir, "lexicon.tsv"), "--preset",
+                     "rec1", "--output", occurrences]) == 0
+        argv = ["collapse", "--treebank", path, "--occurrences", occurrences,
+                "--output-dir", out]
+        steps, calls = [(recognition, "rebind_tokens")], 60
+    else:
+        model, tokens = str(tmp_path / "model.tsv"), str(tmp_path / "tokens")
+        parser.save_model(model, parser.train(corpus[:40], 0.1))
+        treebank.write_tokens(tokens, [r.tokens for r in corpus[45:]])
+        argv = ["parse", "--model", model, "--tokens", tokens, "--output",
+                out + ".deps", "--trees", out + ".tb"]
+        steps, calls = [(parser, "parse")], 15
     limit = 2 * max(nodes(record.tree) for record in corpus)
     alive = []
 
@@ -189,18 +221,15 @@ def test_no_derivation_tree_outlives_its_sentence(tmp_path, data_dir,
             return function(*args)
         return call
 
-    monkeypatch.setattr(recognition, "recognize",
-                        counted(recognition.recognize))
-    monkeypatch.setattr(parser, "parse", counted(parser.parse))
-    config = read_config([os.path.join(configs_dir, "base.cfg"),
-                          os.path.join(configs_dir, "rec1.cfg")])
-    config.treebank = os.path.join(data_dir, "treebank.txt")
-    config.lexicon = os.path.join(data_dir, "lexicon.tsv")
-    config.output = str(tmp_path)
+    for module, name in steps:
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     gc.collect()
     before = trees()
-    run_pipeline(config)
-    assert len(alive) == 60 + 41
+    if command == "run":
+        run_pipeline(config)
+    else:
+        assert main(argv) == 0
+    assert len(alive) == calls
     assert max(alive) <= limit
 
 

@@ -13,10 +13,12 @@ between the two systems with probability one half and recomputes the
 aggregate F1 difference; the p-value is (hits + 1) / (iterations + 1).
 When 2^n does not exceed the iteration budget every swap pattern is
 counted instead, so small inputs get the exact randomization p-value
-under the same +1 convention.  Pooled F1 is 2c / (a + g), so the exact
-branch counts the patterns by the shift in (correct, attempted + gold)
-they cause, in plain Python; numpy is imported by the sampled branch
-alone, so that the other stages and subcommands start without loading it.
+under the same +1 convention.  Pooled F1 is 2c / (a + g), so both
+branches count the patterns by the shift in (correct, attempted + gold)
+they cause, in plain Python.  The sampler draws numpy's own stream; it
+imports numpy only when iterations times the sentences X and Y score
+differently exceeds 2^17 draws, so that every other stage and subcommand,
+and `run` on the shipped corpus (at most 60,000 draws), start without it.
 """
 
 from __future__ import annotations
@@ -200,8 +202,16 @@ class SigTestResult(Record):
     __slots__ = ("p_value", "observed_diff", "iterations", "exhaustive")
 
 
-# swap decisions drawn per block of rows by sig_test's sampler
+# swap decisions drawn per block of rows by sig_test's numpy sampler
 _SWAP_BLOCK = 1 << 14
+# sig_test draws up to this many swap decisions (iterations times the
+# sentences X and Y score differently) in Python, about 0.05 s; above it
+# importing numpy costs less than the draws
+_PURE_DRAWS = 1 << 17
+
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _pooled_f1(correct, attempted_plus_gold):
@@ -209,6 +219,92 @@ def _pooled_f1(correct, attempted_plus_gold):
     if attempted_plus_gold == 0:
         return 0.0
     return 2.0 * correct / attempted_plus_gold
+
+
+def _pcg64(seed):
+    """(state, increment) of the PCG64 generator of
+    numpy.random.default_rng(seed) before its first draw: numpy's
+    SeedSequence(seed).generate_state(4, uint64) fed to PCG64's srandom."""
+    entropy = [seed >> shift & _MASK32
+               for shift in range(0, max(1, seed.bit_length()), 32)]
+    mult = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal mult
+        value ^= mult
+        mult = mult * 0x931E8875 & _MASK32
+        value = value * mult & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = 0xCA01F9DD * x - 0x4973F715 * y & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in (entropy + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    mult, words = 0x8B51F9DD, []
+    for value in pool * 2:
+        value ^= mult
+        mult = mult * 0x58F38DED & _MASK32
+        value = value * mult & _MASK32
+        words.append(value ^ value >> 16)
+    # little-endian uint64 pairs: (high, low) of the seed, then of the stream
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
+    increment = (inc_hi << 64 | inc_lo) << 1 & _MASK128 | 1
+    state = (increment + (seed_hi << 64 | seed_lo)) * _PCG_MULT + increment
+    return state & _MASK128, increment
+
+
+def _jump(steps, increment):
+    """(mult, plus) with which state * mult + plus moves a PCG64 state
+    `steps` draws ahead."""
+    mult, plus = 1, 0
+    step_mult, step_plus = _PCG_MULT, increment
+    while steps:
+        if steps & 1:
+            mult = mult * step_mult & _MASK128
+            plus = plus * step_mult + step_plus & _MASK128
+        step_plus = (step_mult + 1) * step_plus & _MASK128
+        step_mult = step_mult * step_mult & _MASK128
+        steps >>= 1
+    return mult, plus
+
+
+def _sampled_shifts(deltas, n, iterations, seed):
+    """{(correct, attempted + gold) shift onto X: rows} over the rows of
+    numpy.random.default_rng(seed).random((iterations, n)) < 0.5, row r
+    swapping the sentences its true cells name.  `deltas` maps the column
+    of each sentence whose swap moves the totals to the shift it adds;
+    only those columns are drawn."""
+    state, increment = _pcg64(seed)
+    columns = sorted(deltas)
+    jumps = []
+    if columns:
+        # each draw jumps from the previous column's, the first of a row
+        # from the last of the row before; the period is 2^128, so this
+        # steps back to where row -1's last column would have been drawn
+        mult, plus = _jump(columns[-1] + 1 - n & _MASK128, increment)
+        state = state * mult + plus & _MASK128
+        for prev, col in zip([columns[-1] - n] + columns, columns):
+            jumps.append(_jump(col - prev, increment) + deltas[col])
+    shifts = Counter()
+    for _ in range(iterations):
+        correct = denom = 0
+        for mult, plus, d_correct, d_denom in jumps:
+            state = state * mult + plus & _MASK128
+            # random() < 0.5 is a 0 in the top bit of the XSL-RR output
+            if not (state >> 64 ^ state) >> ((state >> 122) - 1 & 63) & 1:
+                correct += d_correct
+                denom += d_denom
+        shifts[correct, denom] += 1
+    return shifts
 
 
 def sig_test(counts_x, counts_y, iterations=10000, seed=0):
@@ -223,8 +319,14 @@ def sig_test(counts_x, counts_y, iterations=10000, seed=0):
 
     The exact branch needs neither numpy nor 2^n rows: sentence by sentence
     it counts the swap patterns per (correct, attempted + gold) shift they
-    move onto X, in n steps over the distinct shifts.  Only the sampler
-    imports numpy.
+    move onto X, in n steps over the distinct shifts.  The sampler swaps
+    sentence k of row r when cell (r, k) of
+    numpy.random.default_rng(seed).random((iterations, n)) is below 0.5.
+    Only the m sentences that X and Y score differently move the totals;
+    while iterations * m is at most 2^17 it draws their cells of that
+    stream in Python and scores each distinct shift as the exact branch
+    does.  Above that it imports numpy and draws the whole stream, which
+    gives the same result.
     """
     check_iterations(iterations)
     check_seed(seed)
@@ -238,6 +340,13 @@ def sig_test(counts_x, counts_y, iterations=10000, seed=0):
     correct_y, denom_y = map(sum, zip(*y))
     observed = _pooled_f1(correct_x, denom_x) - _pooled_f1(correct_y, denom_y)
     n = len(sids)
+
+    def hits(shifts):
+        """The patterns of {shift onto X: patterns} that reach `observed`."""
+        return sum(patterns for (c, d), patterns in shifts.items()
+                   if _pooled_f1(correct_x + c, denom_x + d)
+                   - _pooled_f1(correct_y - c, denom_y - d) >= observed)
+
     if 2 ** n <= iterations:
         shifts = Counter({(0, 0): 1})       # swap adds y - x to the x side
         for (cx, dx), (cy, dy) in zip(x, y):
@@ -245,10 +354,15 @@ def sig_test(counts_x, counts_y, iterations=10000, seed=0):
             for (c, d), patterns in shifts.items():
                 grown[c + cy - cx, d + dy - dx] += patterns
             shifts = grown
-        hits = sum(patterns for (c, d), patterns in shifts.items()
-                   if _pooled_f1(correct_x + c, denom_x + d)
-                   - _pooled_f1(correct_y - c, denom_y - d) >= observed)
-        return SigTestResult((hits + 1) / (2 ** n + 1), observed, 2 ** n, True)
+        return SigTestResult((hits(shifts) + 1) / (2 ** n + 1), observed,
+                             2 ** n, True)
+    deltas = {k: (cy - cx, dy - dx)
+              for k, ((cx, dx), (cy, dy)) in enumerate(zip(x, y))
+              if (cx, dx) != (cy, dy)}
+    if iterations * len(deltas) <= _PURE_DRAWS:
+        shifts = _sampled_shifts(deltas, n, iterations, seed)
+        return SigTestResult((hits(shifts) + 1) / (iterations + 1), observed,
+                             iterations, False)
     import numpy as np
 
     x = np.array(x, dtype=np.int64)

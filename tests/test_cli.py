@@ -689,6 +689,7 @@ NUMPY_GUARD = textwrap.dedent("""
     import sys
 
     import ccgmwe.cli
+    from ccgmwe.treebank import write_counts
 
     def numpy_loaded():
         return "numpy" in sys.modules
@@ -712,18 +713,27 @@ NUMPY_GUARD = textwrap.dedent("""
         assert ccgmwe.cli.main(list(step)) == 0, step
         commands.append(step[0])
         assert not numpy_loaded(), commands
-    # 2^15 > 1000 iterations: the sampled branch, which alone uses numpy
+    # 2^15 > 1000 iterations: sampled, but 1000 draws for each of the three
+    # sentences the systems score differently stay under 2^17
     sampled = list(step)
     sampled[sampled.index("--iterations") + 1] = "1000"
     assert ccgmwe.cli.main(sampled) == 0
-    assert numpy_loaded(), "sampled sigtest"
+    assert not numpy_loaded(), "sampled sigtest under the draw limit"
+    # 10,000 iterations of 40 sentences scored differently pass the limit,
+    # and only then does numpy load
+    x, y = (os.path.join(sys.argv[1], name) for name in ("x.tsv", "y.tsv"))
+    write_counts(x, {str(sid): (2, 3, 3) for sid in range(40)})
+    write_counts(y, {str(sid): (1, 3, 3) for sid in range(40)})
+    assert ccgmwe.cli.main(["sigtest", "--x", x, "--y", y]) == 0
+    assert numpy_loaded(), "sampled sigtest over the draw limit"
     print(" ".join(commands))
 """)
 
 
 def test_only_sigtest_loads_numpy(tmp_path, data_dir):
     """The README chain, whose sigtest is exact, runs every subcommand
-    without importing numpy; a sampled sigtest imports it."""
+    without importing numpy, and so does a sampled sigtest of 1,000
+    iterations; one whose draws exceed the sampler's limit imports it."""
     root = os.path.dirname(data_dir)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
@@ -734,6 +744,35 @@ def test_only_sigtest_loads_numpy(tmp_path, data_dir):
     assert done.stdout.splitlines()[-1] == (
         "split recognize collapse split train train extract-deps parse parse "
         "combine eval eval sigtest")
+
+
+SHIPPED_RUNS = textwrap.dedent("""
+    import sys
+
+    import ccgmwe.cli
+
+    output = sys.argv[1]
+    for preset in sys.argv[2:]:
+        assert ccgmwe.cli.main(["run", "--config", "data/configs/base.cfg",
+                                "--config", preset, "--config", output]) == 0
+        assert "numpy" not in sys.modules, preset
+""")
+
+
+def test_shipped_runs_never_load_numpy(tmp_path, data_dir, configs_dir):
+    """run on the shipped corpus samples all four tests of every preset
+    (2^15 > 10,000 iterations) without importing numpy."""
+    root = os.path.dirname(data_dir)
+    output = tmp_path / "output.cfg"
+    output.write_text("output = %s\n" % (tmp_path / "out"))
+    presets = [os.path.join(configs_dir, "rec%d.cfg" % k) for k in range(1, 6)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", SHIPPED_RUNS, str(output)] + presets,
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("Experiment summary") == 5
 
 
 class TestRun:

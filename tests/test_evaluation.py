@@ -617,8 +617,10 @@ class TestSigTest:
     @pytest.mark.parametrize("block",
                              [1, 37 * 3, 37 * 64 + 5, 1 << 14, 1 << 18])
     def test_sampler_draws_one_stream(self, monkeypatch, block):
-        # swap patterns are drawn a block of rows at a time; every block
-        # size gives the p-value of one (iterations, n) draw
+        # numpy draws swap patterns a block of rows at a time; every block
+        # size gives the p-value of one (iterations, n) draw.  37,000 draws
+        # fit under _PURE_DRAWS, so the limit is lowered to reach numpy
+        monkeypatch.setattr(evaluation, "_PURE_DRAWS", -1)
         counts_x, counts_y = _random_counts(random.Random(12), 37)
         sids = sorted(counts_x)
         x = np.array([counts_x[sid] for sid in sids], dtype=np.int64)
@@ -632,6 +634,34 @@ class TestSigTest:
         result = sig_test(counts_x, counts_y, iterations=1000, seed=5)
         hits = int(np.count_nonzero(diffs >= result.observed_diff))
         assert result.p_value == (hits + 1) / 1001
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 32 + 5, 2 ** 64 - 1,
+                                      2 ** 64 + 9, 2 ** 128, 3 ** 200])
+    def test_python_sampler_draws_numpy_stream(self, monkeypatch, seed):
+        # numpy is the reference: the Python draws of the differing
+        # sentences' cells must give its result exactly.  2^64 - 1, 2^64 + 9
+        # and 2^128 seed SeedSequence with 2, 3 and 5 entropy words
+        rng = random.Random(seed)
+        cases = [({"1": (1, 2, 2)}, {"1": (0, 2, 2)}, 1),     # n = 1
+                 ({"1": (1, 2, 3)}, {"1": (1, 3, 2)}, 1),     # m = 0
+                 ({"1": (1, 2, 2), "2": (1, 2, 2)},           # gold only
+                  {"1": (1, 2, 5), "2": (1, 2, 2)}, 3)]
+        for _ in range(60):
+            n = rng.randint(1, 40)
+            counts_x, counts_y = _swap_counts(rng, n)
+            for sid in rng.sample(sorted(counts_x), n // 4):  # same c, a + g
+                correct, attempted, gold = counts_x[sid]
+                counts_y[sid] = (correct, gold, attempted)
+            cases.append((counts_x, counts_y,
+                          rng.choice([1, rng.randint(1, 2 ** min(n, 11) - 1)])))
+        for counts_x, counts_y, iterations in cases:
+            results = []
+            for limit in (-1, 1 << 62):
+                monkeypatch.setattr(evaluation, "_PURE_DRAWS", limit)
+                results.append(sig_test(counts_x, counts_y, iterations, seed))
+            by_numpy, by_python = results
+            assert not by_numpy.exhaustive
+            assert by_python == by_numpy, (counts_x, counts_y, iterations)
 
     def test_exhaustive_exactly_when_patterns_fit_budget(self):
         counts_x, counts_y = _random_counts(random.Random(4), 4)

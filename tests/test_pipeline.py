@@ -83,7 +83,6 @@ def _from_ccgmwe(obj):
 
 
 def test_run_leaves_no_cyclic_garbage(tmp_path, data_dir, configs_dir):
-    import numpy  # noqa: F401 -- sig_test's first import makes cycles of its own
     config = read_config([os.path.join(configs_dir, "base.cfg"),
                           os.path.join(configs_dir, "rec1.cfg")])
     config.treebank = os.path.join(data_dir, "treebank.txt")

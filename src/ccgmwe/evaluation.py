@@ -19,11 +19,15 @@ they cause, in plain Python.  The sampler draws numpy's own stream; it
 imports numpy only when iterations times the sentences X and Y score
 differently exceeds 2^17 draws, so that every other stage and subcommand,
 and `run` on the shipped corpus (at most 60,000 draws), start without it.
+Below that it draws the column of each such sentence down the column, and
+the tests of one `run` share their drawn columns: all four read the same
+stream, so a sentence that several of them test is drawn once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
 
 from .categories import arity, render
 from .records import Record
@@ -205,8 +209,8 @@ class SigTestResult(Record):
 # swap decisions drawn per block of rows by sig_test's numpy sampler
 _SWAP_BLOCK = 1 << 14
 # sig_test draws up to this many swap decisions (iterations times the
-# sentences X and Y score differently) in Python, about 0.05 s; above it
-# importing numpy costs less than the draws
+# sentences X and Y score differently) in Python, 0.05-0.07 s on a 2-CPU
+# host; above it importing numpy costs less than the draws
 _PURE_DRAWS = 1 << 17
 
 _MASK32 = (1 << 32) - 1
@@ -277,37 +281,50 @@ def _jump(steps, increment):
     return mult, plus
 
 
-def _sampled_shifts(deltas, n, iterations, seed):
+def _swap_columns(drawn, columns, n, iterations, seed):
+    """The swap bits of each of `columns`, in their order: column c's
+    bytearray holds, row by row, whether cell (r, c) of
+    numpy.random.default_rng(seed).random((iterations, n)) is below 0.5.
+    `drawn` maps (seed, n, iterations, column) to the columns drawn
+    before; the others are drawn down the column and added to it."""
+    missing = [col for col in columns
+               if (seed, n, iterations, col) not in drawn]
+    if missing:
+        state, increment = _pcg64(seed)
+        row_mult, row_plus = _jump(n, increment)
+        for col in missing:
+            # cell (r, c) is draw r * n + c + 1 after seeding
+            mult, plus = _jump(col + 1, increment)
+            cell = state * mult + plus & _MASK128
+            bits = bytearray(iterations)
+            for row in range(iterations):
+                # random() < 0.5 is a 0 in the top bit of the XSL-RR output
+                bits[row] = not ((cell >> 64 ^ cell)
+                                 >> ((cell >> 122) - 1 & 63) & 1)
+                cell = cell * row_mult + row_plus & _MASK128
+            drawn[seed, n, iterations, col] = bits
+    return [drawn[seed, n, iterations, col] for col in columns]
+
+
+def _sampled_shifts(deltas, n, iterations, seed, drawn):
     """{(correct, attempted + gold) shift onto X: rows} over the rows of
     numpy.random.default_rng(seed).random((iterations, n)) < 0.5, row r
     swapping the sentences its true cells name.  `deltas` maps the column
     of each sentence whose swap moves the totals to the shift it adds;
-    only those columns are drawn."""
-    state, increment = _pcg64(seed)
+    only those columns are drawn, or taken from `drawn`."""
     columns = sorted(deltas)
-    jumps = []
-    if columns:
-        # each draw jumps from the previous column's, the first of a row
-        # from the last of the row before; the period is 2^128, so this
-        # steps back to where row -1's last column would have been drawn
-        mult, plus = _jump(columns[-1] + 1 - n & _MASK128, increment)
-        state = state * mult + plus & _MASK128
-        for prev, col in zip([columns[-1] - n] + columns, columns):
-            jumps.append(_jump(col - prev, increment) + deltas[col])
+    patterns = Counter(zip(*_swap_columns(drawn, columns, n, iterations,
+                                          seed)))
+    d_correct = [deltas[col][0] for col in columns]
+    d_denom = [deltas[col][1] for col in columns]
     shifts = Counter()
-    for _ in range(iterations):
-        correct = denom = 0
-        for mult, plus, d_correct, d_denom in jumps:
-            state = state * mult + plus & _MASK128
-            # random() < 0.5 is a 0 in the top bit of the XSL-RR output
-            if not (state >> 64 ^ state) >> ((state >> 122) - 1 & 63) & 1:
-                correct += d_correct
-                denom += d_denom
-        shifts[correct, denom] += 1
+    for pattern, rows in (patterns or {(): iterations}).items():
+        shifts[sum(compress(d_correct, pattern)),
+               sum(compress(d_denom, pattern))] += rows
     return shifts
 
 
-def sig_test(counts_x, counts_y, iterations=10000, seed=0):
+def sig_test(counts_x, counts_y, iterations=10000, seed=0, *, drawn=None):
     """One-tailed stratified shuffling test of X against Y.
 
     counts_x/counts_y map sentence id -> (correct, attempted, gold).
@@ -323,10 +340,14 @@ def sig_test(counts_x, counts_y, iterations=10000, seed=0):
     sentence k of row r when cell (r, k) of
     numpy.random.default_rng(seed).random((iterations, n)) is below 0.5.
     Only the m sentences that X and Y score differently move the totals;
-    while iterations * m is at most 2^17 it draws their cells of that
-    stream in Python and scores each distinct shift as the exact branch
-    does.  Above that it imports numpy and draws the whole stream, which
-    gives the same result.
+    while iterations * m is at most 2^17 it draws their columns of that
+    stream in Python, one column at a time, counts the rows per swap
+    pattern and scores each distinct shift as the exact branch does.
+    `drawn`, a dict keyed by (seed, n, iterations, column), keeps the
+    columns drawn: tests of the same stream that share it draw each column
+    once.  `run` passes one per run; without it nothing is kept.  Above the
+    limit it imports numpy and draws the whole stream, which gives the
+    same result, and leaves `drawn` alone.
     """
     check_iterations(iterations)
     check_seed(seed)
@@ -360,7 +381,8 @@ def sig_test(counts_x, counts_y, iterations=10000, seed=0):
               for k, ((cx, dx), (cy, dy)) in enumerate(zip(x, y))
               if (cx, dx) != (cy, dy)}
     if iterations * len(deltas) <= _PURE_DRAWS:
-        shifts = _sampled_shifts(deltas, n, iterations, seed)
+        shifts = _sampled_shifts(deltas, n, iterations, seed,
+                                 {} if drawn is None else drawn)
         return SigTestResult((hits(shifts) + 1) / (iterations + 1), observed,
                              iterations, False)
     import numpy as np

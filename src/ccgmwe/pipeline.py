@@ -479,9 +479,10 @@ def run_pipeline(config):
          ("fully-collapsed", "A-after-parsing")),
         ("combination-medFromA", ("combination", "A+B medFromA"),
          ("baseline", "A"))]
+    drawn = {}      # the swap columns the four tests share
     sig_rows = [(name, evaluation.sig_test(
         reports[x].per_sentence, reports[y].per_sentence,
-        iterations=config.iterations, seed=config.seed))
+        iterations=config.iterations, seed=config.seed, drawn=drawn))
         for name, x, y in pairs]
 
     sibling_total = sum(map(len, kept.values()))

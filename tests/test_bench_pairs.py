@@ -107,6 +107,48 @@ def test_claim_fails_below_ten_pairs(bench_pairs):
                                             for seed in range(61, 71)]
 
 
+def test_a_failed_claim_names_its_first_unmet_condition(bench_pairs):
+    def shortfall(parent_values, change_values):
+        parent, change = _records(bench_pairs, parent_values, change_values)
+        reason = bench_pairs.claim_shortfall(parent, change, "peak_rss_mb",
+                                             "lower")
+        assert (reason is None) == bench_pairs.claim_holds(
+            parent, change, "peak_rss_mb", "lower")
+        return reason
+
+    assert shortfall([74.17, 74.18] * 5, [61.0] * 10) is None
+    # too few pairs comes first, though every pair was won
+    assert shortfall([74.0] * 9, [61.0] * 9) == "9 pairs, fewer than 10"
+    assert shortfall([74.0] * 8 + [60.0, 60.0], [61.0] * 10) == (
+        "better in 8 of 10 pairs, fewer than 9 in 10")
+    assert shortfall([2.0, 2.4] * 5, [1.95, 2.35] * 5) == (
+        "median better by 0.05, not more than the parent's IQR 0.4")
+
+
+def test_checkouts_at_one_commit_id_stop_the_tool_before_the_first_run(
+        bench_pairs, tmp_path, monkeypatch):
+    # both records would go to one BENCH_<sha>_<workload>.json
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        (checkout / "src").mkdir(parents=True)
+    (change / "BENCHMARK.json").write_text(
+        '{"run_seconds": 1, "end_to_end": []}')
+
+    def run_once(*args):
+        raise AssertionError("a pair ran")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "commit_id",
+                        lambda checkout: "2766bb7-dirty")
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                          "--output-dir", str(tmp_path)])
+    assert str(stop.value) == (
+        "parent %s and change %s are both at 2766bb7-dirty: the change's "
+        "record would overwrite the parent's" % (parent, change))
+    assert sorted(os.listdir(tmp_path)) == ["change", "parent"]
+
+
 def test_a_bytecode_cache_stops_the_tool_before_the_first_run(
         bench_pairs, tmp_path, monkeypatch):
     parent, change = tmp_path / "parent", tmp_path / "change"

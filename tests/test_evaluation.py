@@ -654,14 +654,34 @@ class TestSigTest:
                 counts_y[sid] = (correct, gold, attempted)
             cases.append((counts_x, counts_y,
                           rng.choice([1, rng.randint(1, 2 ** min(n, 11) - 1)])))
+        by_numpy = []
         for counts_x, counts_y, iterations in cases:
             results = []
             for limit in (-1, 1 << 62):
                 monkeypatch.setattr(evaluation, "_PURE_DRAWS", limit)
                 results.append(sig_test(counts_x, counts_y, iterations, seed))
-            by_numpy, by_python = results
-            assert not by_numpy.exhaustive
-            assert by_python == by_numpy, (counts_x, counts_y, iterations)
+            assert not results[0].exhaustive
+            assert results[1] == results[0], (counts_x, counts_y, iterations)
+            by_numpy.append(results[0])
+        # one memo for all the cases, in another order: a column drawn for
+        # one case is reused by every later case of the same n and
+        # iterations
+        requested, swap_columns = [], evaluation._swap_columns
+
+        def counted(drawn, columns, n, iterations, seed):
+            requested.extend((seed, n, iterations, col) for col in columns)
+            return swap_columns(drawn, columns, n, iterations, seed)
+
+        monkeypatch.setattr(evaluation, "_swap_columns", counted)
+        drawn = {}
+        order = list(range(len(cases)))
+        rng.shuffle(order)
+        for case in order:
+            counts_x, counts_y, iterations = cases[case]
+            assert (sig_test(counts_x, counts_y, iterations, seed,
+                             drawn=drawn) == by_numpy[case]), cases[case]
+        assert set(requested) == set(drawn)
+        assert len(requested) > len(drawn)          # some were reused
 
     def test_exhaustive_exactly_when_patterns_fit_budget(self):
         counts_x, counts_y = _random_counts(random.Random(4), 4)

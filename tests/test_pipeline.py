@@ -128,6 +128,42 @@ def test_no_tree_of_the_run_is_alive_when_sig_test_runs(
     assert seen == [before]
 
 
+def test_run_draws_each_swap_column_once(tmp_path, data_dir, configs_dir,
+                                        monkeypatch):
+    # rec4's four tests differ in 4, 5, 6 and 1 of the 15 test sentences,
+    # 6 in all: a run draws those 6 columns of 10,000 swaps once each, not
+    # 16, and the next run starts with none of them
+    seen, requested = [], []
+    real_sig_test, swap_columns = evaluation.sig_test, evaluation._swap_columns
+
+    def sig_test(*args, drawn, **kwargs):
+        seen.append((drawn, len(drawn)))
+        return real_sig_test(*args, drawn=drawn, **kwargs)
+
+    def counted(drawn, columns, *args):
+        requested.append(len(columns))
+        return swap_columns(drawn, columns, *args)
+
+    monkeypatch.setattr(evaluation, "sig_test", sig_test)
+    monkeypatch.setattr(evaluation, "_swap_columns", counted)
+    config = read_config([os.path.join(configs_dir, "base.cfg"),
+                          os.path.join(configs_dir, "rec4.cfg")])
+    config.treebank = os.path.join(data_dir, "treebank.txt")
+    config.lexicon = os.path.join(data_dir, "lexicon.tsv")
+    for run in ("first", "second"):
+        config.output = str(tmp_path / run)
+        run_pipeline(config)
+    assert requested == [4, 5, 6, 1] * 2
+    first, second = seen[:4], seen[4:]
+    for calls in (first, second):
+        drawn = calls[0][0]
+        assert [memo is drawn for memo, _ in calls] == [True] * 4
+        assert calls[0][1] == 0
+        assert len(drawn) == 6
+        assert {len(bits) for bits in drawn.values()} == {10000}
+    assert first[0][0] is not second[0][0]
+
+
 def test_empty_dev_split_writes_every_artifact_but_its_treebank(
         tmp_path, data_dir, configs_dir):
     layer = tmp_path / "nodev.cfg"

@@ -10,8 +10,8 @@ For each seed it runs ``perfbench/run.py --workload W --seed N --trace 0``
 once in each checkout, one process at a time.  The side that goes first
 alternates from seed to seed, so a drift in host speed falls on both sides
 alike.  It then writes ``BENCH_<sha>_<workload>.json`` for each side, <sha>
-being the checkout's short commit id (with ``-dirty`` if its tree has
-uncommitted changes).  Each file holds the final JSON line of every seed's
+being the checkout's short commit id before the first pair (with ``-dirty``
+if its tree has uncommitted changes).  Each file holds the final JSON line of every seed's
 run, the operations attempted and failed over all seeds, the median and
 quartiles over the seeds of each metric, and for each end-to-end metric the
 number of pairs in which that side reads better than the other (ties count
@@ -21,7 +21,10 @@ For each end-to-end metric it then prints the change's median as a signed
 percentage of the parent's, next to the metric's bound, and whether a gain
 could be claimed: over at least ten pairs, the change wins at least 9 in
 10 of them and its median is better than the parent's by more than the
-parent's interquartile range.
+parent's interquartile range.  A claim that fails names the first of these
+conditions it misses, with its numbers.
+Two checkouts at the same commit id would write one file, so the tool
+stops before the first pair when they are.
 --seconds defaults to ``run_seconds`` of the change's BENCHMARK.json.
 
 Both sides run in one bytecode regime: every run has
@@ -112,11 +115,23 @@ def claim_holds(parent, change, name, better):
     two summary() records: they hold at least CLAIM_PAIRS pairs, the change
     wins at least 9 in 10 of them, and its median is better than the
     parent's by more than the distance between the parent's quartiles."""
+    return claim_shortfall(parent, change, name, better) is None
+
+
+def claim_shortfall(parent, change, name, better):
+    """The first condition of claim_holds that the two summary() records
+    fail on metric `name`, with its numbers; None when all three hold."""
+    pairs, wins = len(change["runs"]), change["wins"][name]
     first, third = parent["quartiles"][name]
     gap = SIGN[better] * (change["median"][name] - parent["median"][name])
-    pairs = len(change["runs"])
-    return (pairs >= CLAIM_PAIRS and 10 * change["wins"][name] >= 9 * pairs
-            and gap > third - first)
+    if pairs < CLAIM_PAIRS:
+        return "%d pairs, fewer than %d" % (pairs, CLAIM_PAIRS)
+    if 10 * wins < 9 * pairs:
+        return "better in %d of %d pairs, fewer than 9 in 10" % (wins, pairs)
+    if gap <= third - first:
+        return ("median better by %.4g, not more than the parent's "
+                "IQR %.4g" % (gap, third - first))
+    return None
 
 
 def main(argv=None):
@@ -144,6 +159,11 @@ def main(argv=None):
     if caches:
         raise SystemExit("bytecode cache %s: delete it, so that both sides "
                          "start without one" % caches[0])
+    shas = {side: commit_id(checkout) for side, checkout in sides.items()}
+    if shas["parent"] == shas["change"]:
+        raise SystemExit("parent %s and change %s are both at %s: the "
+                         "change's record would overwrite the parent's"
+                         % (args.parent, args.change, shas["parent"]))
     runs = {side: [] for side in sides}
     for index, seed in enumerate(seeds):
         order = ["parent", "change"]
@@ -158,11 +178,10 @@ def main(argv=None):
                     in sorted(result["metrics"].items()))), file=sys.stderr)
     records = {}
     for side, rival in (("parent", "change"), ("change", "parent")):
-        sha = commit_id(sides[side])
-        records[side] = summary(sha, args.workload, seconds, runs[side],
-                                runs[rival], better)
+        records[side] = summary(shas[side], args.workload, seconds,
+                                runs[side], runs[rival], better)
         path = os.path.join(args.output_dir,
-                            "BENCH_%s_%s.json" % (sha, args.workload))
+                            "BENCH_%s_%s.json" % (shas[side], args.workload))
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(records[side], handle, indent=1, sort_keys=True)
             handle.write("\n")
@@ -177,12 +196,12 @@ def main(argv=None):
               file=sys.stderr)
     for name, metric in metrics.items():
         base = parent["median"][name]
+        shortfall = claim_shortfall(parent, change, name, metric["better"])
         print("%s: change %+.2f%% of the parent's median (bound %g%%), "
               "gain claim %s" % (
                   name, 100.0 * (change["median"][name] - base) / base,
                   100.0 * metric["bound"],
-                  "holds" if claim_holds(parent, change, name,
-                                         metric["better"]) else "fails"),
+                  "holds" if shortfall is None else "fails: " + shortfall),
               file=sys.stderr)
     return 0
 

@@ -9,10 +9,15 @@ route), for both gold-sibling and fully-collapsed test data.  Against the
 original gold standard it evaluates the three model-combination schemes.
 Each corpus stage is one function shared with the subcommands, every
 artifact is written in the formats they consume, and the whole run is a
-pure function of the configuration and input files.  `run_pipeline`
-checks its output path first and writes its artifacts only after every
-stage has succeeded, so a failed run writes no file; it does not remove
-stale files of an earlier run.
+pure function of the configuration and input files.
+
+`run_pipeline` writes exactly the files of ARTIFACTS.  Before any work it
+stops if the output path cannot be a directory, or if it holds any file
+of another name.  It writes into a new staging directory beside the
+output and, once every stage has succeeded, swaps that in for the output,
+so no file of an earlier run outlives it.  A run that fails, or is
+interrupted, removes the staging directory and leaves the output as it
+was.  It removes no file but those of ARTIFACTS.
 
 No derivation tree outlives its sentence: `split` and `collapse` iterate
 split_records and collapse_corpus, which yield per sentence, and keep each
@@ -20,17 +25,19 @@ sentence's rendered text, as `run` does.  `run` holds each edge once:
 
 * one pass over the treebank: each sentence is split, recognized, its
   gold dependencies extracted and collapsed, as the subcommands would,
-  and its trees counted for models A and B and rendered to the treebank
-  files' text.  It leaves its occurrences and kept MWEs, and a test
-  sentence its tokens and gold dependencies.
+  and its trees counted for models A and B.  Its treebank text and
+  occurrences are written to the staging directory as it goes.  A test
+  sentence leaves its tokens, occurrences, kept MWEs and gold
+  dependencies; every other sentence only its counts.
 * parse passes: each model's memo keeps a token sequence's dependencies
   or failure, not its tree.  Parse-a collapses each tree as it is built,
   and a parsed edge equal to one of its pass's gold is that gold object.
-* combination, scoring and significance tests: dependencies, per-sentence
-  counts, tokens, occurrences, the models and the file text.  An edge
-  that collapsing or combining leaves in place is the object it came
-  from, and the combination makes one pass per occurrence set for all
-  three schemes.
+* combination and scoring: dependencies, tokens, occurrences and the
+  models.  An edge that collapsing or combining leaves in place is the
+  object it came from, and the combination makes one pass per occurrence
+  set for all three schemes.  Every artifact but report.tsv and
+  summary.txt is then written, and its data let go.
+* significance tests: the per-sentence counts of the score rows alone.
 
 At module level this imports only treebank and recognition, which the
 configuration and split need.  Each corpus stage imports the stage module
@@ -42,7 +49,7 @@ from __future__ import annotations
 
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from functools import partial
 
 from . import recognition, treebank
@@ -377,59 +384,187 @@ def _parse_passes(model_a, model_b, test, gold_test, full_test, occurrences,
     return outputs, failures_a, failures_b
 
 
+# every file that run writes to its output directory; treebank_dev.txt only
+# when the dev split holds a sentence
+ARTIFACTS = (
+    "treebank_b.txt", "treebank_train.txt", "treebank_dev.txt",
+    "treebank_test.txt", "occurrences.tsv", "tokens_test.txt",
+    "tokens_test_collapsed.txt", "tokens_test_fully_collapsed.txt",
+    "model_a.tsv", "model_b.tsv", "gold_a.deps", "gold_b.deps",
+    "gold_b_full.deps", "out_a.deps", "out_b.deps", "out_a_before.deps",
+    "out_a_after.deps", "out_a_full_before.deps", "out_a_full_after.deps",
+    "out_b_full.deps", "combined_medFromA.deps", "combined_rightmostMed.deps",
+    "combined_leftmostMed.deps", "combined_full_medFromA.deps",
+    "combined_full_rightmostMed.deps", "combined_full_leftmostMed.deps",
+    "counts_training-effect_x.tsv", "counts_training-effect_y.tsv",
+    "counts_parsing-effect_x.tsv", "counts_parsing-effect_y.tsv",
+    "counts_parsing-effect-full_x.tsv", "counts_parsing-effect-full_y.tsv",
+    "counts_combination-medFromA_x.tsv", "counts_combination-medFromA_y.tsv",
+    "report.tsv", "summary.txt")
+
+
 def run_pipeline(config):
-    """Run the full experiment, then write every artifact to config.output;
-    nothing is written unless every stage succeeds.  Returns the score rows,
-    the stats, the significance rows and the summary text."""
-    from . import collapse as collapsing
-    from . import evaluation, parser
-    existing = os.path.abspath(config.output)   # can it become a directory?
+    """Run the full experiment into a staging directory beside
+    config.output, then swap it in for the output: a run that fails, or is
+    interrupted, leaves the output as it was.  Returns the score rows, the
+    stats, the significance rows and the summary text."""
+    from . import evaluation
+    output = _claimed_output(config.output)
+    made = []           # the directories above the output that the run makes
+    above = os.path.dirname(output)
+    while not os.path.exists(above):
+        made.append(above)
+        above = os.path.dirname(above)
+    staging = None
+    try:
+        os.makedirs(os.path.dirname(output), exist_ok=True)
+        staging = _staging_dir(output)
+        rows, stats, tests = _run_stages(config, staging)
+        # every other artifact is written, and its data let go: numpy, if a
+        # test loads it, lands on a heap that holds little but the counts
+        drawn = {}      # the swap columns the four tests share
+        sig_rows = [(name, evaluation.sig_test(
+            counts_x, counts_y, iterations=config.iterations,
+            seed=config.seed, drawn=drawn))
+            for name, counts_x, counts_y in tests]
+        summary = _summary(config, rows, stats, sig_rows)
+        treebank.write_text(os.path.join(staging, "report.tsv"),
+                            [_report(rows, stats, sig_rows)])
+        treebank.write_text(os.path.join(staging, "summary.txt"), [summary])
+        _swap_in(staging, output)
+    except BaseException:
+        if staging is not None:
+            _discard(staging)
+        for directory in made:
+            with suppress(OSError):
+                os.rmdir(directory)
+        raise
+    return {"rows": rows, "stats": stats, "significance": sig_rows,
+            "summary": summary}
+
+
+def _claimed_output(path):
+    """The real path of the output directory `path`.  PipelineError unless
+    it can be a directory and holds nothing but files of ARTIFACTS."""
+    existing = os.path.abspath(path)
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)
     if not os.path.isdir(existing):
         raise PipelineError("run", "output %s: %s is not a directory"
-                            % (config.output, existing))
+                            % (path, existing))
+    output = os.path.realpath(path)
+    if os.path.isdir(output):
+        for name in sorted(os.listdir(output)):
+            if (name not in ARTIFACTS
+                    or os.path.isdir(os.path.join(output, name))):
+                raise PipelineError("run", "output %s holds %s, which run "
+                                    "does not write" % (path, name))
+    return output
+
+
+def _staging_dir(output):
+    """A new empty directory beside `output`, named after it."""
+    head, name = os.path.split(output)
+    attempt = 0
+    while True:
+        staging = os.path.join(head, ".%s.staging-%d-%d"
+                               % (name, os.getpid(), attempt))
+        try:
+            os.mkdir(staging)
+            return staging
+        except FileExistsError:
+            attempt += 1
+
+
+def _swap_in(staging, output):
+    """Rename `staging` to `output`.  A previous run's output there is
+    moved aside first, moved back if the rename fails, and removed after."""
+    if not os.path.isdir(output):
+        os.rename(staging, output)
+        return
+    retired = staging + ".old"
+    os.rename(output, retired)
+    try:
+        os.rename(staging, output)
+    except BaseException:
+        os.rename(retired, output)
+        raise
+    _discard(retired)
+
+
+def _discard(directory):
+    """Remove the files of ARTIFACTS in `directory`, then the directory if
+    that empties it: a file of another name, and its directory, stay."""
+    for name in ARTIFACTS:
+        with suppress(FileNotFoundError):
+            os.remove(os.path.join(directory, name))
+    with suppress(OSError):
+        os.rmdir(directory)
+
+
+def _run_stages(config, staging):
+    """Run every stage but the significance tests, and write each artifact
+    but report.tsv and summary.txt into `staging`.  Returns the score rows,
+    the stats and, per significance test, its name and the per-sentence
+    counts of X and Y: nothing that holds an edge, a tree or a model."""
+    from . import collapse as collapsing
+    from . import evaluation, parser
     with _stage("load"):
         lexicon = treebank.read_lexicon(config.lexicon)
     training_a, training_b = parser.Training(), parser.Training()
 
     # one pass over the treebank (see the module docstring)
-    occurrences, kept, texts = {}, {}, {"treebank_b.txt": []}
+    occurrences, kept = {}, {}                  # of the test sentences
     test, gold_test, full_test = {}, {}, {}     # original, gold B, full
     dependencies = {"gold_a": {}, "gold_b": {}, "gold_b_full": {}}
-    cycles = 0
-    for split, record in split_records(
-            _loading(treebank.iter_treebank(config.treebank)),
-            config.train, config.dev, config.test):
-        sid = record.sid
-        occs = occurrences[sid] = recognition.recognize(
-            lexicon, record.tokens, config.recognizer)
-        gold = parser.extract_dependencies(record.tree)
-        collapsed = collapse_record(record, occs, gold)
-        kept[sid] = collapsed.outcome.kept
-        cycles += collapsed.cycles
-        texts["treebank_b.txt"].append(
-            treebank.render_treebank([collapsed.record]))
-        if split is not None:
-            texts.setdefault("treebank_%s.txt" % split, []).append(
-                treebank.render_treebank([record]))
-        if split == "train":
-            training_a.add(record.tree)
-            training_b.add(collapsed.record.tree)
-        elif split == "test":
-            test[sid], gold_test[sid] = record.tokens, collapsed.record.tokens
-            full_test[sid] = collapsing.collapse_tokens(record.tokens, occs)
-            dependencies["gold_a"][sid] = gold
-            dependencies["gold_b"][sid] = collapsed.deps
-            dependencies["gold_b_full"][sid] = \
-                collapsing.collapse_all_dependencies(gold, occs)
-    del lexicon, record, collapsed      # the last sentence's trees
+    mwe_total = sibling_total = cycles = 0
+    with ExitStack() as files:
+        handles = {}    # artifact name -> the file the pass writes it to
+
+        def stream(name, text):
+            if name not in handles:
+                handles[name] = files.enter_context(open(
+                    os.path.join(staging, name), "w", encoding="utf-8"))
+            handles[name].write(text)
+
+        for split, record in split_records(
+                _loading(treebank.iter_treebank(config.treebank)),
+                config.train, config.dev, config.test):
+            sid = record.sid
+            occs = recognition.recognize(lexicon, record.tokens,
+                                         config.recognizer)
+            stream("occurrences.tsv", treebank.render_occurrences(sid, occs))
+            gold = parser.extract_dependencies(record.tree)
+            collapsed = collapse_record(record, occs, gold)
+            mwe_total += len(occs)
+            sibling_total += len(collapsed.outcome.kept)
+            cycles += collapsed.cycles
+            stream("treebank_b.txt",
+                   treebank.render_treebank([collapsed.record]))
+            if split is not None:
+                stream("treebank_%s.txt" % split,
+                       treebank.render_treebank([record]))
+            if split == "train":
+                training_a.add(record.tree)
+                training_b.add(collapsed.record.tree)
+            elif split == "test":
+                occurrences[sid], kept[sid] = occs, collapsed.outcome.kept
+                test[sid] = record.tokens
+                gold_test[sid] = collapsed.record.tokens
+                full_test[sid] = collapsing.collapse_tokens(record.tokens,
+                                                            occs)
+                dependencies["gold_a"][sid] = gold
+                dependencies["gold_b"][sid] = collapsed.deps
+                dependencies["gold_b_full"][sid] = \
+                    collapsing.collapse_all_dependencies(gold, occs)
+        del lexicon, record, collapsed      # the last sentence's trees
 
     # model A on original tokens, model B on the collapsed treebank
     with _stage("train-a"):
         model_a = training_a.model(config.smoothing)
     with _stage("train-b"):
         model_b = training_b.model(config.smoothing)
+    del training_a, training_b
     outputs, failures_a, failures_b = _parse_passes(
         model_a, model_b, test, gold_test, full_test, occurrences,
         dependencies)
@@ -466,7 +601,6 @@ def run_pipeline(config):
         rows = [(gold_name, section, system,
                  evaluation.score(dependencies[name], keys[gold_name]))
                 for gold_name, section, system, name in systems]
-        del keys        # freed before sig_test imports numpy, where run peaks
     reports = {(section, system): report for _, section, system, report in rows}
 
     # significance tests of X against Y, each named by its (section, system)
@@ -479,14 +613,6 @@ def run_pipeline(config):
          ("fully-collapsed", "A-after-parsing")),
         ("combination-medFromA", ("combination", "A+B medFromA"),
          ("baseline", "A"))]
-    drawn = {}      # the swap columns the four tests share
-    sig_rows = [(name, evaluation.sig_test(
-        reports[x].per_sentence, reports[y].per_sentence,
-        iterations=config.iterations, seed=config.seed, drawn=drawn))
-        for name, x, y in pairs]
-
-    sibling_total = sum(map(len, kept.values()))
-    mwe_total = sum(map(len, occurrences.values()))
     stats = {
         "mwe_count": mwe_total,
         "sibling_count": sibling_total,
@@ -495,13 +621,8 @@ def run_pipeline(config):
         "parse_failures_a": failures_a,
         "parse_failures_b": failures_b,
     }
-    summary = _summary(config, rows, stats, sig_rows)
 
-    # every stage succeeded: write the artifacts
-    artifacts = [(treebank.write_text, name, text)
-                 for name, text in texts.items()]
-    artifacts += [
-        (treebank.write_occurrences, "occurrences.tsv", occurrences),
+    artifacts = [
         (treebank.write_tokens, "tokens_test.txt", test.values()),
         (treebank.write_tokens, "tokens_test_collapsed.txt",
          gold_test.values()),
@@ -514,14 +635,10 @@ def run_pipeline(config):
     artifacts += [(treebank.write_counts, "counts_%s_%s.tsv" % (name, side),
                    reports[row].per_sentence)
                   for name, x, y in pairs for side, row in (("x", x), ("y", y))]
-    artifacts += [(treebank.write_text, "report.tsv",
-                   [_report(rows, stats, sig_rows)]),
-                  (treebank.write_text, "summary.txt", [summary])]
-    os.makedirs(config.output, exist_ok=True)
     for write, name, value in artifacts:
-        write(os.path.join(config.output, name), value)
-    return {"rows": rows, "stats": stats, "significance": sig_rows,
-            "summary": summary}
+        write(os.path.join(staging, name), value)
+    return rows, stats, [(name, reports[x].per_sentence,
+                          reports[y].per_sentence) for name, x, y in pairs]
 
 
 def _report(rows, stats, sig_rows):

@@ -502,14 +502,18 @@ def read_occurrences(path):
     return out
 
 
+def render_occurrences(sid, occurrences):
+    """The occurrence file text of one sentence's occurrences, one line
+    per occurrence."""
+    return "".join(["%s\t%s\t%s\t%s\n"
+                    % (sid, ",".join(str(i) for i in occ.indices),
+                       occ.joined, occ.kind) for occ in occurrences])
+
+
 def write_occurrences(path, corpus):
     """Write {sentence id: [MweOccurrence]}, one line per occurrence."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for sid, occs in corpus.items():
-            for occ in occs:
-                handle.write("%s\t%s\t%s\t%s\n"
-                             % (sid, ",".join(str(i) for i in occ.indices),
-                                occ.joined, occ.kind))
+    write_text(path, (render_occurrences(sid, occs)
+                      for sid, occs in corpus.items()))
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ import os
 import pytest
 
 from ccgmwe.cli import main
+from ccgmwe.pipeline import ARTIFACTS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -48,6 +49,8 @@ def test_run_artifacts_match_reference(preset, tmp_path, monkeypatch):
                 in REFERENCE[bench.ShippedPresets.name][preset].items()
                 if name.startswith("out/")}
     assert len(expected) == 36
+    # run writes the names of its artifact table, each pinned here
+    assert set(expected) == {"out/" + name for name in ARTIFACTS}
     assert bench.compare(found, expected) == []
 
 
@@ -72,4 +75,6 @@ def test_scaled_experiment_artifacts_match_reference(tmp_path, monkeypatch):
     expected = {name: digest for name, digest in reference["ops"]["op"].items()
                 if not name.startswith("stdout_")}
     assert len(expected) == 35
+    assert set(expected) == {"out/" + name for name in ARTIFACTS
+                             if name != "treebank_dev.txt"}
     assert bench.compare(found, expected) == []

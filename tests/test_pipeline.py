@@ -8,10 +8,10 @@ import pytest
 
 from ccgmwe import evaluation, parser, recognition, treebank
 from ccgmwe.cli import main
-from ccgmwe.pipeline import (collapse_record, parse_corpus, read_config,
-                             run_pipeline)
+from ccgmwe.pipeline import (ARTIFACTS, collapse_record, parse_corpus,
+                             read_config, run_pipeline)
 from ccgmwe.recognition import PRESETS, recognize
-from ccgmwe.treebank import DerivationTree, leaves
+from ccgmwe.treebank import DerivationTree, Dependency, leaves
 
 # records the artifact digests of each shipped-preset run under out/<name>
 REFERENCE = os.path.join(os.path.dirname(os.path.dirname(
@@ -126,6 +126,112 @@ def test_no_tree_of_the_run_is_alive_when_sig_test_runs(
     before = trees()
     run_pipeline(config)
     assert seen == [before]
+
+
+def test_no_edge_of_the_run_is_alive_when_sig_test_runs(
+        tmp_path, data_dir, configs_dir, monkeypatch):
+    # run writes every artifact but report and summary before its first
+    # significance test, and lets their data go: numpy, where a test loads
+    # it, then lands on a heap that holds no edge of the run
+    def edges():
+        return sum(type(obj) is Dependency for obj in gc.get_objects())
+
+    seen = []
+    real_sig_test = evaluation.sig_test
+
+    def sig_test(*args, **kwargs):
+        if not seen:
+            seen.append(edges())
+        return real_sig_test(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "sig_test", sig_test)
+    config = read_config([os.path.join(configs_dir, "base.cfg"),
+                          os.path.join(configs_dir, "rec1.cfg")])
+    config.treebank = os.path.join(data_dir, "treebank.txt")
+    config.lexicon = os.path.join(data_dir, "lexicon.tsv")
+    config.output = str(tmp_path / "out")
+    gc.collect()
+    before = edges()
+    run_pipeline(config)
+    assert seen == [before]
+
+
+def _run_argv(tmp_path, data_dir, configs_dir, extra=""):
+    """`ccgmwe run` argv of rec1 on the shipped corpus into tmp_path/out,
+    its configuration layer written to tmp_path/run.cfg."""
+    layer = tmp_path / "run.cfg"
+    layer.write_text("treebank = %s\nlexicon = %s\noutput = %s\n%s"
+                     % (os.path.join(data_dir, "treebank.txt"),
+                        os.path.join(data_dir, "lexicon.tsv"),
+                        tmp_path / "out", extra))
+    return ["run", "--config", os.path.join(configs_dir, "base.cfg"),
+            "--config", os.path.join(configs_dir, "rec1.cfg"),
+            "--config", str(layer)]
+
+
+def _contents(directory):
+    return {name: (directory / name).read_bytes()
+            for name in os.listdir(directory)}
+
+
+def test_emptied_dev_split_leaves_no_stale_dev_treebank(tmp_path, data_dir,
+                                                        configs_dir):
+    # the second run writes no treebank_dev.txt, and the first run's goes
+    assert main(_run_argv(tmp_path, data_dir, configs_dir)) == 0
+    out = tmp_path / "out"
+    assert sorted(os.listdir(out)) == sorted(ARTIFACTS)
+    assert main(_run_argv(tmp_path, data_dir, configs_dir, "dev =\n")) == 0
+    assert sorted(os.listdir(out)) == sorted(
+        set(ARTIFACTS) - {"treebank_dev.txt"})
+    assert sorted(os.listdir(tmp_path)) == ["out", "run.cfg"]
+
+
+@pytest.mark.parametrize("failure", [OSError, KeyboardInterrupt])
+def test_failed_run_leaves_the_previous_output_as_it_was(
+        failure, tmp_path, data_dir, configs_dir, monkeypatch, capsys):
+    # the artifacts written before the significance tests go to the staging
+    # directory, which the failure removes
+    argv = _run_argv(tmp_path, data_dir, configs_dir)
+    assert main(argv) == 0
+    out = tmp_path / "out"
+    before = _contents(out)
+    capsys.readouterr()
+
+    def sig_test(*args, **kwargs):
+        raise failure("injected failure")
+
+    monkeypatch.setattr(evaluation, "sig_test", sig_test)
+    if failure is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error [run] injected failure\n"
+    assert _contents(out) == before
+    assert sorted(os.listdir(tmp_path)) == ["out", "run.cfg"]
+
+
+def test_foreign_file_in_the_output_stops_run_before_any_work(
+        tmp_path, data_dir, configs_dir, monkeypatch, capsys):
+    # a file named in ARTIFACTS, as an earlier run leaves it, is no reason
+    # to stop; any other is, and run names it and writes nothing
+    def iter_treebank(path):
+        pytest.fail("read the treebank with a foreign file in the output")
+
+    monkeypatch.setattr(treebank, "iter_treebank", iter_treebank)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine\n")
+    (out / "report.tsv").write_text("an earlier run's\n")
+    argv = _run_argv(tmp_path, data_dir, configs_dir)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error [run] output %s holds notes.txt, which "
+                            "run does not write\n" % out)
+    assert captured.out == ""
+    assert _contents(out) == {"notes.txt": b"mine\n",
+                              "report.tsv": b"an earlier run's\n"}
+    assert sorted(os.listdir(tmp_path)) == ["out", "run.cfg"]
 
 
 def test_run_draws_each_swap_column_once(tmp_path, data_dir, configs_dir,

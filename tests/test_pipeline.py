@@ -211,6 +211,22 @@ def test_failed_run_leaves_the_previous_output_as_it_was(
     assert sorted(os.listdir(tmp_path)) == ["out", "run.cfg"]
 
 
+def test_failed_run_removes_the_directories_it_made_for_its_output(
+        tmp_path, data_dir, configs_dir, monkeypatch):
+    def sig_test(*args, **kwargs):
+        raise OSError("injected failure")
+
+    monkeypatch.setattr(evaluation, "sig_test", sig_test)
+    config = read_config([os.path.join(configs_dir, "base.cfg"),
+                          os.path.join(configs_dir, "rec1.cfg")])
+    config.treebank = os.path.join(data_dir, "treebank.txt")
+    config.lexicon = os.path.join(data_dir, "lexicon.tsv")
+    config.output = str(tmp_path / "new" / "below" / "out")
+    with pytest.raises(OSError):
+        run_pipeline(config)
+    assert os.listdir(tmp_path) == []
+
+
 def test_foreign_file_in_the_output_stops_run_before_any_work(
         tmp_path, data_dir, configs_dir, monkeypatch, capsys):
     # a file named in ARTIFACTS, as an earlier run leaves it, is no reason

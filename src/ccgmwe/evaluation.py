@@ -27,6 +27,7 @@ stream, so a sentence that several of them test is drawn once.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
 
 from .categories import arity, render
 from .records import Record
@@ -310,31 +311,16 @@ def _sampled_shifts(deltas, n, iterations, seed, drawn):
     numpy.random.default_rng(seed).random((iterations, n)) < 0.5, row r
     swapping the sentences its true cells name.  `deltas` maps the column
     of each sentence whose swap moves the totals to the shift it adds;
-    only those columns are drawn, or taken from `drawn`.
-
-    The columns are packed eight to a byte per row, so a row's swap pattern
-    is one byte per eight columns, and each byte's shift is read from a
-    table of that byte's 256 values."""
+    only those columns are drawn, or taken from `drawn`."""
     columns = sorted(deltas)
-    bits = _swap_columns(drawn, columns, n, iterations, seed)
-    packed, tables = [], []
-    for first in range(0, len(columns), 8):
-        # bit k of byte r is row r's bit of the group's k-th column
-        value, table = 0, [(0, 0)]
-        for k, col in enumerate(columns[first:first + 8]):
-            value |= int.from_bytes(bits[first + k], "big") << k
-            d_correct, d_denom = deltas[col]
-            table += [(c + d_correct, d + d_denom) for c, d in table]
-        packed.append(value.to_bytes(iterations, "big"))
-        tables.append(table)
+    patterns = Counter(zip(*_swap_columns(drawn, columns, n, iterations,
+                                          seed)))
+    d_correct = [deltas[col][0] for col in columns]
+    d_denom = [deltas[col][1] for col in columns]
     shifts = Counter()
-    for pattern, rows in (Counter(zip(*packed)) or {(): iterations}).items():
-        shift_correct = shift_denom = 0
-        for table, byte in zip(tables, pattern):
-            d_correct, d_denom = table[byte]
-            shift_correct += d_correct
-            shift_denom += d_denom
-        shifts[shift_correct, shift_denom] += rows
+    for pattern, rows in (patterns or {(): iterations}).items():
+        shifts[sum(compress(d_correct, pattern)),
+               sum(compress(d_denom, pattern))] += rows
     return shifts
 
 

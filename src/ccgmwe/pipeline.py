@@ -12,12 +12,15 @@ artifact is written in the formats they consume, and the whole run is a
 pure function of the configuration and input files.
 
 `run_pipeline` writes exactly the files of ARTIFACTS.  Before any work it
-stops if the output path cannot be a directory, or if it holds any file
-of another name.  It writes into a new staging directory beside the
-output and, once every stage has succeeded, swaps that in for the output,
-so no file of an earlier run outlives it.  A run that fails, or is
-interrupted, removes the staging directory and leaves the output as it
-was.  It removes no file but those of ARTIFACTS.
+stops if the output path cannot be a directory, if it is one that cannot
+be renamed (a mount point, or one in a parent it cannot write), or if it
+holds any file of another name.  It writes into a new staging directory
+beside the output, with the output's permissions, and, once every stage
+has succeeded, swaps that in for the output, so no file of an earlier run
+outlives it.  A run that fails, or is interrupted, removes the staging
+directory and leaves the output as it was.  It removes no file but those
+of ARTIFACTS: a file that comes into the output during the run stays in
+the old output, renamed aside, and the run fails naming it.
 
 No derivation tree outlives its sentence: `split` and `collapse` iterate
 split_records and collapse_corpus, which yield per sentence, and keep each
@@ -48,7 +51,9 @@ subcommand loads the modules of its own stage and no others.
 from __future__ import annotations
 
 import os
+import shutil
 import sys
+import tempfile
 from contextlib import ExitStack, contextmanager, suppress
 from functools import partial
 
@@ -431,7 +436,7 @@ def run_pipeline(config):
         treebank.write_text(os.path.join(staging, "report.tsv"),
                             [_report(rows, stats, sig_rows)])
         treebank.write_text(os.path.join(staging, "summary.txt"), [summary])
-        _swap_in(staging, output)
+        retired = _swap_in(staging, output)
     except BaseException:
         if staging is not None:
             _discard(staging)
@@ -439,13 +444,20 @@ def run_pipeline(config):
             with suppress(OSError):
                 os.rmdir(directory)
         raise
+    if retired is not None:
+        raise PipelineError("run", "output %s holds this run's artifacts, but "
+                            "%s, which run does not write, came into it "
+                            "during the run and is now in %s"
+                            % (config.output, ", ".join(retired[1]),
+                               retired[0]))
     return {"rows": rows, "stats": stats, "significance": sig_rows,
             "summary": summary}
 
 
 def _claimed_output(path):
     """The real path of the output directory `path`.  PipelineError unless
-    it can be a directory and holds nothing but files of ARTIFACTS."""
+    it can be a directory that run can replace, and holds nothing but files
+    of ARTIFACTS."""
     existing = os.path.abspath(path)
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)
@@ -454,6 +466,13 @@ def _claimed_output(path):
                             % (path, existing))
     output = os.path.realpath(path)
     if os.path.isdir(output):
+        # run replaces the output by renaming it aside
+        if os.path.ismount(output):
+            raise PipelineError("run", "output %s is a mount point, which run "
+                                "cannot replace" % path)
+        if not os.access(os.path.dirname(output), os.W_OK | os.X_OK):
+            raise PipelineError("run", "output %s cannot be replaced: its "
+                                "parent directory is not writable" % path)
         for name in sorted(os.listdir(output)):
             if (name not in ARTIFACTS
                     or os.path.isdir(os.path.join(output, name))):
@@ -463,25 +482,27 @@ def _claimed_output(path):
 
 
 def _staging_dir(output):
-    """A new empty directory beside `output`, named after it."""
+    """A new empty directory beside `output`, named after it, with the
+    permissions of `output` if that exists, else those of a new directory."""
     head, name = os.path.split(output)
-    attempt = 0
-    while True:
-        staging = os.path.join(head, ".%s.staging-%d-%d"
-                               % (name, os.getpid(), attempt))
-        try:
-            os.mkdir(staging)
-            return staging
-        except FileExistsError:
-            attempt += 1
+    staging = tempfile.mkdtemp(prefix=".%s.staging-" % name, dir=head)
+    if os.path.isdir(output):
+        shutil.copystat(output, staging)
+    else:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(staging, 0o777 & ~umask)
+    return staging
 
 
 def _swap_in(staging, output):
     """Rename `staging` to `output`.  A previous run's output there is
-    moved aside first, moved back if the rename fails, and removed after."""
+    moved aside first, moved back if the rename fails, and removed after.
+    Returns None, or the path it was moved to and the names of the files
+    of another name left there, which came into it during the run."""
     if not os.path.isdir(output):
         os.rename(staging, output)
-        return
+        return None
     retired = staging + ".old"
     os.rename(output, retired)
     try:
@@ -490,13 +511,16 @@ def _swap_in(staging, output):
         os.rename(retired, output)
         raise
     _discard(retired)
+    if os.path.isdir(retired):
+        return retired, sorted(os.listdir(retired))
+    return None
 
 
 def _discard(directory):
     """Remove the files of ARTIFACTS in `directory`, then the directory if
     that empties it: a file of another name, and its directory, stay."""
     for name in ARTIFACTS:
-        with suppress(FileNotFoundError):
+        with suppress(FileNotFoundError, IsADirectoryError):
             os.remove(os.path.join(directory, name))
     with suppress(OSError):
         os.rmdir(directory)

@@ -683,28 +683,6 @@ class TestSigTest:
         assert set(requested) == set(drawn)
         assert len(requested) > len(drawn)          # some were reused
 
-    @pytest.mark.parametrize("m,iterations", [
-        (1, 2048), (6, 2048), (8, 2048), (9, 2048), (64, 2048)])
-    def test_packed_swap_patterns_score_as_numpy(self, monkeypatch, m,
-                                                 iterations):
-        # the Python sampler packs eight columns to a byte; one column, a
-        # part byte, a full byte, a byte and one column, and eight bytes
-        # must all give numpy's shifts and so its result
-        rng = random.Random(m)
-        counts_x, counts_y = {}, {}
-        for sid in range(m + 12):       # 12 sentences scored alike
-            gold = rng.randint(1, 9)
-            counts_x[str(sid)] = (rng.randint(0, gold), gold, gold)
-            counts_y[str(sid)] = (counts_x[str(sid)] if sid >= m else
-                                  ((counts_x[str(sid)][0] + 1) % (gold + 1),
-                                   gold, rng.randint(gold, gold + 2)))
-        results = []
-        for limit in (-1, 1 << 62):
-            monkeypatch.setattr(evaluation, "_PURE_DRAWS", limit)
-            results.append(sig_test(counts_x, counts_y, iterations, seed=m))
-        assert not results[0].exhaustive
-        assert results[1] == results[0]
-
     def test_exhaustive_exactly_when_patterns_fit_budget(self):
         counts_x, counts_y = _random_counts(random.Random(4), 4)
         exact = sig_test(counts_x, counts_y, iterations=16, seed=3)

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import os
+import stat
 
 import pytest
 
@@ -248,6 +249,79 @@ def test_foreign_file_in_the_output_stops_run_before_any_work(
     assert _contents(out) == {"notes.txt": b"mine\n",
                               "report.tsv": b"an earlier run's\n"}
     assert sorted(os.listdir(tmp_path)) == ["out", "run.cfg"]
+
+
+def test_rerun_keeps_the_permissions_of_the_output(tmp_path, data_dir,
+                                                  configs_dir):
+    # run replaces the output directory: a new one has the mode of any new
+    # directory, and one that replaces an earlier output takes its mode
+    umask = os.umask(0)
+    os.umask(umask)
+    argv = _run_argv(tmp_path, data_dir, configs_dir)
+    assert main(argv) == 0
+    out = tmp_path / "out"
+    assert stat.S_IMODE(out.stat().st_mode) == 0o777 & ~umask
+    out.chmod(0o2750)
+    assert main(argv) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o2750
+
+
+@pytest.mark.parametrize("cause", ["mount point", "parent not writable"])
+def test_output_that_cannot_be_replaced_stops_run_before_any_work(
+        cause, tmp_path, data_dir, configs_dir, monkeypatch, capsys):
+    # run renames the output aside to replace it, which a mount point, or a
+    # directory in a parent that run cannot write, does not allow
+    def iter_treebank(path):
+        pytest.fail("read the treebank with an output it cannot replace")
+
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.tsv").write_text("an earlier run's\n")
+    if cause == "mount point":
+        ismount = os.path.ismount
+        monkeypatch.setattr(os.path, "ismount", lambda path: (
+            path == os.path.realpath(out) or ismount(path)))
+        message = "output %s is a mount point, which run cannot replace"
+    else:
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode, **kwargs: (
+            path != os.path.realpath(tmp_path)
+            and access(path, mode, **kwargs)))
+        message = ("output %s cannot be replaced: its parent directory is "
+                   "not writable")
+    monkeypatch.setattr(treebank, "iter_treebank", iter_treebank)
+    assert main(_run_argv(tmp_path, data_dir, configs_dir)) == 1
+    assert capsys.readouterr().err == "error [run] %s\n" % (message % out)
+    assert _contents(out) == {"report.tsv": b"an earlier run's\n"}
+    assert sorted(os.listdir(tmp_path)) == ["out", "run.cfg"]
+
+
+def test_file_put_into_the_output_during_the_run_is_named(
+        tmp_path, data_dir, configs_dir, monkeypatch, capsys):
+    # the previous output is renamed aside with the file in it; run removes
+    # its own artifacts there, keeps the file and exits 1 naming both
+    argv = _run_argv(tmp_path, data_dir, configs_dir)
+    assert main(argv) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    real_sig_test = evaluation.sig_test
+
+    def sig_test(*args, **kwargs):
+        (out / "notes.txt").write_text("mine\n")
+        return real_sig_test(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "sig_test", sig_test)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    retired = [name for name in os.listdir(tmp_path)
+               if name.startswith(".out.staging-")]
+    assert len(retired) == 1
+    assert err == ("error [run] output %s holds this run's artifacts, but "
+                   "notes.txt, which run does not write, came into it during "
+                   "the run and is now in %s\n"
+                   % (out, os.path.realpath(tmp_path / retired[0])))
+    assert _contents(tmp_path / retired[0]) == {"notes.txt": b"mine\n"}
+    assert sorted(os.listdir(out)) == sorted(ARTIFACTS)
 
 
 def test_run_draws_each_swap_column_once(tmp_path, data_dir, configs_dir,

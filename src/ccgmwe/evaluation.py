@@ -13,15 +13,16 @@ between the two systems with probability one half and recomputes the
 aggregate F1 difference; the p-value is (hits + 1) / (iterations + 1).
 When 2^n does not exceed the iteration budget every swap pattern is
 counted instead, so small inputs get the exact randomization p-value
-under the same +1 convention.  Pooled F1 is 2c / (a + g), so both
-branches count the patterns by the shift in (correct, attempted + gold)
-they cause, in plain Python.  The sampler draws numpy's own stream; it
-imports numpy only when iterations times the sentences X and Y score
-differently exceeds 2^17 draws, so that every other stage and subcommand,
-and `run` on the shipped corpus (at most 60,000 draws), start without it.
-Below that it draws the column of each such sentence down the column, and
-the tests of one `run` share their drawn columns: all four read the same
-stream, so a sentence that several of them test is drawn once.
+under the same +1 convention.  Pooled F1 is 2c / (a + g), so every
+branch counts the patterns by the shift in (correct, attempted + gold)
+they cause and scores each distinct shift once, by one rule.  The
+sampler draws numpy's own stream; it imports numpy only when iterations
+times the sentences X and Y score differently exceeds 2^17 draws, so
+that every other stage and subcommand, and `run` on the shipped corpus
+(at most 60,000 draws), start without it.  Below that it draws the
+column of each such sentence down the column, and the tests of one `run`
+share their drawn columns: all four read the same stream, so a sentence
+that several of them test is drawn once.
 """
 
 from __future__ import annotations
@@ -334,20 +335,19 @@ def sig_test(counts_x, counts_y, iterations=10000, seed=0, *, drawn=None):
     result deterministic and seed-free on small inputs; otherwise the
     sampler is deterministic for a fixed seed.
 
-    The exact branch needs neither numpy nor 2^n rows: sentence by sentence
-    it counts the swap patterns per (correct, attempted + gold) shift they
-    move onto X, in n steps over the distinct shifts.  The sampler swaps
+    Every branch counts the swap patterns per (correct, attempted + gold)
+    shift they move onto X, and scores each distinct shift once.  The exact
+    branch needs neither numpy nor 2^n rows: it counts sentence by
+    sentence, in n steps over the distinct shifts.  The sampler swaps
     sentence k of row r when cell (r, k) of
     numpy.random.default_rng(seed).random((iterations, n)) is below 0.5.
     Only the m sentences that X and Y score differently move the totals;
     while iterations * m is at most 2^17 it draws their columns of that
-    stream in Python, one column at a time, counts the rows per swap
-    pattern and scores each distinct shift as the exact branch does.
-    `drawn`, a dict keyed by (seed, n, iterations, column), keeps the
-    columns drawn: tests of the same stream that share it draw each column
-    once.  `run` passes one per run; without it nothing is kept.  Above the
-    limit it imports numpy and draws the whole stream, which gives the
-    same result, and leaves `drawn` alone.
+    stream in Python, one at a time, and keeps them in `drawn`, a dict
+    keyed by (seed, n, iterations, column), if given: tests of the same
+    stream that share it draw each column once, as `run`'s four do.  Above
+    the limit it draws the whole stream with numpy, which gives the same
+    result, and leaves `drawn` alone.
     """
     check_iterations(iterations)
     check_seed(seed)
@@ -383,27 +383,18 @@ def sig_test(counts_x, counts_y, iterations=10000, seed=0, *, drawn=None):
     if iterations * len(deltas) <= _PURE_DRAWS:
         shifts = _sampled_shifts(deltas, n, iterations, seed,
                                  {} if drawn is None else drawn)
-        return SigTestResult((hits(shifts) + 1) / (iterations + 1), observed,
-                             iterations, False)
-    import numpy as np
+    else:
+        import numpy as np
 
-    x = np.array(x, dtype=np.int64)
-    y = np.array(y, dtype=np.int64)
-    delta = y - x
-    # the swap patterns are drawn a block of rows at a time: the same
-    # stream as one (iterations, n) draw, in a fraction of its memory
-    rng = np.random.default_rng(seed)
-    rows = max(1, _SWAP_BLOCK // n)
-    shift = np.concatenate([
-        (rng.random((min(rows, iterations - first), n)) < 0.5)
-        .astype(np.int64) @ delta
-        for first in range(0, iterations, rows)])
-    x_tot = x.sum(axis=0)[None, :] + shift
-    y_tot = y.sum(axis=0)[None, :] - shift
-    f1_x = np.zeros(iterations)
-    f1_y = np.zeros(iterations)
-    np.divide(2.0 * x_tot[:, 0], x_tot[:, 1], out=f1_x, where=x_tot[:, 1] > 0)
-    np.divide(2.0 * y_tot[:, 0], y_tot[:, 1], out=f1_y, where=y_tot[:, 1] > 0)
-    hits = int(np.count_nonzero(f1_x - f1_y >= observed))
-    return SigTestResult((hits + 1) / (iterations + 1), observed,
+        # the swap patterns are drawn a block of rows at a time: the same
+        # stream as one (iterations, n) draw, in a fraction of its memory
+        rng = np.random.default_rng(seed)
+        delta = np.array(y, dtype=np.int64) - np.array(x, dtype=np.int64)
+        rows = max(1, _SWAP_BLOCK // n)
+        shift = np.concatenate([
+            (rng.random((min(rows, iterations - first), n)) < 0.5)
+            .astype(np.int64) @ delta
+            for first in range(0, iterations, rows)])
+        shifts = Counter(zip(*shift.T.tolist()))
+    return SigTestResult((hits(shifts) + 1) / (iterations + 1), observed,
                          iterations, False)

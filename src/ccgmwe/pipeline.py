@@ -12,15 +12,13 @@ artifact is written in the formats they consume, and the whole run is a
 pure function of the configuration and input files.
 
 `run_pipeline` writes exactly the files of ARTIFACTS.  Before any work it
-stops if the output path cannot be a directory, if it is one that cannot
-be renamed (a mount point, or one in a parent it cannot write), or if it
-holds any file of another name.  It writes into a new staging directory
-beside the output, with the output's permissions, and, once every stage
-has succeeded, swaps that in for the output, so no file of an earlier run
-outlives it.  A run that fails, or is interrupted, removes the staging
-directory and leaves the output as it was.  It removes no file but those
-of ARTIFACTS: a file that comes into the output during the run stays in
-the old output, renamed aside, and the run fails naming it.
+stops if the output path cannot be a directory, or if it holds anything
+but files of ARTIFACTS.  It writes into a `.staging-*` directory in the
+output, then moves each file in and removes the other files of ARTIFACTS
+there.  A failure or Ctrl-C removes the staging directory: before the
+moves the output is left as it was, during them without report.tsv and
+summary.txt, which go first and come back last.  A killed run leaves its
+staging directory, which stops the next run until it is removed.
 
 No derivation tree outlives its sentence: `split` and `collapse` iterate
 split_records and collapse_corpus, which yield per sentence, and keep each
@@ -40,7 +38,7 @@ sentence's rendered text, as `run` does.  `run` holds each edge once:
   object it came from, and the combination makes one pass per occurrence
   set for all three schemes.  Every artifact but report.tsv and
   summary.txt is then written, and its data let go.
-* significance tests: the per-sentence counts of the score rows alone.
+* significance tests: the per-sentence counts of the 7 tested rows alone.
 
 At module level this imports only treebank and recognition, which the
 configuration and split need.  Each corpus stage imports the stage module
@@ -51,7 +49,6 @@ subcommand loads the modules of its own stage and no others.
 from __future__ import annotations
 
 import os
-import shutil
 import sys
 import tempfile
 from contextlib import ExitStack, contextmanager, suppress
@@ -389,8 +386,8 @@ def _parse_passes(model_a, model_b, test, gold_test, full_test, occurrences,
     return outputs, failures_a, failures_b
 
 
-# every file that run writes to its output directory; treebank_dev.txt only
-# when the dev split holds a sentence
+# every file that run writes to its output directory, in the order it moves
+# them in; treebank_dev.txt only when the dev split holds a sentence
 ARTIFACTS = (
     "treebank_b.txt", "treebank_train.txt", "treebank_dev.txt",
     "treebank_test.txt", "occurrences.tsv", "tokens_test.txt",
@@ -409,21 +406,15 @@ ARTIFACTS = (
 
 
 def run_pipeline(config):
-    """Run the full experiment into a staging directory beside
-    config.output, then swap it in for the output: a run that fails, or is
-    interrupted, leaves the output as it was.  Returns the score rows, the
+    """Run the full experiment into a staging directory in config.output,
+    then move its files into the output.  Returns the score rows, the
     stats, the significance rows and the summary text."""
     from . import evaluation
-    output = _claimed_output(config.output)
-    made = []           # the directories above the output that the run makes
-    above = os.path.dirname(output)
-    while not os.path.exists(above):
-        made.append(above)
-        above = os.path.dirname(above)
+    output, made = _claimed_output(config.output)
     staging = None
     try:
-        os.makedirs(os.path.dirname(output), exist_ok=True)
-        staging = _staging_dir(output)
+        os.makedirs(output, exist_ok=True)
+        staging = tempfile.mkdtemp(prefix=".staging-", dir=output)
         rows, stats, tests = _run_stages(config, staging)
         # every other artifact is written, and its data let go: numpy, if a
         # test loads it, lands on a heap that holds little but the counts
@@ -436,84 +427,49 @@ def run_pipeline(config):
         treebank.write_text(os.path.join(staging, "report.tsv"),
                             [_report(rows, stats, sig_rows)])
         treebank.write_text(os.path.join(staging, "summary.txt"), [summary])
-        retired = _swap_in(staging, output)
+        _move_in(staging, output)
     except BaseException:
-        if staging is not None:
-            _discard(staging)
-        for directory in made:
-            with suppress(OSError):
-                os.rmdir(directory)
+        for directory in filter(None, [staging, *made]):
+            _discard(directory)
         raise
-    if retired is not None:
-        raise PipelineError("run", "output %s holds this run's artifacts, but "
-                            "%s, which run does not write, came into it "
-                            "during the run and is now in %s"
-                            % (config.output, ", ".join(retired[1]),
-                               retired[0]))
     return {"rows": rows, "stats": stats, "significance": sig_rows,
             "summary": summary}
 
 
 def _claimed_output(path):
-    """The real path of the output directory `path`.  PipelineError unless
-    it can be a directory that run can replace, and holds nothing but files
-    of ARTIFACTS."""
-    existing = os.path.abspath(path)
+    """The real path of the output directory `path`, and the directories
+    run makes for it, from it up.  PipelineError unless it can be a
+    directory that holds nothing but files of ARTIFACTS."""
+    output = existing = os.path.realpath(path)
+    made = []
     while not os.path.exists(existing):
+        made.append(existing)
         existing = os.path.dirname(existing)
     if not os.path.isdir(existing):
         raise PipelineError("run", "output %s: %s is not a directory"
                             % (path, existing))
-    output = os.path.realpath(path)
-    if os.path.isdir(output):
-        # run replaces the output by renaming it aside
-        if os.path.ismount(output):
-            raise PipelineError("run", "output %s is a mount point, which run "
-                                "cannot replace" % path)
-        if not os.access(os.path.dirname(output), os.W_OK | os.X_OK):
-            raise PipelineError("run", "output %s cannot be replaced: its "
-                                "parent directory is not writable" % path)
+    if not made:
         for name in sorted(os.listdir(output)):
             if (name not in ARTIFACTS
                     or os.path.isdir(os.path.join(output, name))):
                 raise PipelineError("run", "output %s holds %s, which run "
                                     "does not write" % (path, name))
-    return output
+    return output, made
 
 
-def _staging_dir(output):
-    """A new empty directory beside `output`, named after it, with the
-    permissions of `output` if that exists, else those of a new directory."""
-    head, name = os.path.split(output)
-    staging = tempfile.mkdtemp(prefix=".%s.staging-" % name, dir=head)
-    if os.path.isdir(output):
-        shutil.copystat(output, staging)
-    else:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(staging, 0o777 & ~umask)
-    return staging
-
-
-def _swap_in(staging, output):
-    """Rename `staging` to `output`.  A previous run's output there is
-    moved aside first, moved back if the rename fails, and removed after.
-    Returns None, or the path it was moved to and the names of the files
-    of another name left there, which came into it during the run."""
-    if not os.path.isdir(output):
-        os.rename(staging, output)
-        return None
-    retired = staging + ".old"
-    os.rename(output, retired)
-    try:
-        os.rename(staging, output)
-    except BaseException:
-        os.rename(retired, output)
-        raise
-    _discard(retired)
-    if os.path.isdir(retired):
-        return retired, sorted(os.listdir(retired))
-    return None
+def _move_in(staging, output):
+    """Move the files of `staging` into `output`, remove the other files of
+    ARTIFACTS there, then `staging`.  report.tsv and summary.txt go first
+    and come back last: an output that holds them holds one run's files."""
+    written = os.listdir(staging)
+    stale = [name for name in ARTIFACTS if name not in written]
+    for name in [*ARTIFACTS[-2:], *stale]:
+        with suppress(FileNotFoundError):
+            os.remove(os.path.join(output, name))
+    for name in ARTIFACTS:
+        if name in written:
+            os.replace(os.path.join(staging, name), os.path.join(output, name))
+    os.rmdir(staging)
 
 
 def _discard(directory):
@@ -528,9 +484,9 @@ def _discard(directory):
 
 def _run_stages(config, staging):
     """Run every stage but the significance tests, and write each artifact
-    but report.tsv and summary.txt into `staging`.  Returns the score rows,
-    the stats and, per significance test, its name and the per-sentence
-    counts of X and Y: nothing that holds an edge, a tree or a model."""
+    but report.tsv and summary.txt into `staging`.  Returns the score rows
+    with their totals alone, the stats and, per significance test, its name
+    and the per-sentence counts of X and Y: no edge, tree or model."""
     from . import collapse as collapsing
     from . import evaluation, parser
     with _stage("load"):
@@ -656,13 +612,16 @@ def _run_stages(config, staging):
         (parser.save_model, "model_b.tsv", model_b)]
     artifacts += [(treebank.write_dependencies, name + ".deps", deps)
                   for name, deps in dependencies.items()]
+    tests = [(name, reports[x].per_sentence, reports[y].per_sentence)
+             for name, x, y in pairs]
+    for report in reports.values():
+        report.per_sentence = None      # the rows keep their totals alone
     artifacts += [(treebank.write_counts, "counts_%s_%s.tsv" % (name, side),
-                   reports[row].per_sentence)
-                  for name, x, y in pairs for side, row in (("x", x), ("y", y))]
+                   counts) for name, *sides in tests
+                  for side, counts in zip("xy", sides)]
     for write, name, value in artifacts:
         write(os.path.join(staging, name), value)
-    return rows, stats, [(name, reports[x].per_sentence,
-                          reports[y].per_sentence) for name, x, y in pairs]
+    return rows, stats, tests
 
 
 def _report(rows, stats, sig_rows):

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import os
+import shutil
 import stat
 
 import pytest
@@ -171,8 +172,10 @@ def _run_argv(tmp_path, data_dir, configs_dir, extra=""):
 
 
 def _contents(directory):
-    return {name: (directory / name).read_bytes()
-            for name in os.listdir(directory)}
+    """{path under `directory`: its bytes, None for a directory}."""
+    return {str(path.relative_to(directory)):
+            path.read_bytes() if path.is_file() else None
+            for path in directory.rglob("*")}
 
 
 def test_emptied_dev_split_leaves_no_stale_dev_treebank(tmp_path, data_dir,
@@ -231,79 +234,58 @@ def test_failed_run_removes_the_directories_it_made_for_its_output(
 def test_foreign_file_in_the_output_stops_run_before_any_work(
         tmp_path, data_dir, configs_dir, monkeypatch, capsys):
     # a file named in ARTIFACTS, as an earlier run leaves it, is no reason
-    # to stop; any other is, and run names it and writes nothing
+    # to stop; any other is, as is the staging directory of a killed run,
+    # and run names it and writes nothing
     def iter_treebank(path):
         pytest.fail("read the treebank with a foreign file in the output")
 
     monkeypatch.setattr(treebank, "iter_treebank", iter_treebank)
-    out = tmp_path / "out"
-    out.mkdir()
-    (out / "notes.txt").write_text("mine\n")
-    (out / "report.tsv").write_text("an earlier run's\n")
     argv = _run_argv(tmp_path, data_dir, configs_dir)
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.err == ("error [run] output %s holds notes.txt, which "
-                            "run does not write\n" % out)
-    assert captured.out == ""
-    assert _contents(out) == {"notes.txt": b"mine\n",
-                              "report.tsv": b"an earlier run's\n"}
-    assert sorted(os.listdir(tmp_path)) == ["out", "run.cfg"]
+    out = tmp_path / "out"
+    for foreign in ("notes.txt", ".staging-x"):
+        out.mkdir()
+        (out / "report.tsv").write_text("an earlier run's\n")
+        if foreign == "notes.txt":
+            (out / foreign).write_text("mine\n")
+        else:
+            (out / foreign).mkdir()
+            (out / foreign / "out_a.deps").write_text("staged\n")
+        before = _contents(out)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error [run] output %s holds %s, which run "
+                                "does not write\n" % (out, foreign))
+        assert captured.out == ""
+        assert _contents(out) == before
+        assert sorted(os.listdir(tmp_path)) == ["out", "run.cfg"]
+        shutil.rmtree(out)
 
 
 def test_rerun_keeps_the_permissions_of_the_output(tmp_path, data_dir,
                                                   configs_dir):
-    # run replaces the output directory: a new one has the mode of any new
-    # directory, and one that replaces an earlier output takes its mode
+    # run moves its files into the output, never the output itself: a new
+    # one has the mode of any new directory, and a rerun keeps the
+    # directory, its inode and its mode
     umask = os.umask(0)
     os.umask(umask)
     argv = _run_argv(tmp_path, data_dir, configs_dir)
     assert main(argv) == 0
     out = tmp_path / "out"
+    inode = out.stat().st_ino
     assert stat.S_IMODE(out.stat().st_mode) == 0o777 & ~umask
     out.chmod(0o2750)
     assert main(argv) == 0
     assert stat.S_IMODE(out.stat().st_mode) == 0o2750
+    assert out.stat().st_ino == inode
 
 
-@pytest.mark.parametrize("cause", ["mount point", "parent not writable"])
-def test_output_that_cannot_be_replaced_stops_run_before_any_work(
-        cause, tmp_path, data_dir, configs_dir, monkeypatch, capsys):
-    # run renames the output aside to replace it, which a mount point, or a
-    # directory in a parent that run cannot write, does not allow
-    def iter_treebank(path):
-        pytest.fail("read the treebank with an output it cannot replace")
-
-    out = tmp_path / "out"
-    out.mkdir()
-    (out / "report.tsv").write_text("an earlier run's\n")
-    if cause == "mount point":
-        ismount = os.path.ismount
-        monkeypatch.setattr(os.path, "ismount", lambda path: (
-            path == os.path.realpath(out) or ismount(path)))
-        message = "output %s is a mount point, which run cannot replace"
-    else:
-        access = os.access
-        monkeypatch.setattr(os, "access", lambda path, mode, **kwargs: (
-            path != os.path.realpath(tmp_path)
-            and access(path, mode, **kwargs)))
-        message = ("output %s cannot be replaced: its parent directory is "
-                   "not writable")
-    monkeypatch.setattr(treebank, "iter_treebank", iter_treebank)
-    assert main(_run_argv(tmp_path, data_dir, configs_dir)) == 1
-    assert capsys.readouterr().err == "error [run] %s\n" % (message % out)
-    assert _contents(out) == {"report.tsv": b"an earlier run's\n"}
-    assert sorted(os.listdir(tmp_path)) == ["out", "run.cfg"]
-
-
-def test_file_put_into_the_output_during_the_run_is_named(
-        tmp_path, data_dir, configs_dir, monkeypatch, capsys):
-    # the previous output is renamed aside with the file in it; run removes
-    # its own artifacts there, keeps the file and exits 1 naming both
+def test_file_put_into_the_output_during_the_run_stays(
+        tmp_path, data_dir, configs_dir, monkeypatch):
+    # run checks for foreign files before any work, and removes no file
+    # but its own: one that comes in later stays, beside this run's files
     argv = _run_argv(tmp_path, data_dir, configs_dir)
     assert main(argv) == 0
     out = tmp_path / "out"
-    capsys.readouterr()
     real_sig_test = evaluation.sig_test
 
     def sig_test(*args, **kwargs):
@@ -311,17 +293,77 @@ def test_file_put_into_the_output_during_the_run_is_named(
         return real_sig_test(*args, **kwargs)
 
     monkeypatch.setattr(evaluation, "sig_test", sig_test)
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    retired = [name for name in os.listdir(tmp_path)
-               if name.startswith(".out.staging-")]
-    assert len(retired) == 1
-    assert err == ("error [run] output %s holds this run's artifacts, but "
-                   "notes.txt, which run does not write, came into it during "
-                   "the run and is now in %s\n"
-                   % (out, os.path.realpath(tmp_path / retired[0])))
-    assert _contents(tmp_path / retired[0]) == {"notes.txt": b"mine\n"}
-    assert sorted(os.listdir(out)) == sorted(ARTIFACTS)
+    assert main(argv) == 0
+    assert (out / "notes.txt").read_text() == "mine\n"
+    assert sorted(os.listdir(out)) == sorted(ARTIFACTS + ("notes.txt",))
+
+
+@pytest.mark.parametrize("earlier", [True, False])
+@pytest.mark.parametrize("k", [1, 18, 35])
+def test_run_interrupted_while_moving_in_leaves_no_report(
+        k, earlier, tmp_path, data_dir, configs_dir, monkeypatch):
+    # report.tsv and summary.txt go before the first of the 36 moves and
+    # come back in the last two: an interrupted output lacks both, and the
+    # next run completes it; an output the run made goes with it
+    argv = _run_argv(tmp_path, data_dir, configs_dir)
+    out = tmp_path / "out"
+    if earlier:
+        assert main(argv) == 0
+    real_replace = os.replace
+    calls = []
+
+    def replace(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == k:
+            raise KeyboardInterrupt
+        return real_replace(*args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    monkeypatch.undo()
+    if earlier:
+        names = os.listdir(out)
+        assert "report.tsv" not in names and "summary.txt" not in names
+        assert [name for name in names if name.startswith(".staging-")] == []
+    else:
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+    assert main(argv) == 0
+    assert {"out/" + name: _sha256(out / name)
+            for name in os.listdir(out)} == {
+        name: digest for name, digest in _rec1_digests().items()
+        if name.startswith("out/")}
+
+
+def test_rows_keep_their_totals_alone_through_the_sig_tests(
+        tmp_path, data_dir, configs_dir, monkeypatch):
+    # the four tests read the per-sentence counts of 7 of the 13 score
+    # rows, which run passes them; no row keeps its own
+    def counted():
+        return [obj for obj in gc.get_objects()
+                if type(obj) is evaluation.EvalReport
+                and obj.per_sentence is not None]
+
+    live, tested = [], []
+    real_sig_test = evaluation.sig_test
+
+    def sig_test(counts_x, counts_y, **kwargs):
+        if not tested:
+            live.extend(counted())
+        tested.extend((id(counts_x), id(counts_y)))
+        return real_sig_test(counts_x, counts_y, **kwargs)
+
+    monkeypatch.setattr(evaluation, "sig_test", sig_test)
+    config = read_config([os.path.join(configs_dir, "base.cfg"),
+                          os.path.join(configs_dir, "rec1.cfg")])
+    config.treebank = os.path.join(data_dir, "treebank.txt")
+    config.lexicon = os.path.join(data_dir, "lexicon.tsv")
+    config.output = str(tmp_path / "out")
+    result = run_pipeline(config)
+    assert live == []
+    assert len(tested) == 8 and len(set(tested)) == 7
+    assert len(result["rows"]) == 13
+    assert {row[3].per_sentence for row in result["rows"]} == {None}
 
 
 def test_run_draws_each_swap_column_once(tmp_path, data_dir, configs_dir,

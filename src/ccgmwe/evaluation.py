@@ -27,6 +27,8 @@ that several of them test is drawn once.
 
 from __future__ import annotations
 
+import os
+import sys
 from collections import Counter
 from itertools import compress
 
@@ -219,6 +221,22 @@ _MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
+def _numpy():
+    """numpy, loaded with one OpenBLAS thread unless the caller chose a
+    count or loaded it first: the sampler calls no BLAS routine, and the
+    pool's idle threads spin.  OpenBLAS reads the variable as it loads."""
+    chosen = "numpy" in sys.modules or not os.environ.keys().isdisjoint(
+        ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    if not chosen:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        if not chosen:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    return numpy
+
+
 def _pooled_f1(correct, attempted_plus_gold):
     # F1 = 2PR/(P+R) collapses to 2c/(a+g) on pooled counts
     if attempted_plus_gold == 0:
@@ -384,17 +402,19 @@ def sig_test(counts_x, counts_y, iterations=10000, seed=0, *, drawn=None):
         shifts = _sampled_shifts(deltas, n, iterations, seed,
                                  {} if drawn is None else drawn)
     else:
-        import numpy as np
-
-        # the swap patterns are drawn a block of rows at a time: the same
-        # stream as one (iterations, n) draw, in a fraction of its memory
-        rng = np.random.default_rng(seed)
-        delta = np.array(y, dtype=np.int64) - np.array(x, dtype=np.int64)
+        np = _numpy()
+        # a block of rows at a time, the same stream as one (iterations, n)
+        # draw: random() < 0.5 is a 0 in the top bit of the raw draw, and
+        # only the moving columns are multiplied out and counted
+        rng = np.random.default_rng(seed).bit_generator
+        columns = sorted(deltas)
+        delta = np.array([deltas[col] for col in columns],
+                         dtype=np.int64).reshape(-1, 2)
         rows = max(1, _SWAP_BLOCK // n)
-        shift = np.concatenate([
-            (rng.random((min(rows, iterations - first), n)) < 0.5)
-            .astype(np.int64) @ delta
-            for first in range(0, iterations, rows)])
-        shifts = Counter(zip(*shift.T.tolist()))
+        shifts = Counter()
+        for first in range(0, iterations, rows):
+            raw = rng.random_raw((min(rows, iterations - first), n))
+            shift = (raw[:, columns] < 1 << 63).astype(np.int64) @ delta
+            shifts.update(zip(*shift.T.tolist()))
     return SigTestResult((hits(shifts) + 1) / (iterations + 1), observed,
                          iterations, False)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import statistics
 import subprocess
@@ -123,6 +124,52 @@ def test_a_failed_claim_names_its_first_unmet_condition(bench_pairs):
         "better in 8 of 10 pairs, fewer than 9 in 10")
     assert shortfall([2.0, 2.4] * 5, [1.95, 2.35] * 5) == (
         "median better by 0.05, not more than the parent's IQR 0.4")
+
+
+def test_pair_gap_is_the_median_difference_within_pairs(bench_pairs):
+    # the host drifts by a third from seed to seed, and two of the change's
+    # runs fall on a slow spell: its median reads 0.15 s worse, while the
+    # median gap within a pair is 0.1 s better
+    drift = [1.0, 1.3, 1.0, 1.35, 1.05]
+    parent = fake_runs(0, cpu_s=[value + 0.1 for value in drift])
+    change = fake_runs(0, cpu_s=drift[:2] + [1.4, 1.4] + drift[4:])
+    better = {"cpu_s": "lower"}
+    parent, change = (bench_pairs.summary("p", "w", 38, parent, change,
+                                          better),
+                      bench_pairs.summary("c", "w", 38, change, parent,
+                                          better))
+    assert change["median"]["cpu_s"] - parent["median"]["cpu_s"] \
+        == pytest.approx(0.15)
+    assert bench_pairs.pair_gap(parent, change, "cpu_s") == pytest.approx(-0.1)
+    assert bench_pairs.pair_gap(change, parent, "cpu_s") == pytest.approx(0.1)
+
+
+def test_each_metric_prints_its_median_pair_gap(bench_pairs, tmp_path,
+                                                monkeypatch, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": [
+            {"name": "cpu_s", "better": "lower", "bound": 0.25}]}))
+    runs = {"parent": fake_runs(0, cpu_s=[1.6, 1.2, 1.7], rate=[4, 4, 4]),
+            "change": fake_runs(0, cpu_s=[1.5, 1.1, 1.5], rate=[5, 3, 7])}
+
+    def run_once(checkout, workload, seed, seconds):
+        return runs[os.path.basename(checkout)][seed - 1]["result"]
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "commit_id", os.path.basename)
+    assert bench_pairs.main(
+        ["--parent", str(tmp_path / "parent"),
+         "--change", str(tmp_path / "change"), "--seeds", "1,2,3",
+         "--output-dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert ("cpu_s: parent 1.6000 [1.4000, 1.6500], change 1.5000 "
+            "[1.3000, 1.5000], change better in 3 of 3 pairs, median pair "
+            "change - parent -0.1000") in lines
+    assert ("rate: parent 4.0000 [4.0000, 4.0000], change 5.0000 "
+            "[4.0000, 6.0000], change better in - of 3 pairs, median pair "
+            "change - parent +1.0000") in lines
 
 
 def test_checkouts_at_one_commit_id_stop_the_tool_before_the_first_run(

@@ -476,6 +476,20 @@ LARGE_N_EXACT = textwrap.dedent("""
 """)
 
 
+# one sampled sig_test over the draw limit, in a process of its own: its
+# thread count and the BLAS thread variables it leaves
+SAMPLED_THREADS = textwrap.dedent("""
+    import json, os, sys
+    from ccgmwe.evaluation import sig_test
+    counts_x, counts_y = json.loads(sys.argv[1])
+    result = sig_test(counts_x, counts_y, iterations=10000)
+    print(json.dumps([result.exhaustive, "numpy" in sys.modules,
+                      len(os.listdir("/proc/self/task")),
+                      {name: os.environ.get(name) for name in sys.argv[2:]}]))
+""")
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def enumerated_sig_test(counts_x, counts_y):
     """The exhaustive test with every one of the 2^n swap patterns as a row
     of numpy arrays, in the arithmetic sig_test must reproduce exactly."""
@@ -614,6 +628,22 @@ class TestSigTest:
         assert not first.exhaustive
         assert first.p_value == second.p_value
 
+    @staticmethod
+    def sampled_p_value(counts_x, counts_y, iterations, seed, observed):
+        """The p-value of the swaps default_rng(seed).random((iterations,
+        n)) < 0.5, every sentence's column drawn and multiplied out."""
+        sids = sorted(counts_x)
+        x = np.array([counts_x[sid] for sid in sids], dtype=np.int64)
+        y = np.array([counts_y[sid] for sid in sids], dtype=np.int64)
+        swaps = np.random.default_rng(seed).random((iterations,
+                                                    len(sids))) < 0.5
+        shift = swaps.astype(np.int64) @ (y - x)
+        x_tot, y_tot = x.sum(axis=0) + shift, y.sum(axis=0) - shift
+        diffs = (2.0 * x_tot[:, 0] / (x_tot[:, 1] + x_tot[:, 2])
+                 - 2.0 * y_tot[:, 0] / (y_tot[:, 1] + y_tot[:, 2]))
+        hits = int(np.count_nonzero(diffs >= observed))
+        return (hits + 1) / (iterations + 1)
+
     @pytest.mark.parametrize("block",
                              [1, 37 * 3, 37 * 64 + 5, 1 << 14, 1 << 18])
     def test_sampler_draws_one_stream(self, monkeypatch, block):
@@ -622,18 +652,60 @@ class TestSigTest:
         # fit under _PURE_DRAWS, so the limit is lowered to reach numpy
         monkeypatch.setattr(evaluation, "_PURE_DRAWS", -1)
         counts_x, counts_y = _random_counts(random.Random(12), 37)
-        sids = sorted(counts_x)
-        x = np.array([counts_x[sid] for sid in sids], dtype=np.int64)
-        y = np.array([counts_y[sid] for sid in sids], dtype=np.int64)
-        swaps = np.random.default_rng(5).random((1000, len(sids))) < 0.5
-        shift = swaps.astype(np.int64) @ (y - x)
-        x_tot, y_tot = x.sum(axis=0) + shift, y.sum(axis=0) - shift
-        diffs = (2.0 * x_tot[:, 0] / (x_tot[:, 1] + x_tot[:, 2])
-                 - 2.0 * y_tot[:, 0] / (y_tot[:, 1] + y_tot[:, 2]))
         monkeypatch.setattr(evaluation, "_SWAP_BLOCK", block)
         result = sig_test(counts_x, counts_y, iterations=1000, seed=5)
-        hits = int(np.count_nonzero(diffs >= result.observed_diff))
-        assert result.p_value == (hits + 1) / 1001
+        assert result.p_value == self.sampled_p_value(
+            counts_x, counts_y, 1000, 5, result.observed_diff)
+
+    @pytest.mark.parametrize("block", [1, 7, 399, 1 << 14])
+    @pytest.mark.parametrize("moving", [5, 0])
+    def test_sampler_reads_raw_top_bits_of_moving_columns(
+            self, monkeypatch, block, moving):
+        # numpy tests the top bit of each raw draw of the m columns that
+        # move the totals; the reference compares every cell's random()
+        # with 0.5.  The other 395 or 400 sentences are scored alike
+        monkeypatch.setattr(evaluation, "_PURE_DRAWS", -1)
+        monkeypatch.setattr(evaluation, "_SWAP_BLOCK", block)
+        rng = random.Random(moving)
+        counts_x = _random_counts(rng, 400)[0]
+        counts_y = dict(counts_x)
+        for sid in ([0, 399] + rng.sample(range(1, 399), 3))[:moving]:
+            gold = counts_x[str(sid)][2]
+            counts_y[str(sid)] = (rng.randint(0, gold),
+                                  gold + rng.randint(1, 3), gold)
+        assert sum(counts_x[sid] != counts_y[sid]
+                   for sid in counts_x) == moving
+        for seed in (5, 2 ** 64 + 9):
+            result = sig_test(counts_x, counts_y, iterations=600, seed=seed)
+            assert not result.exhaustive
+            assert result.p_value == self.sampled_p_value(
+                counts_x, counts_y, 600, seed, result.observed_diff)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc/self/task")
+    @pytest.mark.parametrize("caller", [None, "2"])
+    def test_numpy_sampler_runs_on_one_thread(self, caller):
+        # OpenBLAS starts a thread per CPU unless told otherwise when numpy
+        # loads; the sampler calls no BLAS routine, so it loads numpy with
+        # one, and leaves a count the caller chose as it was
+        counts_x, counts_y = _random_counts(random.Random(60), 60)
+        env = {name: value for name, value in os.environ.items()
+               if name not in BLAS_THREADS}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        if caller is not None:
+            env["OPENBLAS_NUM_THREADS"] = caller
+        done = subprocess.run(
+            [sys.executable, "-c", SAMPLED_THREADS,
+             json.dumps([counts_x, counts_y]), *BLAS_THREADS],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        exhaustive, numpy_loaded, threads, left = json.loads(done.stdout)
+        assert not exhaustive and numpy_loaded
+        assert left == dict.fromkeys(BLAS_THREADS) | (
+            {} if caller is None else {"OPENBLAS_NUM_THREADS": caller})
+        if caller is None:
+            assert threads == 1
 
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 32 + 5, 2 ** 64 - 1,
                                       2 ** 64 + 9, 2 ** 128, 3 ** 200])

@@ -16,7 +16,10 @@ run, the operations attempted and failed over all seeds, the median and
 quartiles over the seeds of each metric, and for each end-to-end metric the
 number of pairs in which that side reads better than the other (ties count
 for neither), by the direction BENCHMARK.json gives it.  Every metric is
-printed per seed, and each metric's medians, quartiles and wins at the end.
+printed per seed, and each metric's medians, quartiles and wins at the end,
+with the median over the pairs of the change's value minus the parent's at
+the same seed: host speed that drifts between seeds moves both sides'
+medians, but much less the difference within a pair.
 For each end-to-end metric it then prints the change's median as a signed
 percentage of the parent's, next to the metric's bound, and whether a gain
 could be claimed: over at least ten pairs, the change wins at least 9 in
@@ -110,6 +113,15 @@ def summary(sha, workload, seconds, runs, rivals, better):
     }
 
 
+def pair_gap(parent, change, name):
+    """The median over the pairs of the two summary() records of the
+    change's value of metric `name` minus the parent's at the same seed."""
+    return statistics.median(
+        ours["result"]["metrics"][name]["value"]
+        - theirs["result"]["metrics"][name]["value"]
+        for ours, theirs in zip(change["runs"], parent["runs"]))
+
+
 def claim_holds(parent, change, name, better):
     """Whether the change's gain on metric `name` may be claimed from the
     two summary() records: they hold at least CLAIM_PAIRS pairs, the change
@@ -189,10 +201,12 @@ def main(argv=None):
     parent, change = records["parent"], records["change"]
     for name in sorted(change["median"]):
         print("%s: parent %.4f [%.4f, %.4f], change %.4f [%.4f, %.4f], "
-              "change better in %s of %d pairs"
+              "change better in %s of %d pairs, median pair change - "
+              "parent %+.4f"
               % (name, parent["median"][name], *parent["quartiles"][name],
                  change["median"][name], *change["quartiles"][name],
-                 change["wins"].get(name, "-"), len(change["runs"])),
+                 change["wins"].get(name, "-"), len(change["runs"]),
+                 pair_gap(parent, change, name)),
               file=sys.stderr)
     for name, metric in metrics.items():
         base = parent["median"][name]

@@ -16,13 +16,13 @@ counted instead, so small inputs get the exact randomization p-value
 under the same +1 convention.  Pooled F1 is 2c / (a + g), so every
 branch counts the patterns by the shift in (correct, attempted + gold)
 they cause and scores each distinct shift once, by one rule.  The
-sampler draws numpy's own stream; it imports numpy only when iterations
-times the sentences X and Y score differently exceeds 2^17 draws, so
-that every other stage and subcommand, and `run` on the shipped corpus
-(at most 60,000 draws), start without it.  Below that it draws the
-column of each such sentence down the column, and the tests of one `run`
-share their drawn columns: all four read the same stream, so a sentence
-that several of them test is drawn once.
+sampler reads numpy's own stream, and only the columns of the sentences
+X and Y score differently.  Up to 2^17 of their draws (iterations times
+their number) it draws them in Python, down the column, so that every
+other stage and subcommand, and `run` on the shipped corpus (at most
+60,000 draws), start without numpy; the tests of one `run` read one
+stream, so a column that several of them test is drawn once.  Above it
+numpy, loaded with one BLAS thread, draws them as raw top bits.
 """
 
 from __future__ import annotations
@@ -212,8 +212,8 @@ class SigTestResult(Record):
 # swap decisions drawn per block of rows by sig_test's numpy sampler
 _SWAP_BLOCK = 1 << 14
 # sig_test draws up to this many swap decisions (iterations times the
-# sentences X and Y score differently) in Python, 0.05-0.07 s on a 2-CPU
-# host; above it importing numpy costs less than the draws
+# sentences X and Y score differently) in Python, 0.05-0.06 s on 2 CPUs;
+# above it numpy, 0.06-0.07 s with its one-thread import, costs less
 _PURE_DRAWS = 1 << 17
 
 _MASK32 = (1 << 32) - 1
@@ -364,8 +364,11 @@ def sig_test(counts_x, counts_y, iterations=10000, seed=0, *, drawn=None):
     stream in Python, one at a time, and keeps them in `drawn`, a dict
     keyed by (seed, n, iterations, column), if given: tests of the same
     stream that share it draw each column once, as `run`'s four do.  Above
-    the limit it draws the whole stream with numpy, which gives the same
-    result, and leaves `drawn` alone.
+    the limit numpy draws the stream's raw words a block of rows at a
+    time; a word's top bit is 0 exactly when random() is below 0.5, and
+    only the m columns are multiplied out and counted.  numpy is loaded
+    with one OpenBLAS thread unless the caller set a count or loaded it,
+    and `drawn` is left alone.
     """
     check_iterations(iterations)
     check_seed(seed)
@@ -403,9 +406,6 @@ def sig_test(counts_x, counts_y, iterations=10000, seed=0, *, drawn=None):
                                  {} if drawn is None else drawn)
     else:
         np = _numpy()
-        # a block of rows at a time, the same stream as one (iterations, n)
-        # draw: random() < 0.5 is a 0 in the top bit of the raw draw, and
-        # only the moving columns are multiplied out and counted
         rng = np.random.default_rng(seed).bit_generator
         columns = sorted(deltas)
         delta = np.array([deltas[col] for col in columns],
